@@ -14,8 +14,7 @@ All numeric output is exact (rational strings); ``--approx`` adds decimal
 renderings marked non-authoritative.  ``--format text|json|csv`` render the
 same records.  Exit status 0 means every check passed; on failure the list
 of failing record ids is printed to stderr as JSON; usage and expression
-errors exit 2.  The environment variable CR_LAB_THREADS (integer >= 1) caps
-internal parallelism; output is deterministic regardless.
+errors exit 2.
 """
 
 from __future__ import annotations
@@ -47,6 +46,7 @@ _OPERATORS = {
 }
 
 MAX_BIDEGREE = 8
+MAX_VARIATION_PMAX = 24
 
 
 class UsageError(Exception):
@@ -191,6 +191,8 @@ def cmd_bochner(args, report: Report):
 
 
 def cmd_variation(args, report: Report):
+    if not 1 <= args.pmax <= MAX_VARIATION_PMAX:
+        raise UsageError(f"--pmax must lie in 1..{MAX_VARIATION_PMAX}")
     phi = parse_poly(args.phi)
     if args.order == 1:
         form = assemble_form(first_variation(phi), args.pmax, expect_hermitian=True)
@@ -295,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("variation", help="variation quadratic forms on the pluriharmonic space")
     p.add_argument("--phi", required=True)
     p.add_argument("--order", type=int, choices=(1, 2), default=2)
-    p.add_argument("--pmax", type=int, default=4)
+    p.add_argument("--pmax", type=int, default=4,
+                   help=f"largest degree k of H_(k,0), H_(0,k) (1..{MAX_VARIATION_PMAX})")
     _add_common(p)
     p.set_defaults(run=cmd_variation)
 

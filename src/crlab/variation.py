@@ -37,18 +37,16 @@ independent truncated-expansion route in :mod:`crlab.deformation`
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .deformation import paneitz_family_jet
 from .harmonics import basis, canonicalize
-from .integration import inner
+from .integration import inner, moment
 from .operators import (CONJ_KOHN, KOHN, LinOp, MulBy, PANEITZ, SUBLAP, Z1,
                         Z1BAR, apply_T, apply_Z1, apply_Z1bar, grad_op, kohn)
-from .scalars import GaussianRational, I
-from .spherepoly import SpherePoly
+from .scalars import ZERO, GaussianRational, I
+from .spherepoly import Monomial, SpherePoly
 
 
 class PreconditionError(ValueError):
@@ -165,26 +163,44 @@ def variations_from_jets(phi: SpherePoly) -> tuple[LinOp, LinOp]:
 
 @dataclass(frozen=True)
 class HermitianForm:
-    """Exact matrix <A f_i, f_j> of a sesquilinear form over a fixed basis."""
+    """Exact matrix <A f_i, f_j> of a sesquilinear form over a fixed basis.
+
+    Stored sparsely: ``rows[i]`` maps each column j to the entry (i, j)
+    when that entry is nonzero; every absent entry is zero.
+    """
 
     labels: tuple[str, ...]
     elements: tuple[SpherePoly, ...]
-    entries: tuple[tuple[GaussianRational, ...], ...]
+    rows: tuple[dict[int, GaussianRational], ...]
+
+    @classmethod
+    def from_dense(cls, labels: tuple[str, ...], elements: tuple[SpherePoly, ...],
+                   entries) -> "HermitianForm":
+        """Form with the given dense n x n entries (a sequence of rows)."""
+        return cls(labels, elements,
+                   tuple({j: v for j, v in enumerate(row) if not v.is_zero()}
+                         for row in entries))
 
     @property
     def dimension(self) -> int:
         return len(self.elements)
 
+    @property
+    def entries(self) -> tuple[tuple[GaussianRational, ...], ...]:
+        """Dense n x n view of the matrix, built on each access."""
+        n = self.dimension
+        return tuple(tuple(row.get(j, ZERO) for j in range(n)) for row in self.rows)
+
     def diagonal(self) -> tuple[GaussianRational, ...]:
-        return tuple(self.entries[i][i] for i in range(self.dimension))
+        return tuple(row.get(i, ZERO) for i, row in enumerate(self.rows))
 
     def is_zero(self) -> bool:
-        return all(v.is_zero() for row in self.entries for v in row)
+        return not any(self.rows)
 
     def is_hermitian(self) -> bool:
-        n = self.dimension
-        return all(self.entries[j][i] == self.entries[i][j].conj()
-                   for i in range(n) for j in range(i, n))
+        rows = self.rows
+        return all(rows[j].get(i, ZERO) == v.conj()
+                   for i, row in enumerate(rows) for j, v in row.items())
 
 
 @dataclass(frozen=True)
@@ -208,70 +224,77 @@ def pluriharmonic_basis(pmax: int) -> tuple[BasisVector, ...]:
     return tuple(out)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("CR_LAB_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"CR_LAB_THREADS must be an integer >= 1, got {raw!r}") from exc
-    if count < 1:
-        raise ValueError(f"CR_LAB_THREADS must be an integer >= 1, got {raw!r}")
-    return count
-
-
 def assemble_form(op: LinOp, pmax: int, expect_hermitian: bool = False) -> HermitianForm:
     """Matrix of <op f_i, f_j> over the pluriharmonic basis up to degree pmax.
 
-    Results are deterministic regardless of CR_LAB_THREADS (rows are
-    computed independently and collected by index).  ``expect_hermitian``
-    turns a failed conjugate-symmetry check into an error, which is how the
-    "the variation operators are real" claims are asserted.
+    Every basis element is a single monomial, and a term of ``op f_i``
+    pairs with f_j only when their torus weights (a - c, b - d) agree (see
+    :func:`crlab.integration.inner`).  So the basis is indexed once by
+    weight and row i is one pass over the terms of ``op f_i``; only the
+    nonzero entries are kept.  ``expect_hermitian`` turns a failed
+    conjugate-symmetry check into an error, which is how the "the variation
+    operators are real" claims are asserted.
     """
     if pmax < 1:
         raise PreconditionError("pmax must be >= 1")
     vectors = pluriharmonic_basis(pmax)
-    elements = tuple(v.element for v in vectors)
-
-    def row(i: int) -> tuple[GaussianRational, ...]:
-        image = op(elements[i])
-        return tuple(inner(image, f) for f in elements)
-
-    threads = _thread_count()
-    indices = range(len(elements))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            entries = tuple(pool.map(row, indices))
-    else:
-        entries = tuple(row(i) for i in indices)
-    form = HermitianForm(tuple(v.label for v in vectors), elements, entries)
+    by_weight: dict[tuple[int, int], list[tuple[int, Monomial, GaussianRational]]] = {}
+    for j, v in enumerate(vectors):
+        if len(v.element) != 1:
+            raise IdentityCheckError(f"pluriharmonic basis element {v.label} is not a monomial")
+        ((mono, coeff),) = v.element.terms.items()
+        by_weight.setdefault((mono.a - mono.c, mono.b - mono.d), []).append(
+            (j, mono, coeff.conj()))
+    rows = []
+    for v in vectors:
+        row: dict[int, GaussianRational] = {}
+        for mono, coeff in op(v.element).terms.items():
+            for j, other, other_conj in by_weight.get((mono.a - mono.c, mono.b - mono.d), ()):
+                term = coeff * other_conj * moment(mono.a + other.c, mono.b + other.d)
+                row[j] = row[j] + term if j in row else term
+        rows.append({j: value for j, value in row.items() if not value.is_zero()})
+    form = HermitianForm(tuple(v.label for v in vectors),
+                         tuple(v.element for v in vectors), tuple(rows))
     if expect_hermitian and not form.is_hermitian():
         raise IdentityCheckError("assembled form is not Hermitian")
     return form
 
 
-def classify(form: HermitianForm) -> str:
-    """Exact definiteness class of a Hermitian form.
+def _blocks(rows: tuple[dict[int, GaussianRational], ...]) -> list[list[int]]:
+    """Connected components of the nonzero pattern of a Hermitian matrix."""
+    seen = [False] * len(rows)
+    blocks = []
+    for start in range(len(rows)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        block = [start]
+        for i in block:  # grows while it is scanned: a breadth-first search
+            for j in rows[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    block.append(j)
+        blocks.append(block)
+    return blocks
+
+
+def _block_inertia(matrix: list[list[GaussianRational]]) -> tuple[int, int, int] | None:
+    """(positive, negative, zero) inertia of a dense Hermitian block, or None if indefinite.
 
     Recursive pivoting with rational pivots: each nonzero diagonal entry
     contributes its sign and is eliminated by a Schur complement; a state
-    with zero diagonal but a nonzero off-diagonal entry is indefinite
-    (its 2x2 principal block has eigenvalues of both signs); remaining
-    zero rows only reduce the rank.  Sylvester's law of inertia makes the
-    outcome basis-independent.
+    with zero diagonal but a nonzero off-diagonal entry is indefinite (its
+    2x2 principal block has eigenvalues of both signs); remaining zero rows
+    only reduce the rank.
     """
-    if not form.is_hermitian():
-        raise PreconditionError("classification requires a Hermitian matrix")
-    matrix = [list(row) for row in form.entries]
-    active = list(range(form.dimension))
+    active = list(range(len(matrix)))
     pos = neg = 0
-    rank_deficit = 0
     while active:
         pivot = next((i for i in active if not matrix[i][i].is_zero()), None)
         if pivot is None:
             if all(matrix[i][j].is_zero() for i in active for j in active):
-                rank_deficit += len(active)
-                break
-            return INDEFINITE
+                return pos, neg, len(active)
+            return None
         d = matrix[pivot][pivot]
         if d.real_sign() > 0:
             pos += 1
@@ -284,8 +307,31 @@ def classify(form: HermitianForm) -> str:
                 continue
             for j in active:
                 matrix[i][j] = matrix[i][j] - factor * matrix[pivot][j]
-    if pos and neg:
-        return INDEFINITE
+    return pos, neg, 0
+
+
+def classify(form: HermitianForm) -> str:
+    """Exact definiteness class of a Hermitian form.
+
+    The basis splits into the connected blocks of the form's nonzero
+    pattern; the matrix is block diagonal over them, so by Sylvester's law
+    of inertia the inertia of the form is the sum of the blocks' inertias,
+    each found by exact rational pivoting (:func:`_block_inertia`).  The
+    outcome is basis-independent.
+    """
+    if not form.is_hermitian():
+        raise PreconditionError("classification requires a Hermitian matrix")
+    rows = form.rows
+    pos = neg = rank_deficit = 0
+    for block in _blocks(rows):
+        inertia = _block_inertia([[rows[i].get(j, ZERO) for j in block] for i in block])
+        if inertia is None:
+            return INDEFINITE
+        pos += inertia[0]
+        neg += inertia[1]
+        rank_deficit += inertia[2]
+        if pos and neg:
+            return INDEFINITE
     if pos:
         return POSITIVE_DEFINITE if not rank_deficit else POSITIVE_SEMIDEFINITE
     if neg:
@@ -296,10 +342,6 @@ def classify(form: HermitianForm) -> str:
 # -- exact identities around the second variation ------------------------------
 
 
-def _canonical_split(f: SpherePoly) -> dict[tuple[int, int], SpherePoly]:
-    return canonicalize(f)
-
-
 def drift_square_form(phi: SpherePoly, f: SpherePoly) -> GaussianRational:
     """<D^2 f, f> for f in the kernel of the Paneitz operator.
 
@@ -307,7 +349,7 @@ def drift_square_form(phi: SpherePoly, f: SpherePoly) -> GaussianRational:
     plain squared norm of D f = (phi u_11 + phi_1 u_1) + (pb v_bb + pb_b v_b),
     hence is real and nonnegative; both routes are computed and compared.
     """
-    parts = _canonical_split(f)
+    parts = canonicalize(f)
     if any(p > 0 and q > 0 for (p, q) in parts):
         raise PreconditionError("f must lie in the kernel of the Paneitz operator")
     rep = SpherePoly.zero()
@@ -334,10 +376,10 @@ def remainder_form(phi: SpherePoly, f: SpherePoly, g: SpherePoly) -> GaussianRat
 
     when f is in H_{p,0}.
     """
-    g_parts = _canonical_split(g)
+    g_parts = canonicalize(g)
     if any(q != 0 for (_, q) in g_parts):
         raise PreconditionError("g must be a CR function (components H_{k,0} only)")
-    f_parts = _canonical_split(f)
+    f_parts = canonicalize(f)
     if len(f_parts) > 1 or any(p > 0 and q > 0 for (p, q) in f_parts):
         raise PreconditionError("f must lie in a single H_{p,0} or H_{0,p}")
     g_rep = SpherePoly.zero()
@@ -420,7 +462,7 @@ def second_variation_decomposition(phi: SpherePoly, f: SpherePoly) -> SecondVari
     carries the conjugate weight (for bihomogeneous phi the weight is real,
     so both sides then share w_k).
     """
-    parts = _canonical_split(f)
+    parts = canonicalize(f)
     if any((p > 0 and q > 0) or (p == 0 and q == 0) for (p, q) in parts):
         raise PreconditionError("f must lie in H: components H_{k,0}, H_{0,k}, k >= 1")
     holo = {p: piece for (p, q), piece in parts.items() if q == 0}

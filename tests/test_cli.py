@@ -7,6 +7,8 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from crlab.cli import main
 from crlab.report import decode_complex, decode_rational
 
@@ -38,6 +40,14 @@ def test_spectrum_rejects_large_bounds(capsys):
     code, out, err = run_cli(capsys, "spectrum", "--pmax", "9")
     assert code == 2
     assert "0..8" in err
+
+
+@pytest.mark.parametrize("pmax", ["0", "-3", "25"])
+def test_variation_rejects_pmax_out_of_range(capsys, pmax):
+    code, out, err = run_cli(capsys, "variation", "--phi", "z1", "--pmax", pmax)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --pmax must lie in 1..24\n"
 
 
 def test_decompose_reports_components_and_be(capsys):
@@ -148,15 +158,6 @@ def test_approx_flag_marks_decimals(capsys):
     assert "non-authoritative" in data["approx_note"]
     assert data["records"][0]["witness_approx"]["value"] == 0.5
     assert data["records"][0]["witness"]["value"] == "1/2"
-
-
-def test_threads_env_does_not_change_output(capsys, monkeypatch):
-    args = ("variation", "--phi", "z1", "--order", "2", "--pmax", "2")
-    _, base, _ = run_json(capsys, *args)
-    monkeypatch.setenv("CR_LAB_THREADS", "4")
-    _, threaded, _ = run_json(capsys, *args)
-    base.pop("elapsed_ms"), threaded.pop("elapsed_ms")
-    assert base == threaded
 
 
 def _normalized(text: str) -> str:

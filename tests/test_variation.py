@@ -252,7 +252,7 @@ def test_classify_examples():
                               else gr(Fraction(v[0]), Fraction(v[1])) for v in row)
                         for row in rows)
         n = len(rows)
-        return HermitianForm(tuple("e%d" % i for i in range(n)), (one,) * n, entries)
+        return HermitianForm.from_dense(tuple("e%d" % i for i in range(n)), (one,) * n, entries)
 
     assert classify(form_from([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == POSITIVE_DEFINITE
     assert classify(form_from([[1, 2], [2, 1]])) == INDEFINITE
@@ -304,20 +304,58 @@ def _eigen_sign_counts(raw):
     return pos, neg, zero
 
 
-def test_classify_against_charpoly_oracle(rng):
-    for trial in range(20):
-        n = rng.randint(1, 4)
-        raw = [[gr(0)] * n for _ in range(n)]
-        for i in range(n):
+def _random_hermitian_block(rng, n, zero_diagonal=False):
+    raw = [[gr(0)] * n for _ in range(n)]
+    for i in range(n):
+        if not zero_diagonal:
             raw[i][i] = gr(Fraction(rng.randint(-3, 3)))
-            for j in range(i + 1, n):
-                value = gr(Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2)))
-                raw[i][j] = value
-                raw[j][i] = value.conj()
-        form = HermitianForm(tuple("e%d" % i for i in range(n)), (one,) * n,
-                             tuple(tuple(row) for row in raw))
+        for j in range(i + 1, n):
+            value = gr(Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2)))
+            raw[i][j] = value
+            raw[j][i] = value.conj()
+    return raw
+
+
+def _scattered_blocks(rng, blocks):
+    """Block-diagonal matrix of the given blocks with rows and columns permuted."""
+    n = sum(len(b) for b in blocks)
+    raw = [[gr(0)] * n for _ in range(n)]
+    order = list(range(n))
+    rng.shuffle(order)
+    offset = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            for j, value in enumerate(row):
+                raw[order[offset + i]][order[offset + j]] = value
+        offset += len(block)
+    return raw
+
+
+def test_classify_against_charpoly_oracle(rng):
+    corpus = [_random_hermitian_block(rng, rng.randint(1, 4)) for _ in range(20)]
+    # Sparse, multi-block matrices up to n = 8, as assemble_form produces.
+    for _ in range(20):
+        blocks = []
+        while sum(len(b) for b in blocks) < 6:
+            size = rng.randint(1, 3)
+            blocks.append(_random_hermitian_block(rng, size, zero_diagonal=rng.random() < 0.2))
+        corpus.append(_scattered_blocks(rng, blocks))
+    # Zero diagonal with a nonzero off-diagonal entry, next to a definite block.
+    corpus.append(_scattered_blocks(rng, [[[gr(0), gr(1, 1)], [gr(1, -1), gr(0)]],
+                                          [[gr(2), gr(1)], [gr(1), gr(3)]], [[gr(5)]]]))
+    # Rank-deficient block next to a definite one: semidefinite overall.
+    rank_one = [[gr(1), gr(2), gr(0, 1)], [gr(2), gr(4), gr(0, 2)], [gr(0, -1), gr(0, -2), gr(1)]]
+    corpus.append(_scattered_blocks(rng, [rank_one, [[gr(2), gr(0, 1)], [gr(0, -1), gr(3)]],
+                                          [[gr(1)]]]))
+    corpus.append(_scattered_blocks(rng, [[[gr(-1), gr(-1)], [gr(-1), gr(-1)]], [[gr(-4)]]]))
+    verdicts = set()
+    for raw in corpus:
+        n = len(raw)
+        form = HermitianForm.from_dense(tuple("e%d" % i for i in range(n)), (one,) * n,
+                                        tuple(tuple(row) for row in raw))
         pos, neg, zero = _eigen_sign_counts(raw)
         verdict = classify(form)
+        verdicts.add(verdict)
         if pos and neg:
             assert verdict == INDEFINITE
         elif pos:
@@ -326,6 +364,7 @@ def test_classify_against_charpoly_oracle(rng):
             assert verdict == (NEGATIVE_SEMIDEFINITE if zero else NEGATIVE_DEFINITE)
         else:
             assert verdict == ZERO_FORM
+    assert {INDEFINITE, POSITIVE_SEMIDEFINITE, NEGATIVE_SEMIDEFINITE} <= verdicts
 
 
 def test_be_deformation_gives_positive_definite_form():
@@ -339,20 +378,39 @@ def test_constant_family_form_is_negative_at_low_degree():
     assert [str(v) for v in form.diagonal()] == ["-3", "-3", "-3", "-3"]
 
 
-def test_assemble_form_thread_env_is_deterministic(rng, monkeypatch):
-    phi = z1 * z2c
-    base = assemble_form(second_variation(phi), 2, expect_hermitian=True)
-    monkeypatch.setenv("CR_LAB_THREADS", "3")
-    threaded = assemble_form(second_variation(phi), 2, expect_hermitian=True)
-    assert base.entries == threaded.entries
-    monkeypatch.setenv("CR_LAB_THREADS", "0")
-    with pytest.raises(ValueError):
-        assemble_form(second_variation(phi), 2)
-
-
 def test_assemble_form_requires_positive_pmax():
     with pytest.raises(PreconditionError):
         assemble_form(KOHN, 0)
+
+
+def test_assemble_form_matches_dense_inner_oracle(rng):
+    # The weight-indexed assembly must reproduce the dense reference
+    # <op f_i, f_j>, computed by one inner() call per entry, exactly.
+    from crlab import MulBy
+
+    phis = [one, z1 ** 4, z1 * z2c, random_poly(rng, 2, 2, terms=4),
+            random_bidegree_poly(rng, 2, 1)]
+    ops = [(KOHN, 3), (MulBy(z1), 3)]
+    for phi in phis:
+        ops += [(first_variation(phi), 3), (second_variation(phi), 3)]
+    for op, pmax in ops:
+        form = assemble_form(op, pmax)
+        elements = [v.element for v in pluriharmonic_basis(pmax)]
+        dense = tuple(tuple(inner(image, g) for g in elements)
+                      for image in map(op, elements))
+        assert form.entries == dense
+        assert not any(v.is_zero() for row in form.rows for v in row.values())
+
+
+def test_assemble_form_rejects_non_monomial_basis(monkeypatch):
+    import crlab.variation as variation
+    from crlab import IdentityCheckError
+
+    vectors = variation.pluriharmonic_basis(1)
+    mixed = variation.BasisVector("z1 + z2", z1 + z2, 1, "holomorphic")
+    monkeypatch.setattr(variation, "pluriharmonic_basis", lambda pmax: (mixed,) + vectors)
+    with pytest.raises(IdentityCheckError):
+        assemble_form(KOHN, 1)
 
 
 def test_assemble_form_flags_non_hermitian_operators():
