@@ -10,24 +10,24 @@ and negativity verdicts.
 
 from .scalars import GaussianRational, gr
 from .spherepoly import Monomial, SpherePoly, one, radius_sq, z1, z1c, z2, z2c
-from .integration import Measure, UNIT_MEASURE, inner, integrate, integrate_monomial, norm_sq
+from .integration import inner, integrate, integrate_monomial, norm_sq
 from .operators import (KOHN, CONJ_KOHN, PANEITZ, SUBLAP, T, Z1, Z1BAR, LinOp,
                         MulBy, apply_T, apply_Z1, apply_Z1bar, bochner_residual,
                         common_eigenvalue, conj_kohn, grad_op, kohn,
                         kohn_energy_identity, paneitz, sublap)
 from .harmonics import (BEVerdict, HarmonicBasis, basis, be_check, canonical_form,
                         canonicalize, flat_laplacian, sphere_equal)
-from .deformation import (ConnectionJets, DeformationData, DegenerateStructureError,
-                          TJet, UnsupportedOrderError, connection_coefficient_jets,
-                          conj_kohn_jet, deformation_data, levi_normalizer_jet,
+from .deformation import (ConnectionJets, DegenerateStructureError, TJet,
+                          UnsupportedOrderError, connection_coefficient_jets,
+                          conj_kohn_jet, levi_normalizer_jet,
                           paneitz_family_jet, rossi, torsion, torsion_factor,
                           zero_torsion_classify)
 from .variation import (HermitianForm, IdentityCheckError, PreconditionError,
-                        SecondVariationSplit, VariationOperators, assemble_form,
+                        SecondVariationSplit, assemble_form,
                         classify, drift_operator, drift_square_form, first_variation,
                         pluriharmonic_basis, remainder_form, second_variation,
                         second_variation_decomposition, torsion_potential,
-                        variation_operators, variations_from_jets,
+                        variations_from_jets,
                         weighted_gradient_pairing)
 from .parsing import EvaluationError, ParseError, parse, parse_poly, evaluate
 
@@ -36,21 +36,21 @@ __version__ = "0.1.0"
 __all__ = [
     "GaussianRational", "gr", "Monomial", "SpherePoly", "one", "radius_sq",
     "z1", "z1c", "z2", "z2c",
-    "Measure", "UNIT_MEASURE", "inner", "integrate", "integrate_monomial", "norm_sq",
+    "inner", "integrate", "integrate_monomial", "norm_sq",
     "KOHN", "CONJ_KOHN", "PANEITZ", "SUBLAP", "T", "Z1", "Z1BAR", "LinOp", "MulBy",
     "apply_T", "apply_Z1", "apply_Z1bar", "bochner_residual", "common_eigenvalue",
     "conj_kohn", "grad_op", "kohn", "kohn_energy_identity", "paneitz", "sublap",
     "BEVerdict", "HarmonicBasis", "basis", "be_check", "canonical_form",
     "canonicalize", "flat_laplacian", "sphere_equal",
-    "ConnectionJets", "DeformationData", "DegenerateStructureError", "TJet",
+    "ConnectionJets", "DegenerateStructureError", "TJet",
     "UnsupportedOrderError", "connection_coefficient_jets", "conj_kohn_jet",
-    "deformation_data", "levi_normalizer_jet", "paneitz_family_jet", "rossi",
+    "levi_normalizer_jet", "paneitz_family_jet", "rossi",
     "torsion", "torsion_factor", "zero_torsion_classify",
     "HermitianForm", "IdentityCheckError", "PreconditionError",
-    "SecondVariationSplit", "VariationOperators", "assemble_form", "classify",
+    "SecondVariationSplit", "assemble_form", "classify",
     "drift_operator", "drift_square_form", "first_variation", "pluriharmonic_basis",
     "remainder_form", "second_variation", "second_variation_decomposition",
-    "torsion_potential", "variation_operators", "variations_from_jets",
+    "torsion_potential", "variations_from_jets",
     "weighted_gradient_pairing",
     "EvaluationError", "ParseError", "parse", "parse_poly", "evaluate",
 ]

@@ -27,7 +27,6 @@ independent route against which the closed-form variation operators in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Callable, NamedTuple
@@ -172,34 +171,6 @@ def poly_jet(coeffs, order: int) -> TJet:
 def torsion_factor(phi: SpherePoly) -> SpherePoly:
     """T(phi) - 4i*phi, whose vanishing on S^3 characterizes zero torsion."""
     return apply_T(phi) - phi.scale(GaussianRational(0, 4))
-
-
-@dataclass(frozen=True)
-class DeformationData:
-    """Per-deformation bookkeeping: phi and its torsion factor."""
-
-    phi: SpherePoly
-    torsion_factor: SpherePoly
-
-    def f_squared_at(self, t) -> "GaussianRational | tuple[SpherePoly, SpherePoly]":
-        """F^2 = 1/(1 - t^2 |phi|^2) at rational t.
-
-        Returns an exact scalar when |phi|^2 is constant (raising when the
-        structure degenerates), else the exact (numerator, denominator) pair.
-        """
-        t = GaussianRational.coerce(t)
-        norm = self.phi * self.phi.conj()
-        den = SpherePoly.constant(1) - norm.scale(t * t)
-        if len(norm) <= 1 and norm.bidegree_if_uniform() in ((0, 0), None):
-            scalar = den.coefficient((0, 0, 0, 0))
-            if scalar.is_zero():
-                raise DegenerateStructureError("1 - t^2 |phi|^2 = 0: degenerate structure")
-            return GaussianRational(1) / scalar
-        return (SpherePoly.constant(1), den)
-
-
-def deformation_data(phi: SpherePoly) -> DeformationData:
-    return DeformationData(phi, torsion_factor(phi))
 
 
 def torsion(phi: SpherePoly, t=None):

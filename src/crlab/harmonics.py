@@ -23,7 +23,6 @@ terminates after min(p, q) steps.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,35 +53,26 @@ class HarmonicBasis:
         return len(self.elements)
 
 
-_basis_cache: dict[tuple[int, int, bool], HarmonicBasis] = {}
-_basis_lock = threading.Lock()
+_basis_cache: dict[tuple[int, int], HarmonicBasis] = {}
 
 
-def basis(p: int, q: int, orthogonal: bool = False) -> HarmonicBasis:
+def basis(p: int, q: int) -> HarmonicBasis:
     """Basis of H_{p,q} over the Gaussian rationals; dimension p+q+1.
 
-    The default basis is the reduced-row-echelon kernel basis of the flat
-    Laplacian P_{p,q} -> P_{p-1,q-1} under the lexicographic monomial order,
-    which makes the output deterministic.  With ``orthogonal=True`` the
-    basis is additionally Gram-Schmidt orthogonalized (exactly, without
-    normalizing lengths).
+    The basis is the reduced-row-echelon kernel basis of the flat Laplacian
+    P_{p,q} -> P_{p-1,q-1} under the lexicographic monomial order, which
+    makes the output deterministic.
     """
     if p < 0 or q < 0:
         raise ValueError("bidegrees must be nonnegative")
-    key = (p, q, orthogonal)
-    with _basis_lock:
-        cached = _basis_cache.get(key)
+    key = (p, q)
+    cached = _basis_cache.get(key)
     if cached is not None:
         return cached
-    elements = _kernel_basis(p, q)
-    if orthogonal:
-        elements = _gram_schmidt(elements)
-    result = HarmonicBasis(p, q, tuple(elements))
+    result = HarmonicBasis(p, q, tuple(_kernel_basis(p, q)))
     if len(result.elements) != p + q + 1:
         raise ArithmeticError(f"H_({p},{q}) kernel rank {len(result.elements)} != {p + q + 1}")
-    with _basis_lock:
-        _basis_cache.setdefault(key, result)
-    return result
+    return _basis_cache.setdefault(key, result)
 
 
 def _kernel_basis(p: int, q: int) -> list[SpherePoly]:
@@ -138,18 +128,6 @@ def _rref(rows: list[list[Fraction]]) -> list[int]:
             break
     del rows[r:]
     return pivots
-
-
-def _gram_schmidt(elements: list[SpherePoly]) -> list[SpherePoly]:
-    from .integration import inner
-
-    out: list[SpherePoly] = []
-    for f in elements:
-        g = f
-        for h in out:
-            g = g - h.scale(inner(g, h) / inner(h, h))
-        out.append(g)
-    return out
 
 
 def solid_decomposition(f: SpherePoly, p: int, q: int) -> list[tuple[int, SpherePoly]]:

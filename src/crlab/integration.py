@@ -20,7 +20,6 @@ linear in the second slot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -36,42 +35,28 @@ CONTACT_MASS_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class Measure:
-    """Rotation-invariant measure on S^3, determined by its total mass."""
-
-    normalization: GaussianRational = GaussianRational(1)
-
-    def __post_init__(self):
-        if not self.normalization.is_real() or self.normalization.real_sign() <= 0:
-            raise ValueError("measure normalization must be real and positive")
-
-
-UNIT_MEASURE = Measure()
-
-
 def moment(holo: int, anti: int) -> Fraction:
     """integral of |z1|^(2*holo) * |z2|^(2*anti) under the unit-mass measure."""
     return Fraction(factorial(holo) * factorial(anti), factorial(holo + anti + 1))
 
 
-def integrate_monomial(mono: Monomial, measure: Measure = UNIT_MEASURE) -> GaussianRational:
+def integrate_monomial(mono: Monomial) -> GaussianRational:
     """Exact integral of one monomial; zero unless exponents pair up (a=c, b=d)."""
     a, b, c, d = mono
     if a != c or b != d:
         return GaussianRational(0)
-    return measure.normalization * moment(a, b)
+    return GaussianRational(moment(a, b))
 
 
-def integrate(poly: SpherePoly, measure: Measure = UNIT_MEASURE) -> GaussianRational:
+def integrate(poly: SpherePoly) -> GaussianRational:
     total = GaussianRational(0)
     for mono, coeff in poly.terms.items():
         if mono.a == mono.c and mono.b == mono.d:
             total = total + coeff * moment(mono.a, mono.b)
-    return total * measure.normalization
+    return total
 
 
-def inner(x: SpherePoly, y: SpherePoly, measure: Measure = UNIT_MEASURE) -> GaussianRational:
+def inner(x: SpherePoly, y: SpherePoly) -> GaussianRational:
     """<x, y> = integral of x * conj(y).
 
     The product term of x-monomial (a,b,c,d) against y-monomial (a',b',c',d')
@@ -88,9 +73,9 @@ def inner(x: SpherePoly, y: SpherePoly, measure: Measure = UNIT_MEASURE) -> Gaus
             continue
         for other, ocoeff in matches:
             total = total + coeff * ocoeff.conj() * moment(mono.a + other.c, mono.b + other.d)
-    return total * measure.normalization
+    return total
 
 
-def norm_sq(x: SpherePoly, measure: Measure = UNIT_MEASURE) -> GaussianRational:
+def norm_sq(x: SpherePoly) -> GaussianRational:
     """<x, x>; always real and nonnegative, zero only for functions vanishing on S^3."""
-    return inner(x, x, measure)
+    return inner(x, x)

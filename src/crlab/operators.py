@@ -32,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import GaussianRational, I, ScalarLike
-from .spherepoly import Monomial, SpherePoly
+from .spherepoly import Monomial, SpherePoly, monomial_of
 
 
 class LinOp:
@@ -94,29 +94,14 @@ class Z1Field(LinOp):
     """conj(z2) d/dz1 - conj(z1) d/dz2; maps bidegree (p,q) to (p-1, q+1)."""
 
     def apply(self, poly: SpherePoly) -> SpherePoly:
-        out: dict[Monomial, GaussianRational] = {}
-        for mono, coeff in poly.terms.items():
-            if mono.a:
-                key = Monomial(mono.a - 1, mono.b, mono.c, mono.d + 1)
-                val = coeff * mono.a
-                acc = out.get(key)
-                val = val if acc is None else acc + val
-                if val.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = val
-            if mono.b:
-                key = Monomial(mono.a, mono.b - 1, mono.c + 1, mono.d)
-                val = coeff * (-mono.b)
-                acc = out.get(key)
-                val = val if acc is None else acc + val
-                if val.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = val
-        result = SpherePoly.__new__(SpherePoly)
-        result._terms = out
-        return result
+        def images():
+            for (a, b, c, d), coeff in poly.terms.items():
+                if a:
+                    yield monomial_of((a - 1, b, c, d + 1)), coeff * a
+                if b:
+                    yield monomial_of((a, b - 1, c + 1, d)), coeff * -b
+
+        return SpherePoly.summed(images())
 
     def conj_op(self) -> LinOp:
         return Z1BAR
@@ -129,29 +114,14 @@ class Z1BarField(LinOp):
     """z2 d/dconj(z1) - z1 d/dconj(z2); maps bidegree (p,q) to (p+1, q-1)."""
 
     def apply(self, poly: SpherePoly) -> SpherePoly:
-        out: dict[Monomial, GaussianRational] = {}
-        for mono, coeff in poly.terms.items():
-            if mono.c:
-                key = Monomial(mono.a, mono.b + 1, mono.c - 1, mono.d)
-                val = coeff * mono.c
-                acc = out.get(key)
-                val = val if acc is None else acc + val
-                if val.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = val
-            if mono.d:
-                key = Monomial(mono.a + 1, mono.b, mono.c, mono.d - 1)
-                val = coeff * (-mono.d)
-                acc = out.get(key)
-                val = val if acc is None else acc + val
-                if val.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = val
-        result = SpherePoly.__new__(SpherePoly)
-        result._terms = out
-        return result
+        def images():
+            for (a, b, c, d), coeff in poly.terms.items():
+                if c:
+                    yield monomial_of((a, b + 1, c - 1, d)), coeff * c
+                if d:
+                    yield monomial_of((a + 1, b, c, d - 1)), coeff * -d
+
+        return SpherePoly.summed(images())
 
     def conj_op(self) -> LinOp:
         return Z1
@@ -223,10 +193,8 @@ class SumOp(LinOp):
         self.parts = parts
 
     def apply(self, poly: SpherePoly) -> SpherePoly:
-        total = SpherePoly.zero()
-        for part in self.parts:
-            total = total + part.apply(poly)
-        return total
+        return SpherePoly.summed(pair for part in self.parts
+                                 for pair in part.apply(poly).terms.items())
 
     def conj_op(self) -> LinOp:
         return SumOp(tuple(part.conj_op() for part in self.parts))

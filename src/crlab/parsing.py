@@ -17,8 +17,8 @@ Conjugates may be written z1c/z2c or conj(z1)/conj(z2).
 a structurally identical polynomial.
 
 Errors carry 1-based column positions: unknown tokens are lexical errors,
-structural problems are syntax errors, and a zero denominator is rejected
-at parse time.
+structural problems are syntax errors, and a zero denominator or an
+exponent above ``MAX_EXPONENT`` is rejected at parse time.
 """
 
 from __future__ import annotations
@@ -29,6 +29,11 @@ from typing import Union
 
 from .scalars import GaussianRational
 from .spherepoly import SpherePoly
+
+
+#: Largest exponent accepted after '^'; expansions grow combinatorially with it
+#: (``(z1+z2+z1c+z2c)^N`` has O(N^3) terms).
+MAX_EXPONENT = 32
 
 
 class ParseError(ValueError):
@@ -185,7 +190,11 @@ class _Parser:
         if self.peek().kind == "^":
             self.advance()
             tok = self.expect("uint")
-            return Power(node, int(tok.text))
+            exponent = int(tok.text)
+            if exponent > MAX_EXPONENT:
+                raise SyntaxParseError(f"exponent {exponent} exceeds the bound {MAX_EXPONENT}",
+                                       tok.column)
+            return Power(node, exponent)
         return node
 
     def parse_base(self) -> ExprAst:

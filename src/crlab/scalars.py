@@ -1,28 +1,41 @@
 """Exact Gaussian-rational scalars.
 
-A :class:`GaussianRational` is a complex number ``a + b*i`` whose real and
-imaginary parts are arbitrary-precision rationals (``fractions.Fraction``).
-It is the coefficient field for everything in this package; no floating
-point appears anywhere.  ``Fraction`` keeps each part reduced with positive
-denominator, so equality of values is structural equality.
+A :class:`GaussianRational` is a complex number ``(a + b*i) / d`` with
+arbitrary-precision integers ``a``, ``b`` and ``d``.  It is the coefficient
+field for everything in this package; no floating point appears anywhere.
+The triple is kept reduced: ``d > 0`` and ``gcd(a, b, d) == 1``, with zero
+stored as ``(0, 0, 1)``.  Every value therefore has exactly one triple, so
+equality and hashing compare integers.  Each operation does a few integer
+multiplies and at most one three-argument gcd; the parts ``re`` and ``im``
+are handed out as reduced ``fractions.Fraction`` values on demand.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 ScalarLike = Union[int, Fraction, "GaussianRational"]
 
-_ZERO = Fraction(0)
-
 
 class GaussianRational:
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        if re.__class__ is int and im.__class__ is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        if not isinstance(re, (int, Fraction)):
+            re = Fraction(re)
+        if not isinstance(im, (int, Fraction)):
+            im = Fraction(im)
+        rd, id_ = re.denominator, im.denominator
+        # The lcm of two reduced denominators leaves the triple reduced.
+        d = rd if rd == id_ else rd * (id_ // gcd(rd, id_))
+        self._a = re.numerator * (d // rd)
+        self._b = im.numerator * (d // id_)
+        self._d = d
 
     @staticmethod
     def coerce(value: ScalarLike) -> "GaussianRational":
@@ -32,63 +45,101 @@ class GaussianRational:
             return GaussianRational(value)
         raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
 
+    # -- parts -------------------------------------------------------------
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
     # -- predicates -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self._a and not self._b
 
     def is_real(self) -> bool:
-        return not self.im
+        return not self._b
 
     def real_sign(self) -> int:
         """Sign of a real value: -1, 0 or +1.  Raises if the value is not real."""
-        if self.im:
+        if self._b:
             raise ValueError(f"{self} is not real")
-        if self.re > 0:
-            return 1
-        if self.re < 0:
-            return -1
-        return 0
+        return (self._a > 0) - (self._a < 0)
 
     # -- arithmetic ------------------------------------------------------
+    #
+    # Operands are GaussianRational, int or Fraction; anything else gives
+    # NotImplemented.  Results over d == 1, and sums with an integer, are
+    # reduced already and skip the gcd.
 
     def __add__(self, other):
-        try:
-            o = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        a, b, d = self._a, self._b, self._d
+        if isinstance(other, GaussianRational):
+            od = other._d
+            if d == od:
+                if d == 1:
+                    return _raw(a + other._a, b + other._b, 1)
+                return _make(a + other._a, b + other._b, d)
+            return _make(a * od + other._a * d, b * od + other._b * d, d * od)
+        if isinstance(other, int):
+            return _raw(a + other * d, b, d)
+        if isinstance(other, Fraction):
+            p, q = other.numerator, other.denominator
+            return _make(a * q + p * d, b * q, d * q)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        try:
-            o = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        a, b, d = self._a, self._b, self._d
+        if isinstance(other, GaussianRational):
+            od = other._d
+            if d == od:
+                if d == 1:
+                    return _raw(a - other._a, b - other._b, 1)
+                return _make(a - other._a, b - other._b, d)
+            return _make(a * od - other._a * d, b * od - other._b * d, d * od)
+        if isinstance(other, int):
+            return _raw(a - other * d, b, d)
+        if isinstance(other, Fraction):
+            p, q = other.numerator, other.denominator
+            return _make(a * q - p * d, b * q, d * q)
+        return NotImplemented
 
     def __rsub__(self, other):
-        try:
-            o = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return GaussianRational(o.re - self.re, o.im - self.im)
+        a, b, d = self._a, self._b, self._d
+        if isinstance(other, int):
+            return _raw(other * d - a, -b, d)
+        if isinstance(other, Fraction):
+            p, q = other.numerator, other.denominator
+            return _make(p * d - a * q, -b * q, d * q)
+        return NotImplemented
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _raw(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        try:
-            o = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
-        if not self.im and not o.im:
-            return GaussianRational(self.re * o.re)
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        a, b, d = self._a, self._b, self._d
+        if isinstance(other, GaussianRational):
+            oa, ob, od = other._a, other._b, other._d
+            if not b and not ob:
+                a = a * oa
+            else:
+                a, b = a * oa - b * ob, a * ob + b * oa
+            if d == 1 and od == 1:
+                return _raw(a, b, 1)
+            return _make(a, b, d * od)
+        if isinstance(other, int):
+            if d == 1:
+                return _raw(a * other, b * other, 1)
+            return _make(a * other, b * other, d)
+        if isinstance(other, Fraction):
+            p = other.numerator
+            return _make(a * p, b * p, d * other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -97,22 +148,14 @@ class GaussianRational:
             o = GaussianRational.coerce(other)
         except TypeError:
             return NotImplemented
-        norm = o.re * o.re + o.im * o.im
-        if not norm:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        if not self.im and not o.im:
-            return GaussianRational(self.re / o.re)
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / norm,
-            (self.im * o.re - self.re * o.im) / norm,
-        )
+        return _quotient(self, o)
 
     def __rtruediv__(self, other):
         try:
             o = GaussianRational.coerce(other)
         except TypeError:
             return NotImplemented
-        return o / self
+        return _quotient(o, self)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
@@ -128,45 +171,82 @@ class GaussianRational:
         return out
 
     def conj(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _raw(self._a, -self._b, self._d)
 
     def norm_sq(self) -> Fraction:
         """|x|^2 as a plain rational."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     # -- comparisons -----------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        try:
-            o = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+        if isinstance(other, GaussianRational):
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        if isinstance(other, int):
+            return not self._b and self._d == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return (not self._b and self._a == other.numerator
+                    and self._d == other.denominator)
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self._a, self._b, self._d))
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self._a or self._b)
 
     # -- formatting --------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            if self.im == 1:
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if not re:
+            if im == 1:
                 return "i"
-            if self.im == -1:
+            if im == -1:
                 return "-i"
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
+            return f"{im}*i"
+        sign = "+" if im > 0 else "-"
+        mag = abs(im)
         imag = "i" if mag == 1 else f"{mag}*i"
-        return f"{self.re}{sign}{imag}"
+        return f"{re}{sign}{imag}"
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+_new = object.__new__
+
+
+def _raw(a: int, b: int, d: int) -> GaussianRational:
+    """The value (a + b*i)/d for a triple that is already reduced."""
+    x = _new(GaussianRational)
+    x._a = a
+    x._b = b
+    x._d = d
+    return x
+
+
+def _make(a: int, b: int, d: int) -> GaussianRational:
+    """The value (a + b*i)/d for any d != 0, reduced to canonical form."""
+    g = gcd(a, b, d)
+    if d < 0:
+        g = -g
+    if g != 1:
+        return _raw(a // g, b // g, d // g)
+    return _raw(a, b, d)
+
+
+def _quotient(x: GaussianRational, y: GaussianRational) -> GaussianRational:
+    """x / y = x * conj(y) * d_y / (d_x * (a_y^2 + b_y^2))."""
+    a, b, d = x._a, x._b, x._d
+    ya, yb, yd = y._a, y._b, y._d
+    if not yb:
+        if not ya:
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        return _make(a * yd, b * yd, d * ya)
+    return _make((a * ya + b * yb) * yd, (b * ya - a * yb) * yd, d * (ya * ya + yb * yb))
 
 
 ZERO = GaussianRational(0)

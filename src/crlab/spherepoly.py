@@ -20,7 +20,8 @@ decided by :func:`crlab.harmonics.sphere_equal`.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, NamedTuple
+from functools import partial
+from typing import Iterable, Mapping, NamedTuple
 
 from .scalars import GaussianRational, ScalarLike
 
@@ -48,6 +49,10 @@ class Monomial(NamedTuple):
         return Monomial(self.a + other.a, self.b + other.b,
                         self.c + other.c, self.d + other.d)
 
+
+#: Monomial from a tuple of four exponents, skipping the named tuple's
+#: Python-level ``__new__``; used where monomials are built per term.
+monomial_of = partial(tuple.__new__, Monomial)
 
 _VAR_MONOS = {
     "z1": Monomial(1, 0, 0, 0),
@@ -90,6 +95,29 @@ class SpherePoly:
                  coeff: ScalarLike = 1) -> "SpherePoly":
         return cls({Monomial(*mono): coeff})
 
+    @classmethod
+    def summed(cls, pairs: Iterable[tuple[Monomial, GaussianRational]],
+               start: dict[Monomial, GaussianRational] | None = None) -> "SpherePoly":
+        """The sum of ``start`` (a term map it takes over) and (monomial, coefficient) pairs.
+
+        Every coefficient given must be nonzero.  A sum that reaches zero is
+        replaced by the next coefficient for its monomial rather than added
+        to, and zeros are dropped once at the end.
+        """
+        out = {} if start is None else start
+        get = out.get
+        collided = False
+        for mono, coeff in pairs:
+            acc = get(mono)
+            if acc is None:
+                out[mono] = coeff
+            else:
+                out[mono] = acc + coeff if acc else coeff
+                collided = True
+        result = cls.__new__(cls)
+        result._terms = {mono: coeff for mono, coeff in out.items() if coeff} if collided else out
+        return result
+
     # -- term access ---------------------------------------------------------
 
     @property
@@ -123,17 +151,7 @@ class SpherePoly:
             o = SpherePoly._coerce(other)
         except TypeError:
             return NotImplemented
-        out = dict(self._terms)
-        for mono, coeff in o._terms.items():
-            acc = out.get(mono)
-            val = coeff if acc is None else acc + coeff
-            if val.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = val
-        result = SpherePoly.__new__(SpherePoly)
-        result._terms = out
-        return result
+        return SpherePoly.summed(o._terms.items(), dict(self._terms))
 
     __radd__ = __add__
 
@@ -161,21 +179,11 @@ class SpherePoly:
             return self.scale(other)
         if not isinstance(other, SpherePoly):
             return NotImplemented
-        out: dict[Monomial, GaussianRational] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = Monomial(m1.a + m2.a, m1.b + m2.b, m1.c + m2.c, m1.d + m2.d)
-                val = c1 * c2
-                acc = out.get(mono)
-                if acc is not None:
-                    val = acc + val
-                if val.is_zero():
-                    out.pop(mono, None)
-                else:
-                    out[mono] = val
-        result = SpherePoly.__new__(SpherePoly)
-        result._terms = out
-        return result
+        right = other._terms.items()
+        return SpherePoly.summed(
+            (monomial_of((a1 + a2, b1 + b2, c1 + c2, d1 + d2)), x1 * x2)
+            for (a1, b1, c1, d1), x1 in self._terms.items()
+            for (a2, b2, c2, d2), x2 in right)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -258,25 +266,15 @@ class SpherePoly:
     # -- calculus ------------------------------------------------------------
 
     def _partial(self, slot: int) -> "SpherePoly":
-        out: dict[Monomial, GaussianRational] = {}
-        for mono, coeff in self._terms.items():
-            exp = mono[slot]
-            if exp == 0:
-                continue
-            lowered = list(mono)
-            lowered[slot] = exp - 1
-            key = Monomial(*lowered)
-            val = coeff * exp
-            acc = out.get(key)
-            if acc is not None:
-                val = acc + val
-            if val.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = val
-        result = SpherePoly.__new__(SpherePoly)
-        result._terms = out
-        return result
+        def images():
+            for mono, coeff in self._terms.items():
+                exp = mono[slot]
+                if exp:
+                    lowered = list(mono)
+                    lowered[slot] = exp - 1
+                    yield monomial_of(lowered), coeff * exp
+
+        return SpherePoly.summed(images())
 
     def d_dz1(self) -> "SpherePoly":
         return self._partial(0)

@@ -114,33 +114,6 @@ def second_variation(phi: SpherePoly) -> LinOp:
     return Fraction(1, 4) * four_times
 
 
-@dataclass(frozen=True)
-class VariationOperators:
-    """The variation package for one deformation direction phi.
-
-    ``remainder`` is 4*paneitz_ddot - 8*drift^2, the part of the second
-    variation not covered by the nonnegative square of the drift.
-    """
-
-    drift: LinOp
-    torsion_potential: SpherePoly
-    paneitz_dot: LinOp
-    paneitz_ddot: LinOp
-    remainder: LinOp
-
-
-def variation_operators(phi: SpherePoly) -> VariationOperators:
-    d_op = drift_operator(phi)
-    ddot = second_variation(phi)
-    return VariationOperators(
-        drift=d_op,
-        torsion_potential=torsion_potential(phi),
-        paneitz_dot=first_variation(phi),
-        paneitz_ddot=ddot,
-        remainder=4 * ddot + (-8) * (d_op @ d_op),
-    )
-
-
 def variations_from_jets(phi: SpherePoly) -> tuple[LinOp, LinOp]:
     """(first, second) variation operators reconstructed from the t-expansion.
 

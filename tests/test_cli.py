@@ -137,6 +137,19 @@ def test_integrate_command(capsys):
     assert data["records"][0]["witness"]["value"] == "1/6"
 
 
+def test_integrate_accepts_exponent_at_bound(capsys):
+    code, data, _ = run_json(capsys, "integrate", "--expr", "(z1*z1c)^32")
+    assert code == 0
+    assert data["records"][0]["witness"]["value"] == "1/33"
+
+
+def test_integrate_rejects_exponent_above_bound(capsys):
+    code, out, err = run_cli(capsys, "integrate", "--expr", "(z1+z2+z1c+z2c)^33")
+    assert code == 2
+    assert out == ""
+    assert err == "error: exponent 33 exceeds the bound 32 (column 17)\n"
+
+
 def test_formats_carry_identical_records(capsys):
     args = ("spectrum", "--pmax", "1", "--qmax", "1", "--op", "sublap")
     _, data, _ = run_json(capsys, *args)

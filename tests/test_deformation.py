@@ -6,7 +6,7 @@ import pytest
 
 from crlab import (DegenerateStructureError, SpherePoly,
                    UnsupportedOrderError, apply_Z1, apply_Z1bar,
-                   connection_coefficient_jets, deformation_data, gr,
+                   connection_coefficient_jets, gr,
                    levi_normalizer_jet, one, rossi, sphere_equal, torsion,
                    torsion_factor, zero_torsion_classify, z1, z1c, z2, z2c)
 from crlab.deformation import poly_jet
@@ -153,15 +153,3 @@ def test_rossi_matches_general_torsion_formula():
         den_scalar = den.coefficient((0, 0, 0, 0))
         assert num_scalar == data["torsion_coeff"] * den_scalar
 
-
-def test_deformation_data_f_squared():
-    data = deformation_data(one)
-    assert data.torsion_factor == one.scale(gr(0, -4))
-    assert data.f_squared_at(Fraction(1, 2)) == gr(Fraction(4, 3))
-    with pytest.raises(DegenerateStructureError):
-        data.f_squared_at(1)
-    pair = deformation_data(z1).f_squared_at(Fraction(1, 2))
-    assert isinstance(pair, tuple)
-    numerator, denominator = pair
-    assert numerator == one
-    assert denominator == one - (z1 * z1c).scale(Fraction(1, 4))

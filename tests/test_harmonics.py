@@ -60,13 +60,6 @@ def test_orthogonality_between_distinct_spaces():
                     assert inner(f, g).is_zero()
 
 
-def test_gram_schmidt_option_orthogonalizes_within_a_space():
-    elements = basis(2, 2, orthogonal=True).elements
-    for i, f in enumerate(elements):
-        for g in elements[i + 1:]:
-            assert inner(f, g).is_zero()
-
-
 def test_canonicalize_examples():
     parts = canonicalize(z1 * z1c)
     assert parts == {
@@ -151,7 +144,7 @@ def test_basis_cache_is_safe_for_concurrent_readers():
 
     from crlab.harmonics import _basis_cache
 
-    _basis_cache.pop((3, 2, False), None)
+    _basis_cache.pop((3, 2), None)
     results = []
 
     def worker():

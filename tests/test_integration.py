@@ -2,12 +2,10 @@
 
 from fractions import Fraction
 
-import pytest
-
 from crlab import (Monomial, MulBy, SpherePoly, canonicalize, gr, inner,
                    integrate, integrate_monomial, norm_sq, one, sphere_equal,
                    z1, z2)
-from crlab.integration import Measure, moment
+from crlab.integration import moment
 from conftest import beta_moment, oracle_inner, oracle_integral, random_poly
 
 
@@ -79,11 +77,3 @@ def test_multiplication_by_real_function_is_symmetric(rng):
         x, y = random_poly(rng, 2, 2), random_poly(rng, 2, 2)
         assert inner(mul(x), y) == inner(x, mul(y))
 
-
-def test_measure_normalization_must_be_positive_real():
-    with pytest.raises(ValueError):
-        Measure(gr(-1))
-    with pytest.raises(ValueError):
-        Measure(gr(0, 1))
-    doubled = Measure(gr(2))
-    assert integrate(one, doubled) == gr(2)
