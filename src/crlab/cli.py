@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -31,7 +32,7 @@ from .harmonics import be_check, canonical_form, canonicalize, sphere_equal
 from .integration import integrate
 from .operators import (CONJ_KOHN, KOHN, PANEITZ, SUBLAP, bochner_residual,
                         common_eigenvalue)
-from .parsing import EvaluationError, ParseError, parse_poly
+from .parsing import MAX_LITERAL_DIGITS, EvaluationError, ParseError, parse_poly
 from .report import Report
 from .scalars import GaussianRational
 from .spherepoly import SpherePoly, one
@@ -53,11 +54,19 @@ class UsageError(Exception):
     pass
 
 
+_RATIONAL = re.compile(r"-?([0-9]+)(?:/([0-9]+))?")
+
+
 def _parse_rational(text: str) -> Fraction:
+    """The grammar's rational [-]a[/b], each integer at most MAX_LITERAL_DIGITS digits."""
+    match = _RATIONAL.fullmatch(text)
+    if match is None or any(len(part) > MAX_LITERAL_DIGITS for part in match.groups("")):
+        raise argparse.ArgumentTypeError(
+            f"not an exact rational [-]a[/b] of integers with at most {MAX_LITERAL_DIGITS} digits")
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
+    except ZeroDivisionError as exc:
+        raise argparse.ArgumentTypeError(f"zero denominator: {text!r}") from exc
 
 
 def _jet_text(jet) -> str:

@@ -31,8 +31,7 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, NamedTuple
 
-from .operators import (LinOp, MulBy, SUBLAP, Z1, Z1BAR, apply_T, apply_Z1,
-                        apply_Z1bar)
+from .operators import MulBy, SUBLAP, Z1, Z1BAR, apply_T, apply_Z1, apply_Z1bar
 from .scalars import GaussianRational, I
 from .spherepoly import SpherePoly
 
@@ -111,15 +110,7 @@ class TJet:
         return out
 
     def scale(self, factor) -> "TJet":
-        out = []
-        for c in self.coeffs:
-            if c is None:
-                out.append(None)
-            elif isinstance(c, SpherePoly):
-                out.append(c.scale(factor))
-            else:
-                out.append(GaussianRational.coerce(factor) * c)
-        return TJet(out, self.order)
+        return self.map(lambda c: c * factor)
 
     def shift(self, powers: int) -> "TJet":
         """Multiply by t^powers."""
@@ -303,10 +294,6 @@ def connection_coefficient_jets(phi: SpherePoly, order: int = 2) -> ConnectionJe
     return ConnectionJets(along_holo, along_antiholo, along_reeb)
 
 
-def _op_jet(op: LinOp, order: int) -> TJet:
-    return TJet([op], order)
-
-
 def deformed_frame_jets(phi: SpherePoly, order: int = 2) -> tuple[TJet, TJet]:
     """Operator jets of the normalized frame fields (Z1^t, Z1bar^t)."""
     fj = levi_normalizer_jet(phi, order).map(MulBy)
@@ -362,17 +349,16 @@ def torsion_correction_jet(phi: SpherePoly, order: int = 2) -> TJet:
     pb_1 = apply_Z1(phibar)
     pb_b = apply_Z1bar(phibar)
 
-    first = _op_jet(MulBy(e) @ Z1 @ Z1 + MulBy(e_1) @ Z1, order)
+    first = TJet([MulBy(e) @ Z1 @ Z1 + MulBy(e_1) @ Z1], order)
     part1 = (f4.map(MulBy) * first).scale(4).shift(1)
-    second = _op_jet(
+    second = TJet([
         MulBy((e * phibar).scale(-1)) @ SUBLAP
         + MulBy(e * pb_1) @ Z1BAR
         + MulBy(phibar * e_b) @ Z1
-        + MulBy(phibar * e_1) @ Z1BAR,
-        order,
-    )
+        + MulBy(phibar * e_1) @ Z1BAR
+    ], order)
     part2 = (f4.map(MulBy) * second).scale(4).shift(2)
-    part3 = (f6.map(MulBy) * _op_jet(MulBy(e * pb_b) @ Z1, order)).scale(4).shift(2)
+    part3 = (f6.map(MulBy) * TJet([MulBy(e * pb_b) @ Z1], order)).scale(4).shift(2)
     return part1 + part2 + part3
 
 

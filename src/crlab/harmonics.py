@@ -182,10 +182,7 @@ def canonicalize(x: SpherePoly) -> dict[tuple[int, int], SpherePoly]:
 
 def canonical_form(x: SpherePoly) -> SpherePoly:
     """The sum of the harmonic components: the unique harmonic representative."""
-    total = SpherePoly.zero()
-    for piece in canonicalize(x).values():
-        total = total + piece
-    return total
+    return sum(canonicalize(x).values(), SpherePoly.zero())
 
 
 def sphere_equal(x: SpherePoly, y: SpherePoly) -> bool:

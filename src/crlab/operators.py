@@ -21,230 +21,214 @@ to plain composition of vector fields, and the canonical operators become
 On the bigraded harmonic space H_{p,q} these act as the exact scalars
 2(p+1)q, 2(q+1)p, 2pq+p+q and pq(p+1)(q+1).
 
-:class:`LinOp` is a small composable operator algebra over these
-generators: sums, Gaussian-rational multiples and compositions, plus
-multiplication operators by fixed polynomials.  ``A @ B`` composes
-(apply B first), ``A(f)`` applies.
+A :class:`LinOp` is kept in normal form: a map from words in the letters
+``"Z1"``, ``"Z1bar"`` and ``"T"`` to nonzero polynomial coefficients, the
+operator being the sum of coefficient times word.  A word's last letter is
+applied first and the empty word is the identity, so ``{(): f}`` is
+multiplication by f.  Every letter is a derivation of the polynomial ring,
+so a composite moves each inner coefficient b left through the outer word w
+by the Leibniz rule
+
+    w (b h) = sum over subwords S of w of (w_S b) (w_{S^c} h),
+
+and is again a sum of coefficients times words.  ``A @ B`` composes
+(apply B first); ``A(f)`` applies each distinct word suffix to f once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from typing import Callable, Iterable
 
-from .scalars import GaussianRational, I, ScalarLike
+from .scalars import ONE, GaussianRational, ScalarLike
 from .spherepoly import Monomial, SpherePoly, monomial_of
 
 
+def apply_Z1(poly: SpherePoly) -> SpherePoly:
+    """conj(z2) d/dz1 - conj(z1) d/dz2; maps bidegree (p,q) to (p-1, q+1)."""
+    def images():
+        for (a, b, c, d), coeff in poly.terms.items():
+            if a:
+                yield monomial_of((a - 1, b, c, d + 1)), coeff * a
+            if b:
+                yield monomial_of((a, b - 1, c + 1, d)), coeff * -b
+
+    return SpherePoly.summed(images())
+
+
+def apply_Z1bar(poly: SpherePoly) -> SpherePoly:
+    """z2 d/dconj(z1) - z1 d/dconj(z2); maps bidegree (p,q) to (p+1, q-1)."""
+    def images():
+        for (a, b, c, d), coeff in poly.terms.items():
+            if c:
+                yield monomial_of((a, b + 1, c - 1, d)), coeff * c
+            if d:
+                yield monomial_of((a + 1, b, c, d - 1)), coeff * -d
+
+    return SpherePoly.summed(images())
+
+
+def apply_T(poly: SpherePoly) -> SpherePoly:
+    """Generator of the diagonal circle action: i*m on circle grade m."""
+    out: dict[Monomial, GaussianRational] = {}
+    for mono, coeff in poly.terms.items():
+        m = mono.circle_grade
+        if m:
+            out[mono] = coeff * GaussianRational(0, m)
+    result = SpherePoly.__new__(SpherePoly)
+    result._terms = out
+    return result
+
+
+Word = tuple[str, ...]
+
+_FIELDS: dict[str, Callable[[SpherePoly], SpherePoly]] = {
+    "Z1": apply_Z1, "Z1bar": apply_Z1bar, "T": apply_T}
+# T is a real vector field: conj . T . conj = T.
+_CONJ_LETTER = {"Z1": "Z1bar", "Z1bar": "Z1", "T": "T"}
+_CONSTANT = Monomial(0, 0, 0, 0)
+
+
+class _Images(dict):
+    """word -> word(poly), built as ``_Images({(): poly})``.
+
+    Each word is computed on first lookup, from the image of its suffix.
+    """
+
+    def __missing__(self, word: Word) -> SpherePoly:
+        image = self[word] = _FIELDS[word[0]](self[word[1:]])
+        return image
+
+
+def _times(coeff: SpherePoly, poly: SpherePoly) -> SpherePoly:
+    """coeff * poly, scaling instead of multiplying when either factor is constant."""
+    left, right = coeff._terms, poly._terms
+    if len(left) == 1 and _CONSTANT in left:
+        value, other = left[_CONSTANT], poly
+    elif len(right) == 1 and _CONSTANT in right:
+        value, other = right[_CONSTANT], coeff
+    else:
+        return coeff * poly
+    return other if value == ONE else other.scale(value)
+
+
+def _splits(word: Word, images: _Images) -> Iterable[tuple[Word, Word]]:
+    """(S, rest) over the subwords S of word with images[S] nonzero; rest is the complement.
+
+    ``word`` applied after multiplication by b is the sum of images[S] * rest
+    over these pairs, where images[S] = S(b) (the Leibniz rule, one letter
+    at a time from the right); a branch ends as soon as its derivative is zero.
+    """
+    if not word:
+        yield (), ()
+        return
+    first = word[:1]
+    for applied, kept in _splits(word[1:], images):
+        yield applied, first + kept
+        if images[first + applied].terms:
+            yield first + applied, kept
+
+
+def _collect(pairs: Iterable[tuple[Word, SpherePoly]]) -> dict[Word, SpherePoly]:
+    """Term map of a sum of (word, coefficient) pairs; sums may be zero."""
+    grouped: dict[Word, list[SpherePoly]] = {}
+    for word, coeff in pairs:
+        grouped.setdefault(word, []).append(coeff)
+    return {word: coeffs[0] if len(coeffs) == 1 else SpherePoly.summed(
+                pair for coeff in coeffs for pair in coeff.terms.items())
+            for word, coeffs in grouped.items()}
+
+
 class LinOp:
-    """Linear operator on SpherePoly, built as an immutable expression tree."""
+    """Linear operator on SpherePoly: a sum of polynomial coefficients times words.
+
+    ``terms`` maps each word (a tuple of the letters "Z1", "Z1bar", "T",
+    the last applied first) to its coefficient; zero coefficients are
+    dropped.  Treat it as read-only.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict[Word, SpherePoly]):
+        self.terms = {word: coeff for word, coeff in terms.items() if coeff.terms}
 
     def apply(self, poly: SpherePoly) -> SpherePoly:
-        raise NotImplementedError
-
-    def conj_op(self) -> "LinOp":
-        """The conjugate operator f -> conj(self(conj(f)))."""
-        raise NotImplementedError
+        if len(self.terms) == 1:
+            ((word, coeff),) = self.terms.items()
+            for letter in reversed(word):
+                poly = _FIELDS[letter](poly)
+            return _times(coeff, poly)
+        images = _Images({(): poly})
+        return SpherePoly.summed(pair for word, coeff in self.terms.items()
+                                 for pair in _times(coeff, images[word]).terms.items())
 
     def __call__(self, poly: SpherePoly) -> SpherePoly:
         return self.apply(poly)
 
+    def conj_op(self) -> "LinOp":
+        """The conjugate operator f -> conj(self(conj(f)))."""
+        return LinOp({tuple(_CONJ_LETTER[letter] for letter in word): coeff.conj()
+                      for word, coeff in self.terms.items()})
+
     def __add__(self, other: "LinOp") -> "LinOp":
         if not isinstance(other, LinOp):
             return NotImplemented
-        return SumOp((self, other))
+        return LinOp(_collect(chain(self.terms.items(), other.terms.items())))
 
     def __sub__(self, other: "LinOp") -> "LinOp":
         if not isinstance(other, LinOp):
             return NotImplemented
-        return SumOp((self, ScaledOp(GaussianRational(-1), other)))
+        return self + (-other)
 
     def __neg__(self) -> "LinOp":
-        return ScaledOp(GaussianRational(-1), self)
+        return LinOp({word: -coeff for word, coeff in self.terms.items()})
 
     def __matmul__(self, other: "LinOp") -> "LinOp":
         if not isinstance(other, LinOp):
             return NotImplemented
-        return ComposeOp(self, other)
+
+        def pairs():
+            for inner_word, b in other.terms.items():
+                images = _Images({(): b})
+                for outer_word, a in self.terms.items():
+                    for applied, kept in _splits(outer_word, images):
+                        yield kept + inner_word, _times(a, images[applied])
+
+        return LinOp(_collect(pairs()))
 
     def __mul__(self, other):
         if isinstance(other, LinOp):
-            return ComposeOp(self, other)
+            return self @ other
         if isinstance(other, (int, Fraction, GaussianRational)):
-            return ScaledOp(GaussianRational.coerce(other), self)
+            return LinOp({word: coeff.scale(other) for word, coeff in self.terms.items()})
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
-            return ScaledOp(GaussianRational.coerce(other), self)
+            return self * other
         return NotImplemented
 
-
-class IdentityOp(LinOp):
-    def apply(self, poly: SpherePoly) -> SpherePoly:
-        return poly
-
-    def conj_op(self) -> LinOp:
-        return self
-
     def __repr__(self):
-        return "Id"
+        return f"LinOp({self.terms!r})"
 
 
-class Z1Field(LinOp):
-    """conj(z2) d/dz1 - conj(z1) d/dz2; maps bidegree (p,q) to (p-1, q+1)."""
-
-    def apply(self, poly: SpherePoly) -> SpherePoly:
-        def images():
-            for (a, b, c, d), coeff in poly.terms.items():
-                if a:
-                    yield monomial_of((a - 1, b, c, d + 1)), coeff * a
-                if b:
-                    yield monomial_of((a, b - 1, c + 1, d)), coeff * -b
-
-        return SpherePoly.summed(images())
-
-    def conj_op(self) -> LinOp:
-        return Z1BAR
-
-    def __repr__(self):
-        return "Z1"
+def MulBy(factor: SpherePoly | ScalarLike) -> LinOp:
+    """Multiplication by a fixed polynomial: the operator {(): factor}."""
+    return LinOp({(): factor if isinstance(factor, SpherePoly) else SpherePoly.constant(factor)})
 
 
-class Z1BarField(LinOp):
-    """z2 d/dconj(z1) - z1 d/dconj(z2); maps bidegree (p,q) to (p+1, q-1)."""
+IDENTITY = MulBy(1)
+Z1 = LinOp({("Z1",): SpherePoly.constant(1)})
+Z1BAR = LinOp({("Z1bar",): SpherePoly.constant(1)})
+T = LinOp({("T",): SpherePoly.constant(1)})
 
-    def apply(self, poly: SpherePoly) -> SpherePoly:
-        def images():
-            for (a, b, c, d), coeff in poly.terms.items():
-                if c:
-                    yield monomial_of((a, b + 1, c - 1, d)), coeff * c
-                if d:
-                    yield monomial_of((a + 1, b, c, d - 1)), coeff * -d
-
-        return SpherePoly.summed(images())
-
-    def conj_op(self) -> LinOp:
-        return Z1
-
-    def __repr__(self):
-        return "Z1bar"
-
-
-class ReebField(LinOp):
-    """Generator of the diagonal circle action: i*m on circle grade m."""
-
-    def apply(self, poly: SpherePoly) -> SpherePoly:
-        out: dict[Monomial, GaussianRational] = {}
-        for mono, coeff in poly.terms.items():
-            m = mono.circle_grade
-            if m:
-                out[mono] = coeff * GaussianRational(0, m)
-        result = SpherePoly.__new__(SpherePoly)
-        result._terms = out
-        return result
-
-    def conj_op(self) -> LinOp:
-        # T is a real vector field: conj . T . conj = T.
-        return self
-
-    def __repr__(self):
-        return "T"
-
-
-class MulBy(LinOp):
-    """Multiplication by a fixed polynomial."""
-
-    __slots__ = ("factor",)
-
-    def __init__(self, factor: SpherePoly | ScalarLike):
-        self.factor = factor if isinstance(factor, SpherePoly) else SpherePoly.constant(factor)
-
-    def apply(self, poly: SpherePoly) -> SpherePoly:
-        return self.factor * poly
-
-    def conj_op(self) -> LinOp:
-        return MulBy(self.factor.conj())
-
-    def __repr__(self):
-        return f"MulBy({self.factor})"
-
-
-class ScaledOp(LinOp):
-    __slots__ = ("scalar", "inner")
-
-    def __init__(self, scalar: GaussianRational, inner: LinOp):
-        self.scalar = scalar
-        self.inner = inner
-
-    def apply(self, poly: SpherePoly) -> SpherePoly:
-        return self.inner.apply(poly).scale(self.scalar)
-
-    def conj_op(self) -> LinOp:
-        return ScaledOp(self.scalar.conj(), self.inner.conj_op())
-
-    def __repr__(self):
-        return f"({self.scalar})*{self.inner!r}"
-
-
-class SumOp(LinOp):
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: tuple[LinOp, ...]):
-        self.parts = parts
-
-    def apply(self, poly: SpherePoly) -> SpherePoly:
-        return SpherePoly.summed(pair for part in self.parts
-                                 for pair in part.apply(poly).terms.items())
-
-    def conj_op(self) -> LinOp:
-        return SumOp(tuple(part.conj_op() for part in self.parts))
-
-    def __repr__(self):
-        return "(" + " + ".join(repr(p) for p in self.parts) + ")"
-
-
-class ComposeOp(LinOp):
-    """outer after inner: (outer @ inner)(f) = outer(inner(f))."""
-
-    __slots__ = ("outer", "inner")
-
-    def __init__(self, outer: LinOp, inner: LinOp):
-        self.outer = outer
-        self.inner = inner
-
-    def apply(self, poly: SpherePoly) -> SpherePoly:
-        return self.outer.apply(self.inner.apply(poly))
-
-    def conj_op(self) -> LinOp:
-        return ComposeOp(self.outer.conj_op(), self.inner.conj_op())
-
-    def __repr__(self):
-        return f"{self.outer!r}@{self.inner!r}"
-
-
-IDENTITY = IdentityOp()
-Z1 = Z1Field()
-Z1BAR = Z1BarField()
-T = ReebField()
-
-ZERO_OP = ScaledOp(GaussianRational(0), IDENTITY)
+ZERO_OP = 0 * IDENTITY
 
 KOHN = -2 * (Z1 @ Z1BAR)
 CONJ_KOHN = -2 * (Z1BAR @ Z1)
 SUBLAP = Fraction(1, 2) * (KOHN + CONJ_KOHN)
 PANEITZ = Fraction(1, 4) * (KOHN @ CONJ_KOHN)
-
-
-def apply_Z1(x: SpherePoly) -> SpherePoly:
-    return Z1.apply(x)
-
-
-def apply_Z1bar(x: SpherePoly) -> SpherePoly:
-    return Z1BAR.apply(x)
-
-
-def apply_T(x: SpherePoly) -> SpherePoly:
-    return T.apply(x)
 
 
 def kohn(x: SpherePoly) -> SpherePoly:

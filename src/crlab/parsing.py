@@ -18,7 +18,8 @@ a structurally identical polynomial.
 
 Errors carry 1-based column positions: unknown tokens are lexical errors,
 structural problems are syntax errors, and a zero denominator or an
-exponent above ``MAX_EXPONENT`` is rejected at parse time.
+exponent above ``MAX_EXPONENT`` is rejected at parse time.  An integer
+literal longer than ``MAX_LITERAL_DIGITS`` digits is a lexical error.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ from .spherepoly import SpherePoly
 #: Largest exponent accepted after '^'; expansions grow combinatorially with it
 #: (``(z1+z2+z1c+z2c)^N`` has O(N^3) terms).
 MAX_EXPONENT = 32
+
+#: Most digits in one integer literal (numerator, denominator or exponent);
+#: longer literals are rejected before they are converted to ``int``.
+MAX_LITERAL_DIGITS = 100
 
 
 class ParseError(ValueError):
@@ -124,10 +129,13 @@ def _tokenize(src: str) -> list[Token]:
         if ch in _SYMBOLS:
             tokens.append(Token(ch, ch, col))
             pos += 1
-        elif ch.isdigit():
+        elif ch.isdecimal():  # what int() reads; isdigit() would also admit '²'
             end = pos
-            while end < n and src[end].isdigit():
+            while end < n and src[end].isdecimal():
                 end += 1
+            if end - pos > MAX_LITERAL_DIGITS:
+                raise LexicalError(f"integer literal of {end - pos} digits exceeds the bound "
+                                   f"{MAX_LITERAL_DIGITS}", col)
             tokens.append(Token("uint", src[pos:end], col))
             pos = end
         elif ch.isalpha():

@@ -325,9 +325,7 @@ def drift_square_form(phi: SpherePoly, f: SpherePoly) -> GaussianRational:
     parts = canonicalize(f)
     if any(p > 0 and q > 0 for (p, q) in parts):
         raise PreconditionError("f must lie in the kernel of the Paneitz operator")
-    rep = SpherePoly.zero()
-    for piece in parts.values():
-        rep = rep + piece
+    rep = sum(parts.values(), SpherePoly.zero())
     d_op = drift_operator(phi)
     image = d_op(rep)
     value = inner(d_op(image), rep)
@@ -355,9 +353,7 @@ def remainder_form(phi: SpherePoly, f: SpherePoly, g: SpherePoly) -> GaussianRat
     f_parts = canonicalize(f)
     if len(f_parts) > 1 or any(p > 0 and q > 0 for (p, q) in f_parts):
         raise PreconditionError("f must lie in a single H_{p,0} or H_{0,p}")
-    g_rep = SpherePoly.zero()
-    for piece in g_parts.values():
-        g_rep = g_rep + piece
+    g_rep = sum(g_parts.values(), SpherePoly.zero())
     if not f_parts:
         return GaussianRational(0)
     (p, q), f_rep = next(iter(f_parts.items()))
@@ -440,9 +436,7 @@ def second_variation_decomposition(phi: SpherePoly, f: SpherePoly) -> SecondVari
         raise PreconditionError("f must lie in H: components H_{k,0}, H_{0,k}, k >= 1")
     holo = {p: piece for (p, q), piece in parts.items() if q == 0}
     anti = {q: piece for (p, q), piece in parts.items() if p == 0}
-    rep = SpherePoly.zero()
-    for piece in parts.values():
-        rep = rep + piece
+    rep = sum(parts.values(), SpherePoly.zero())
 
     norm = phi * phi.conj()
     e_pb = torsion_potential(phi) * phi.conj()

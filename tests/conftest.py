@@ -72,6 +72,18 @@ def vanishes_on_sphere(poly: SpherePoly) -> bool:
     return all(poly.eval_at(*pt).is_zero() for pt in SPHERE_POINTS)
 
 
+def same_operator_on_sphere(a, b) -> bool:
+    """Two LinOps have the same words and sphere-equal coefficients, word by word.
+
+    Every word acts on functions on the sphere, so this proves the operators
+    equal on every function, not only on a truncated basis.
+    """
+    from crlab import sphere_equal
+
+    return (a.terms.keys() == b.terms.keys()
+            and all(sphere_equal(coeff, b.terms[word]) for word, coeff in a.terms.items()))
+
+
 def random_scalar(rng: random.Random, allow_zero: bool = True) -> GaussianRational:
     def part():
         return Fraction(rng.randint(-4, 4), rng.randint(1, 3))

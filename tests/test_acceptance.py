@@ -18,7 +18,8 @@ from crlab import (SpherePoly, assemble_form, basis, bochner_residual,
                    zero_torsion_classify, z1, z1c, z2, z2c)
 from crlab.harmonics import bidegree_monomials
 from crlab.variation import POSITIVE_DEFINITE
-from conftest import random_bidegree_poly, random_pluriharmonic, random_poly
+from conftest import (random_bidegree_poly, random_pluriharmonic, random_poly,
+                      same_operator_on_sphere)
 
 ZERO = SpherePoly.zero()
 
@@ -119,11 +120,14 @@ def test_criterion_07_jet_oracle_equivalence():
     for phi in _variation_corpus():
         jet_dot, jet_ddot = variations_from_jets(phi)
         dot, ddot = first_variation(phi), second_variation(phi)
+        ok &= same_operator_on_sphere(jet_dot, dot)
+        ok &= same_operator_on_sphere(jet_ddot, ddot)
         for f in elems:
             ok &= sphere_equal(jet_dot(f), dot(f))
             ok &= sphere_equal(jet_ddot(f), ddot(f))
     report(7, ok, "first/second variations reconstructed from t-expansion jets "
-                  f"match the closed forms on all {len(elems)} basis elements p+q <= 4")
+                  "match the closed forms word by word, and on all "
+                  f"{len(elems)} basis elements p+q <= 4")
 
 
 def test_criterion_08_drift_square_sum_of_squares():

@@ -150,6 +150,36 @@ def test_integrate_rejects_exponent_above_bound(capsys):
     assert err == "error: exponent 33 exceeds the bound 32 (column 17)\n"
 
 
+@pytest.mark.parametrize("args", [("rossi", "--t", "1e5000"),
+                                  ("torsion", "--phi", "z1", "--t", "1e5000"),
+                                  ("rossi", "--t", "1/" + "3" * 101)])
+def test_huge_parameter_is_a_usage_error(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        main(list(args))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].endswith(
+        "argument --t: not an exact rational [-]a[/b] of integers with at most 100 digits")
+
+
+def test_integrate_rejects_literal_above_digit_bound(capsys):
+    code, out, err = run_cli(capsys, "integrate", "--expr", "z1*z1c + " + "7" * 5000)
+    assert code == 2
+    assert out == ""
+    assert err == "error: integer literal of 5000 digits exceeds the bound 100 (column 10)\n"
+
+
+def test_literals_at_digit_bound_are_accepted(capsys):
+    big, power = "9" * 100, "1" + "0" * 99
+    code, data, _ = run_json(capsys, "integrate", "--expr", f"{big}/{power} + z1c^{'0' * 99}2")
+    assert code == 0
+    assert data["records"][0]["witness"]["value"] == str(Fraction(int(big), int(power)))
+    code, data, _ = run_json(capsys, "rossi", "--t", f"1/{big}")
+    assert code == 0
+    assert data["all_pass"] is True
+
+
 def test_formats_carry_identical_records(capsys):
     args = ("spectrum", "--pmax", "1", "--qmax", "1", "--op", "sublap")
     _, data, _ = run_json(capsys, *args)

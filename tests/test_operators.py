@@ -7,8 +7,8 @@ from crlab import (CONJ_KOHN, KOHN, PANEITZ, SUBLAP, SpherePoly, apply_T,
                    common_eigenvalue, conj_kohn, grad_op, gr, inner, kohn,
                    kohn_energy_identity, one, paneitz, radius_sq, sphere_equal,
                    sublap, z1, z1c, z2, z2c)
-from crlab.operators import T, Z1, Z1BAR
-from conftest import random_poly, vanishes_on_sphere
+from crlab.operators import IDENTITY, T, Z1, Z1BAR, MulBy
+from conftest import random_poly, random_scalar, vanishes_on_sphere
 
 ZERO = SpherePoly.zero()
 
@@ -162,3 +162,51 @@ def test_conjugate_operator_of_kohn_is_conj_kohn(rng):
     assert KOHN.conj_op()(x) == conj_kohn(x)
     assert CONJ_KOHN.conj_op()(x) == kohn(x)
     assert T.conj_op()(x) == apply_T(x)
+
+
+_LEAVES = [(Z1, apply_Z1), (Z1BAR, apply_Z1bar), (T, apply_T), (IDENTITY, lambda f: f)]
+
+
+def random_operator(rng, depth: int):
+    """Random (LinOp, reference) pair built from Z1, Z1bar, T, multiplications and scalars.
+
+    The reference applies the same expression step by step, one field or
+    multiplication at a time, never through the operator's normal form.
+    """
+    if depth == 0:
+        if rng.random() < 0.2:
+            g = random_poly(rng, 1, 1, terms=2)
+            return MulBy(g), lambda f: g * f
+        return rng.choice(_LEAVES)
+    (a, ref_a), (b, ref_b) = random_operator(rng, depth - 1), random_operator(rng, depth - 1)
+    kind = rng.randrange(5)
+    if kind == 0:
+        return a @ b, lambda f: ref_a(ref_b(f))
+    if kind == 1:
+        return a * b, lambda f: ref_a(ref_b(f))
+    if kind == 2:
+        return a + b, lambda f: ref_a(f) + ref_b(f)
+    if kind == 3:
+        return a - b, lambda f: ref_a(f) - ref_b(f)
+    c = random_scalar(rng)
+    return (c * a if rng.random() < 0.5 else a * c), lambda f: ref_a(f).scale(c)
+
+
+def test_operator_algebra_matches_sequential_application(rng):
+    # The normal form (Leibniz composition, merged sums) must agree exactly,
+    # as polynomials, with applying the operators one after the other.
+    for _ in range(40):
+        (a, ref_a), (b, _) = random_operator(rng, 3), random_operator(rng, 2)
+        c = random_scalar(rng)
+        f = random_poly(rng, 2, 2, terms=4)
+        a_f, b_f = a(f), b(f)
+        assert a_f == ref_a(f)
+        assert (a @ b)(f) == a(b_f)
+        assert (a * b)(f) == a(b_f)
+        assert (a @ MulBy(f))(one) == a_f
+        assert (a + b)(f) == a_f + b_f
+        assert (a - b)(f) == a_f - b_f
+        assert (-a)(f) == -a_f
+        assert (c * a)(f) == a_f.scale(c)
+        assert (a * c)(f) == a_f.scale(c)
+        assert a.conj_op()(f) == a(f.conj()).conj()

@@ -56,9 +56,23 @@ def test_unknown_variable_is_lexical_error_with_column():
     assert err.value.column == 6
 
 
+def test_superscript_digit_is_lexical_error():
+    with pytest.raises(LexicalError) as err:
+        parse("z1^\u00b2")
+    assert err.value.column == 4
+
+
 def test_unknown_character_is_lexical_error():
     with pytest.raises(LexicalError):
         parse("z1 @ z2")
+
+
+@pytest.mark.parametrize("src, column", [("7" * 101, 1), ("z1^" + "9" * 5000, 4),
+                                         ("1/" + "3" * 101 + "*z1", 3)])
+def test_overlong_integer_literal_is_lexical_error(src, column):
+    with pytest.raises(LexicalError) as err:
+        parse(src)
+    assert err.value.column == column
 
 
 def test_syntax_errors_are_positioned():

@@ -13,7 +13,8 @@ from crlab import (HermitianForm, KOHN, PreconditionError, SpherePoly,
 from crlab.operators import PANEITZ
 from crlab.variation import (INDEFINITE, NEGATIVE_DEFINITE, NEGATIVE_SEMIDEFINITE,
                              POSITIVE_DEFINITE, POSITIVE_SEMIDEFINITE, ZERO_FORM)
-from conftest import random_bidegree_poly, random_pluriharmonic, random_poly
+from conftest import (random_bidegree_poly, random_pluriharmonic, random_poly,
+                      same_operator_on_sphere)
 
 ZERO = SpherePoly.zero()
 
@@ -84,6 +85,8 @@ def test_jet_reconstruction_matches_closed_forms(rng):
     for phi in corpus:
         jet_dot, jet_ddot = variations_from_jets(phi)
         dot, ddot = first_variation(phi), second_variation(phi)
+        assert same_operator_on_sphere(jet_dot, dot)
+        assert same_operator_on_sphere(jet_ddot, ddot)
         for f in elems:
             assert sphere_equal(jet_dot(f), dot(f))
             assert sphere_equal(jet_ddot(f), ddot(f))
