@@ -54,6 +54,16 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors print one line, like every other usage error."""
+
+    def error(self, message: str):
+        if message.endswith("expected one argument"):
+            # argparse reads a value such as -1/3 as an option, not a value.
+            message += " (join a value that starts with '-' to its option with '=', e.g. --t=-1/3)"
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 _RATIONAL = re.compile(r"-?([0-9]+)(?:/([0-9]+))?")
 
 
@@ -267,8 +277,11 @@ def _add_common(parser: argparse.ArgumentParser):
                         help="add decimal renderings (non-authoritative)")
 
 
+_T_HELP = "exact rational [-]a[/b]; write a negative value as --t=-1/3"
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="crlab",
         description="exact verification of CR-geometric identities on the 3-sphere",
     )
@@ -289,12 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("torsion", help="exact torsion of the deformed structure")
     p.add_argument("--phi", required=True)
-    p.add_argument("--t", type=_parse_rational, default=None)
+    p.add_argument("--t", type=_parse_rational, default=None, help=_T_HELP)
     _add_common(p)
     p.set_defaults(run=cmd_torsion)
 
     p = sub.add_parser("rossi", help="constant-deformation family closed forms")
-    p.add_argument("--t", type=_parse_rational, required=True)
+    p.add_argument("--t", type=_parse_rational, required=True, help=_T_HELP)
     _add_common(p)
     p.set_defaults(run=cmd_rossi)
 

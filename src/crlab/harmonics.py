@@ -5,6 +5,13 @@ annihilated by the flat Laplacian d^2/dz1 dconj(z1) + d^2/dz2 dconj(z2); its
 dimension is p+q+1.  For bihomogeneous polynomials this kernel condition is
 the same as being a spherical-harmonic eigenfunction of degree p+q.
 
+The Laplacian lowers a and c (or b and d) together, so it keeps the torus
+weight w = a - c of a monomial z1^a z2^b conj(z1)^c conj(z2)^d.  P_{p,q}
+therefore splits into p+q+1 weight strings, w in -q..p, and on each string
+the kernel is one line whose coefficients solve a closed two-term
+recurrence (:func:`_weight_string`); :func:`basis` takes one element per
+string, with no elimination.
+
 Every polynomial splits uniquely as
 
     f = h_0 + r^2 h_1 + r^4 h_2 + ...,    h_k harmonic, r^2 = |z1|^2+|z2|^2,
@@ -26,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import GaussianRational
 from .spherepoly import Monomial, SpherePoly, radius_sq
 
 
@@ -59,9 +65,12 @@ _basis_cache: dict[tuple[int, int], HarmonicBasis] = {}
 def basis(p: int, q: int) -> HarmonicBasis:
     """Basis of H_{p,q} over the Gaussian rationals; dimension p+q+1.
 
-    The basis is the reduced-row-echelon kernel basis of the flat Laplacian
-    P_{p,q} -> P_{p-1,q-1} under the lexicographic monomial order, which
-    makes the output deterministic.
+    One element per torus weight w = a - c in -q..p, each the kernel vector
+    of its weight string normalized to coefficient 1 on its lex-largest
+    monomial (see :func:`_weight_string`), ordered by that monomial.  This
+    is the reduced-row-echelon kernel basis of the flat Laplacian
+    P_{p,q} -> P_{p-1,q-1} under the lexicographic monomial order, term
+    order included, so the output is deterministic.
     """
     if p < 0 or q < 0:
         raise ValueError("bidegrees must be nonnegative")
@@ -76,58 +85,30 @@ def basis(p: int, q: int) -> HarmonicBasis:
 
 
 def _kernel_basis(p: int, q: int) -> list[SpherePoly]:
-    source = bidegree_monomials(p, q)
+    """One :func:`_weight_string` per torus weight, ordered by top monomial."""
     if p == 0 or q == 0:
         # The Laplacian target space is empty: all of P_{p,q} is harmonic.
-        return [SpherePoly.monomial(m) for m in source]
-    target = bidegree_monomials(p - 1, q - 1)
-    target_index = {m: i for i, m in enumerate(target)}
-    # Column j holds Delta(source[j]) expanded over the target monomials.
-    rows = [[Fraction(0)] * len(source) for _ in target]
-    for j, mono in enumerate(source):
-        if mono.a and mono.c:
-            i = target_index[Monomial(mono.a - 1, mono.b, mono.c - 1, mono.d)]
-            rows[i][j] += mono.a * mono.c
-        if mono.b and mono.d:
-            i = target_index[Monomial(mono.a, mono.b - 1, mono.c, mono.d - 1)]
-            rows[i][j] += mono.b * mono.d
-    pivots = _rref(rows)
-    pivot_cols = set(pivots)
-    out = []
-    for j in range(len(source)):
-        if j in pivot_cols:
-            continue
-        coeffs = {source[j]: Fraction(1)}
-        for row_idx, col in enumerate(pivots):
-            if rows[row_idx][j]:
-                coeffs[source[col]] = -rows[row_idx][j]
-        out.append(SpherePoly({m: GaussianRational(v) for m, v in coeffs.items()}))
-    return out
+        return [SpherePoly.monomial(m) for m in bidegree_monomials(p, q)]
+    strings = [_weight_string(p, q, w) for w in range(-q, p + 1)]
+    return sorted(strings, key=lambda f: next(iter(f.terms)))
 
 
-def _rref(rows: list[list[Fraction]]) -> list[int]:
-    """In-place reduced row echelon form; returns pivot column per pivot row."""
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(n_rows):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    del rows[r:]
-    return pivots
+def _weight_string(p: int, q: int, w: int) -> SpherePoly:
+    """The harmonic of bidegree (p, q) and torus weight w, top coefficient 1.
+
+    The weight-w monomials are m_c = (c+w, p-c-w, c, q-c) for c in
+    max(0, -w)..min(q, p-w), and the Laplacian sends sum x_c m_c to zero
+    exactly when (c+1)(c+1+w) x_{c+1} + (p-c-w)(q-c) x_c = 0; every factor
+    is nonzero on that range, so the kernel is one-dimensional.  The top
+    monomial (largest c, lex-largest) comes first in the term map, then the
+    others with c ascending, as RREF lists its pivot columns.
+    """
+    lo, hi = max(0, -w), min(q, p - w)
+    coeffs = {hi: Fraction(1)}
+    for c in range(hi - 1, lo - 1, -1):
+        coeffs[c] = coeffs[c + 1] * Fraction(-(c + 1) * (c + 1 + w), (p - c - w) * (q - c))
+    order = [hi, *range(lo, hi)]
+    return SpherePoly({Monomial(c + w, p - c - w, c, q - c): coeffs[c] for c in order})
 
 
 def solid_decomposition(f: SpherePoly, p: int, q: int) -> list[tuple[int, SpherePoly]]:

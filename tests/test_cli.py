@@ -163,6 +163,29 @@ def test_huge_parameter_is_a_usage_error(capsys, args):
         "argument --t: not an exact rational [-]a[/b] of integers with at most 100 digits")
 
 
+@pytest.mark.parametrize("args", [("rossi", "--t=-1/3"),
+                                  ("torsion", "--phi", "z1", "--t=-1/3")])
+def test_negative_t_joined_with_equals_is_accepted(capsys, args):
+    code, data, _ = run_json(capsys, *args)
+    assert code == 0
+    assert data["all_pass"] is True
+
+
+@pytest.mark.parametrize("args", [("rossi", "--t", "-1/3"),
+                                  ("torsion", "--phi", "z1", "--t", "-1/3")])
+def test_negative_t_as_separate_word_is_a_one_line_usage_error(capsys, args):
+    # argparse reads "-1/3" as an option, so the value must be joined with "=".
+    with pytest.raises(SystemExit) as exc:
+        main(list(args))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert "argument --t: expected one argument" in lines[0] and "--t=-1/3" in lines[0]
+
+
 def test_integrate_rejects_literal_above_digit_bound(capsys):
     code, out, err = run_cli(capsys, "integrate", "--expr", "z1*z1c + " + "7" * 5000)
     assert code == 2

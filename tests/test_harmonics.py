@@ -36,6 +36,44 @@ def test_dimensions_match_kernel_rank():
             assert basis(p, q).dimension == p + q + 1
 
 
+def _sympy_laplacian_matrix(p, q):
+    """The flat Laplacian P_{p,q} -> P_{p-1,q-1} as a dense sympy matrix.
+
+    Columns follow ``bidegree_monomials(p, q)``; each column is sympy's own
+    derivative of its monomial, so no crlab arithmetic enters the matrix.
+    """
+    _, z1_, z2_, w1_, w2_ = sympy.polys.rings.ring("z1 z2 w1 w2", sympy.ZZ)
+    source = bidegree_monomials(p, q)
+    target = {m: i for i, m in enumerate(bidegree_monomials(p - 1, q - 1))}
+    matrix = sympy.zeros(len(target), len(source))
+    for j, (a, b, c, d) in enumerate(source):
+        mono = z1_**a * z2_**b * w1_**c * w2_**d
+        lap = mono.diff(z1_).diff(w1_) + mono.diff(z2_).diff(w2_)
+        for exps, coeff in lap.terms():
+            matrix[target[exps], j] = coeff
+    return matrix
+
+
+def test_basis_equals_rref_nullspace_oracle():
+    # sympy's nullspace sets each free (non-pivot) column to 1 and reads the
+    # pivot entries off the reduced row echelon form: the same normalization
+    # the basis promises, so the two must agree value for value and in order.
+    for p in range(1, 9):
+        for q in range(1, 9):
+            monos = bidegree_monomials(p, q)
+            expected = [list(v) for v in _sympy_laplacian_matrix(p, q).nullspace()]
+            elements = basis(p, q).elements
+            assert len(elements) == len(expected) == p + q + 1
+            for f, vector in zip(elements, expected):
+                coeffs = [f.coefficient(m) for m in monos]
+                assert all(c.im == 0 for c in coeffs)
+                assert [sympy.Rational(c.re.numerator, c.re.denominator)
+                        for c in coeffs] == vector, (p, q)
+                top, *rest = f.terms
+                assert top == max(f.terms) and f.terms[top] == 1
+                assert rest == sorted(rest)
+
+
 def test_basis_elements_are_harmonic_and_independent():
     for (p, q) in [(1, 1), (2, 1), (3, 2), (4, 4)]:
         elements = basis(p, q).elements
