@@ -18,10 +18,8 @@ from .operators import (KOHN, CONJ_KOHN, PANEITZ, SUBLAP, T, Z1, Z1BAR, LinOp,
 from .harmonics import (BEVerdict, HarmonicBasis, basis, be_check, canonical_form,
                         canonicalize, flat_laplacian, sphere_equal)
 from .deformation import (ConnectionJets, DegenerateStructureError, TJet,
-                          UnsupportedOrderError, connection_coefficient_jets,
-                          conj_kohn_jet, levi_normalizer_jet,
-                          paneitz_family_jet, rossi, torsion, torsion_factor,
-                          zero_torsion_classify)
+                          connection_coefficient_jets, paneitz_family_jet, rossi,
+                          torsion, torsion_factor, zero_torsion_classify)
 from .variation import (HermitianForm, IdentityCheckError, PreconditionError,
                         SecondVariationSplit, assemble_form,
                         classify, drift_operator, drift_square_form, first_variation,
@@ -43,8 +41,7 @@ __all__ = [
     "BEVerdict", "HarmonicBasis", "basis", "be_check", "canonical_form",
     "canonicalize", "flat_laplacian", "sphere_equal",
     "ConnectionJets", "DegenerateStructureError", "TJet",
-    "UnsupportedOrderError", "connection_coefficient_jets", "conj_kohn_jet",
-    "levi_normalizer_jet", "paneitz_family_jet", "rossi",
+    "connection_coefficient_jets", "paneitz_family_jet", "rossi",
     "torsion", "torsion_factor", "zero_torsion_classify",
     "HermitianForm", "IdentityCheckError", "PreconditionError",
     "SecondVariationSplit", "assemble_form", "classify",

@@ -15,29 +15,28 @@ so the torsion vanishes identically precisely when phi_0 = 4i*phi, i.e.
 when every bigraded component of phi lies in P_{q+4,q}.
 
 F is irrational in t, so nothing here represents it in closed form: only
-F^2 (an exact rational pair) and truncated t-expansions exist.
-:class:`TJet` is the truncated-power-series vehicle carrying those
-expansions; its coefficients may be polynomials or operators, and products
-truncate beyond the fixed order.  From the jets of F and of the connection
-coefficients we assemble the t-expansion of the deformed conjugate Kohn
-Laplacian and of (four times) the deformed Paneitz operator, the
-independent route against which the closed-form variation operators in
-:mod:`crlab.variation` are checked.
+F^2 (an exact rational pair) and t-expansions truncated beyond t^2 exist.
+The paper's last result concerns the second variation, so t^2 is as far
+as any expansion is needed.  :class:`TJet` is the second-order expansion
+carrying them; its coefficients may be polynomials or operators.  From the
+jets of F and of the connection coefficients we assemble the t-expansion of
+the deformed conjugate Kohn Laplacian and of (four times) the deformed
+Paneitz operator, the independent route against which the closed-form
+variation operators in :mod:`crlab.variation` are checked.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 from typing import Callable, NamedTuple
 
+from .harmonics import bidegree_monomials, sphere_equal
 from .operators import MulBy, SUBLAP, Z1, Z1BAR, apply_T, apply_Z1, apply_Z1bar
 from .scalars import GaussianRational, I
 from .spherepoly import SpherePoly
 
-
-class UnsupportedOrderError(ValueError):
-    """Requested jet order beyond the implemented expansions."""
+# Highest power of t kept by every expansion.
+ORDER = 2
 
 
 class DegenerateStructureError(ValueError):
@@ -45,118 +44,57 @@ class DegenerateStructureError(ValueError):
 
 
 class TJet:
-    """Polynomial in the deformation parameter t, truncated at a fixed order.
+    """Expansion c0 + c1 t + c2 t^2 in the deformation parameter t.
 
     Coefficients may be any values supporting + and * (SpherePoly for scalar
-    jets, LinOp for operator jets, where * is composition).  All arithmetic
-    truncates beyond ``order``.
+    jets, LinOp for operator jets, where * is composition).  ``None`` marks
+    an absent term, which sums and products skip.  All arithmetic truncates
+    beyond t^ORDER.
     """
 
-    __slots__ = ("coeffs", "order")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs, order: int):
-        coeffs = list(coeffs)
-        if len(coeffs) > order + 1:
-            coeffs = coeffs[: order + 1]
-        self.coeffs = coeffs
-        self.order = order
-
-    def __getitem__(self, power: int):
-        if power < len(self.coeffs):
-            return self.coeffs[power]
-        raise IndexError(f"jet truncated at order {self.order} has no t^{power} term")
+    def __init__(self, coeffs):
+        coeffs = list(coeffs)[: ORDER + 1]
+        self.coeffs = coeffs + [None] * (ORDER + 1 - len(coeffs))
 
     def __add__(self, other: "TJet") -> "TJet":
-        order = min(self.order, other.order)
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for k in range(min(n, order + 1)):
-            left = self.coeffs[k] if k < len(self.coeffs) else None
-            right = other.coeffs[k] if k < len(other.coeffs) else None
-            if left is None:
-                out.append(right)
-            elif right is None:
-                out.append(left)
-            else:
-                out.append(left + right)
-        return TJet(out, order)
-
-    def __sub__(self, other: "TJet") -> "TJet":
-        return self + other.scale(-1)
+        return TJet([right if left is None else left if right is None else left + right
+                     for left, right in zip(self.coeffs, other.coeffs)])
 
     def __mul__(self, other: "TJet") -> "TJet":
         """Truncated convolution; coefficient order is preserved (left*right)."""
-        order = min(self.order, other.order)
-        out: list = [None] * min(max(len(self.coeffs) + len(other.coeffs) - 1, 1), order + 1)
+        out: list = [None] * (ORDER + 1)
         for i, left in enumerate(self.coeffs):
-            if i > order or left is None:
+            if left is None:
                 continue
-            for j, right in enumerate(other.coeffs):
-                k = i + j
-                if k > order:
-                    break
+            for j, right in enumerate(other.coeffs[: ORDER + 1 - i]):
                 if right is None:
                     continue
                 term = left * right
-                out[k] = term if out[k] is None else out[k] + term
-        return TJet(out, order)
-
-    def __pow__(self, exponent: int) -> "TJet":
-        if exponent < 0:
-            raise ValueError("exponent must be nonnegative")
-        out = TJet([_one_like(self.coeffs[0])], self.order)
-        for _ in range(exponent):
-            out = out * self
-        return out
+                out[i + j] = term if out[i + j] is None else out[i + j] + term
+        return TJet(out)
 
     def scale(self, factor) -> "TJet":
         return self.map(lambda c: c * factor)
 
     def shift(self, powers: int) -> "TJet":
         """Multiply by t^powers."""
-        return TJet([None] * powers + list(self.coeffs), self.order)
+        return TJet([None] * powers + self.coeffs)
 
     def map(self, fn: Callable) -> "TJet":
-        return TJet([None if c is None else fn(c) for c in self.coeffs], self.order)
+        return TJet([None if c is None else fn(c) for c in self.coeffs])
 
     def coefficient(self, power: int, zero):
         """Coefficient of t^power, with an explicit zero for missing entries."""
-        if power > self.order:
-            raise UnsupportedOrderError(f"jet truncated at order {self.order}")
-        if power < len(self.coeffs) and self.coeffs[power] is not None:
-            return self.coeffs[power]
-        return zero
+        coeff = self.coeffs[power]
+        return zero if coeff is None else coeff
 
     def poly_coefficient(self, power: int) -> SpherePoly:
         return self.coefficient(power, SpherePoly.zero())
 
-    def eval_at(self, t: GaussianRational | int | Fraction) -> SpherePoly:
-        """Evaluate a polynomial-coefficient jet at a rational parameter value."""
-        t = GaussianRational.coerce(t)
-        total = SpherePoly.zero()
-        power = GaussianRational(1)
-        for coeff in self.coeffs:
-            if coeff is not None:
-                total = total + coeff.scale(power)
-            power = power * t
-        return total
-
     def __repr__(self):
-        return f"TJet({self.coeffs!r}, order={self.order})"
-
-
-def _one_like(sample):
-    if isinstance(sample, SpherePoly) or sample is None:
-        return SpherePoly.constant(1)
-    from .operators import IDENTITY
-
-    return IDENTITY
-
-
-def poly_jet(coeffs, order: int) -> TJet:
-    """Jet with SpherePoly coefficients, coercing scalars."""
-    return TJet([c if (c is None or isinstance(c, SpherePoly)) else SpherePoly.constant(c)
-                 for c in coeffs], order)
+        return f"TJet({self.coeffs!r})"
 
 
 def torsion_factor(phi: SpherePoly) -> SpherePoly:
@@ -172,13 +110,14 @@ def torsion(phi: SpherePoly, t=None):
         numerator   = -t * (T(phi) - 4i phi)
         denominator = 1 - t^2 |phi|^2.
 
-    With ``t=None`` both sides are returned as t-polynomials (TJet of order
-    2, which is exact here); with a rational ``t`` they are polynomials.
+    With ``t=None`` both sides are returned as t-polynomials (TJets,
+    truncated beyond t^2, which is exact here); with a rational ``t`` they
+    are polynomials.
     """
     factor = torsion_factor(phi)
     if t is None:
-        num = poly_jet([None, -factor], 2)
-        den = poly_jet([SpherePoly.constant(1), None, -(phi * phi.conj())], 2)
+        num = TJet([None, -factor])
+        den = TJet([SpherePoly.constant(1), None, -(phi * phi.conj())])
         return num, den
     t = GaussianRational.coerce(t)
     return factor.scale(-t), SpherePoly.constant(1) - (phi * phi.conj()).scale(t * t)
@@ -190,8 +129,6 @@ def zero_torsion_classify(pmax: int = 8, qmax: int = 8) -> list[tuple[int, int]]
     Checks the torsion numerator of each monomial generator of P_{p,q}
     exactly; the result is always the diagonal p = q + 4.
     """
-    from .harmonics import bidegree_monomials, sphere_equal
-
     zero = SpherePoly.zero()
     out = []
     for p in range(pmax + 1):
@@ -227,17 +164,13 @@ def rossi(t) -> dict:
     return {"webster_R": webster, "torsion_coeff": torsion_coeff, "branch": branch}
 
 
-def levi_normalizer_jet(phi: SpherePoly, order: int = 2) -> TJet:
-    """Jet of F = (1 - t^2 |phi|^2)^(-1/2): sum of binom(2k,k)/4^k |phi|^(2k) t^(2k)."""
-    norm = phi * phi.conj()
-    coeffs: list[SpherePoly | None] = []
-    for j in range(order + 1):
-        if j % 2:
-            coeffs.append(None)
-        else:
-            k = j // 2
-            coeffs.append((norm ** k).scale(Fraction(comb(2 * k, k), 4 ** k)))
-    return TJet(coeffs, order)
+def levi_normalizer_jet(phi: SpherePoly) -> TJet:
+    """Jet of F = (1 - t^2 |phi|^2)^(-1/2).
+
+    F is the sum of binom(2k,k)/4^k |phi|^(2k) t^(2k); truncated beyond t^2
+    it is 1 + |phi|^2 t^2 / 2.
+    """
+    return TJet([SpherePoly.constant(1), None, (phi * phi.conj()).scale(Fraction(1, 2))])
 
 
 class ConnectionJets(NamedTuple):
@@ -253,7 +186,7 @@ class ConnectionJets(NamedTuple):
     along_reeb: TJet
 
 
-def connection_coefficient_jets(phi: SpherePoly, order: int = 2) -> ConnectionJets:
+def connection_coefficient_jets(phi: SpherePoly) -> ConnectionJets:
     """Second-order t-expansions of the deformed connection coefficients.
 
     Substituting phi -> t*phi and the F-jet into the closed coefficient
@@ -264,11 +197,9 @@ def connection_coefficient_jets(phi: SpherePoly, order: int = 2) -> ConnectionJe
         B_r = -t^2 pb F^3 (T(phi) - 4i phi)
 
     where p_1 = Z1 phi, pb = conj(phi), pb_b = Z1bar conj(phi), and F_1, F_b
-    are the Z1, Z1bar derivatives of F.  Orders above 2 are not available.
+    are the Z1, Z1bar derivatives of F.
     """
-    if order > 2:
-        raise UnsupportedOrderError("connection coefficients are expanded to order 2 only")
-    fj = levi_normalizer_jet(phi, order)
+    fj = levi_normalizer_jet(phi)
     f2 = fj * fj
     f3 = f2 * fj
     f_1 = fj.map(apply_Z1)
@@ -294,26 +225,24 @@ def connection_coefficient_jets(phi: SpherePoly, order: int = 2) -> ConnectionJe
     return ConnectionJets(along_holo, along_antiholo, along_reeb)
 
 
-def deformed_frame_jets(phi: SpherePoly, order: int = 2) -> tuple[TJet, TJet]:
+def deformed_frame_jets(phi: SpherePoly) -> tuple[TJet, TJet]:
     """Operator jets of the normalized frame fields (Z1^t, Z1bar^t)."""
-    fj = levi_normalizer_jet(phi, order).map(MulBy)
-    z1_t = fj * TJet([Z1, MulBy(phi.conj()) @ Z1BAR], order)
-    z1bar_t = fj * TJet([Z1BAR, MulBy(phi) @ Z1], order)
+    fj = levi_normalizer_jet(phi).map(MulBy)
+    z1_t = fj * TJet([Z1, MulBy(phi.conj()) @ Z1BAR])
+    z1bar_t = fj * TJet([Z1BAR, MulBy(phi) @ Z1])
     return z1_t, z1bar_t
 
 
-def conj_kohn_jet(phi: SpherePoly, order: int = 2) -> TJet:
+def conj_kohn_jet(phi: SpherePoly) -> TJet:
     """Operator jet of the deformed conjugate Kohn Laplacian.
 
     Assembled from the frame jets and the connection coefficients:
 
         -2 Z1bar^t Z1^t - 2 (F_b + B_a + t phi F_1 + t phi B_h) Z1^t.
     """
-    if order > 2:
-        raise UnsupportedOrderError("deformation expansions stop at order 2")
-    z1_t, z1bar_t = deformed_frame_jets(phi, order)
-    fj = levi_normalizer_jet(phi, order)
-    coeffs = connection_coefficient_jets(phi, order)
+    z1_t, z1bar_t = deformed_frame_jets(phi)
+    fj = levi_normalizer_jet(phi)
+    coeffs = connection_coefficient_jets(phi)
     scalar = (
         fj.map(apply_Z1bar)
         + coeffs.along_antiholo
@@ -323,7 +252,7 @@ def conj_kohn_jet(phi: SpherePoly, order: int = 2) -> TJet:
     return (z1bar_t * z1_t).scale(-2) + (scalar.map(MulBy) * z1_t).scale(-2)
 
 
-def torsion_correction_jet(phi: SpherePoly, order: int = 2) -> TJet:
+def torsion_correction_jet(phi: SpherePoly) -> TJet:
     """Operator jet of -2Q^t, the torsion correction to 4 * Paneitz.
 
     Q^t f = 2i (A Z1 Z1 f + (Z1 A) Z1 f - A c Z1 f) in the deformed frame,
@@ -337,9 +266,7 @@ def torsion_correction_jet(phi: SpherePoly, order: int = 2) -> TJet:
     where E = 4 phi + i T(phi), pb = conj(phi), subscripts 1 and b denote Z1
     and Z1bar derivatives.
     """
-    if order > 2:
-        raise UnsupportedOrderError("deformation expansions stop at order 2")
-    fj = levi_normalizer_jet(phi, order)
+    fj = levi_normalizer_jet(phi)
     f4 = (fj * fj) * (fj * fj)
     f6 = f4 * (fj * fj)
     phibar = phi.conj()
@@ -349,25 +276,25 @@ def torsion_correction_jet(phi: SpherePoly, order: int = 2) -> TJet:
     pb_1 = apply_Z1(phibar)
     pb_b = apply_Z1bar(phibar)
 
-    first = TJet([MulBy(e) @ Z1 @ Z1 + MulBy(e_1) @ Z1], order)
+    first = TJet([MulBy(e) @ Z1 @ Z1 + MulBy(e_1) @ Z1])
     part1 = (f4.map(MulBy) * first).scale(4).shift(1)
     second = TJet([
         MulBy((e * phibar).scale(-1)) @ SUBLAP
         + MulBy(e * pb_1) @ Z1BAR
         + MulBy(phibar * e_b) @ Z1
         + MulBy(phibar * e_1) @ Z1BAR
-    ], order)
+    ])
     part2 = (f4.map(MulBy) * second).scale(4).shift(2)
-    part3 = (f6.map(MulBy) * TJet([MulBy(e * pb_b) @ Z1], order)).scale(4).shift(2)
+    part3 = (f6.map(MulBy) * TJet([MulBy(e * pb_b) @ Z1])).scale(4).shift(2)
     return part1 + part2 + part3
 
 
-def paneitz_family_jet(phi: SpherePoly, order: int = 2) -> TJet:
+def paneitz_family_jet(phi: SpherePoly) -> TJet:
     """Operator jet of 4 * P^t, the deformed Paneitz operator (times four).
 
     4 P^t = box^t conj_box^t - 2 Q^t; the t^1 coefficient is four times the
     first variation and the t^2 coefficient is twice the second variation.
     """
-    conj_box = conj_kohn_jet(phi, order)
+    conj_box = conj_kohn_jet(phi)
     box = conj_box.map(lambda op: op.conj_op())
-    return box * conj_box + torsion_correction_jet(phi, order)
+    return box * conj_box + torsion_correction_jet(phi)

@@ -41,6 +41,8 @@ from fractions import Fraction
 from itertools import chain
 from typing import Callable, Iterable
 
+from .harmonics import basis
+from .integration import inner
 from .scalars import ONE, GaussianRational, ScalarLike
 from .spherepoly import Monomial, SpherePoly, monomial_of
 
@@ -300,8 +302,6 @@ def common_eigenvalue(op: LinOp, p: int, q: int) -> GaussianRational:
     scalar multiple, the same scalar across the basis; raises if op does
     not act as a scalar there.
     """
-    from .harmonics import basis
-
     value: GaussianRational | None = None
     for f in basis(p, q).elements:
         image = op(f)
@@ -332,9 +332,6 @@ def kohn_energy_identity(p: int, q: int) -> bool:
     """
     if (p, q) == (0, 0):
         raise ValueError("identity is about nonconstant eigenfunctions; need (p, q) != (0, 0)")
-    from .harmonics import basis
-    from .integration import inner
-
     lam = 2 * (p + 1) * q
     for f in basis(p, q).elements:
         first = apply_Z1bar(f)

@@ -5,9 +5,10 @@ arbitrary-precision integers ``a``, ``b`` and ``d``.  It is the coefficient
 field for everything in this package; no floating point appears anywhere.
 The triple is kept reduced: ``d > 0`` and ``gcd(a, b, d) == 1``, with zero
 stored as ``(0, 0, 1)``.  Every value therefore has exactly one triple, so
-equality and hashing compare integers.  Each operation does a few integer
-multiplies and at most one three-argument gcd; the parts ``re`` and ``im``
-are handed out as reduced ``fractions.Fraction`` values on demand.
+equality compares integers; a real value hashes like the ``int`` or
+``Fraction`` it equals.  Each operation does a few integer multiplies and
+at most one three-argument gcd; the parts ``re`` and ``im`` are handed out
+as reduced ``fractions.Fraction`` values on demand.
 """
 
 from __future__ import annotations
@@ -26,10 +27,8 @@ class GaussianRational:
         if re.__class__ is int and im.__class__ is int:
             self._a, self._b, self._d = re, im, 1
             return
-        if not isinstance(re, (int, Fraction)):
-            re = Fraction(re)
-        if not isinstance(im, (int, Fraction)):
-            im = Fraction(im)
+        if not (isinstance(re, (int, Fraction)) and isinstance(im, (int, Fraction))):
+            raise TypeError(f"Gaussian rational parts must be int or Fraction, not {re!r}, {im!r}")
         rd, id_ = re.denominator, im.denominator
         # The lcm of two reduced denominators leaves the triple reduced.
         d = rd if rd == id_ else rd * (id_ // gcd(rd, id_))
@@ -190,6 +189,9 @@ class GaussianRational:
         return NotImplemented
 
     def __hash__(self):
+        # A real value equals the int or Fraction a/d, so it hashes like one.
+        if not self._b:
+            return hash(self._a) if self._d == 1 else hash(Fraction(self._a, self._d))
         return hash((self._a, self._b, self._d))
 
     def __bool__(self) -> bool:

@@ -258,11 +258,6 @@ class SpherePoly:
             return next(iter(degrees))
         return None
 
-    def total_degree(self) -> int:
-        if not self._terms:
-            return 0
-        return max(m.a + m.b + m.c + m.d for m in self._terms)
-
     # -- calculus ------------------------------------------------------------
 
     def _partial(self, slot: int) -> "SpherePoly":

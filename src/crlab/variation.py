@@ -44,7 +44,8 @@ from .deformation import paneitz_family_jet
 from .harmonics import basis, canonicalize
 from .integration import inner, moment
 from .operators import (CONJ_KOHN, KOHN, LinOp, MulBy, PANEITZ, SUBLAP, Z1,
-                        Z1BAR, apply_T, apply_Z1, apply_Z1bar, grad_op, kohn)
+                        Z1BAR, ZERO_OP, apply_T, apply_Z1, apply_Z1bar, grad_op,
+                        kohn)
 from .scalars import ZERO, GaussianRational, I
 from .spherepoly import Monomial, SpherePoly
 
@@ -122,9 +123,7 @@ def variations_from_jets(phi: SpherePoly) -> tuple[LinOp, LinOp]:
     coefficients; its t^1 coefficient is 4*paneitz_dot and its t^2
     coefficient is 2*paneitz_ddot.
     """
-    jet = paneitz_family_jet(phi, 2)
-    from .operators import ZERO_OP
-
+    jet = paneitz_family_jet(phi)
     return (
         Fraction(1, 4) * jet.coefficient(1, ZERO_OP),
         Fraction(1, 2) * jet.coefficient(2, ZERO_OP),
@@ -145,14 +144,6 @@ class HermitianForm:
     labels: tuple[str, ...]
     elements: tuple[SpherePoly, ...]
     rows: tuple[dict[int, GaussianRational], ...]
-
-    @classmethod
-    def from_dense(cls, labels: tuple[str, ...], elements: tuple[SpherePoly, ...],
-                   entries) -> "HermitianForm":
-        """Form with the given dense n x n entries (a sequence of rows)."""
-        return cls(labels, elements,
-                   tuple({j: v for j, v in enumerate(row) if not v.is_zero()}
-                         for row in entries))
 
     @property
     def dimension(self) -> int:

@@ -18,7 +18,7 @@ from math import comb
 
 import pytest
 
-from crlab import GaussianRational, Monomial, SpherePoly, gr
+from crlab import GaussianRational, HermitianForm, Monomial, SpherePoly, gr
 from crlab.harmonics import bidegree_monomials
 
 
@@ -82,6 +82,14 @@ def same_operator_on_sphere(a, b) -> bool:
 
     return (a.terms.keys() == b.terms.keys()
             and all(sphere_equal(coeff, b.terms[word]) for word, coeff in a.terms.items()))
+
+
+def dense_form(entries) -> HermitianForm:
+    """Form with the given dense n x n entries over labels e0.. and constant elements."""
+    n = len(entries)
+    return HermitianForm(tuple(f"e{i}" for i in range(n)), (SpherePoly.constant(1),) * n,
+                         tuple({j: v for j, v in enumerate(row) if not v.is_zero()}
+                               for row in entries))
 
 
 def random_scalar(rng: random.Random, allow_zero: bool = True) -> GaussianRational:

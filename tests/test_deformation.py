@@ -4,12 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from crlab import (DegenerateStructureError, SpherePoly,
-                   UnsupportedOrderError, apply_Z1, apply_Z1bar,
-                   connection_coefficient_jets, gr,
-                   levi_normalizer_jet, one, rossi, sphere_equal, torsion,
+from crlab import (DegenerateStructureError, SpherePoly, TJet, apply_Z1, apply_Z1bar,
+                   connection_coefficient_jets, gr, one, rossi, sphere_equal, torsion,
                    torsion_factor, zero_torsion_classify, z1, z1c, z2, z2c)
-from crlab.deformation import poly_jet
+from crlab.deformation import levi_normalizer_jet
 from conftest import random_bidegree_poly
 
 ZERO = SpherePoly.zero()
@@ -20,36 +18,36 @@ TWENTY_TS = [Fraction(s * n, d) for s in (1, -1)
 
 
 def test_tjet_arithmetic_truncates():
-    a = poly_jet([one, z1], 2)
-    b = poly_jet([one, z2], 2)
+    a = TJet([one, z1])
+    b = TJet([one, z2])
     prod = a * b
     assert prod.poly_coefficient(0) == one
     assert prod.poly_coefficient(1) == z1 + z2
     assert prod.poly_coefficient(2) == z1 * z2
     cubed = a * a * a
     assert cubed.poly_coefficient(2) == (z1 * z1).scale(3)
-    with pytest.raises(IndexError):
-        cubed[3]
+    assert len(cubed.coeffs) == 3   # the t^3 term z1^3 is dropped
 
 
-def test_tjet_shift_and_eval():
-    jet = poly_jet([one], 2).shift(2)
+def test_tjet_shift_truncates():
+    jet = TJet([one]).shift(2)
     assert jet.poly_coefficient(2) == one
     assert jet.poly_coefficient(0).is_zero()
-    lin = poly_jet([one, z1.scale(2)], 2)
-    assert lin.eval_at(Fraction(1, 2)) == one + z1
+    lin = TJet([one, z1.scale(2)]).shift(1)
+    assert lin.coeffs == [None, one, z1.scale(2)]
+    assert TJet([one, z1]).shift(2).coeffs == [None, None, one]
 
 
 def test_levi_normalizer_jet_coefficients():
     phi = z1 * z2c
-    jet = levi_normalizer_jet(phi, 2)
+    jet = levi_normalizer_jet(phi)
     norm = phi * phi.conj()
     assert jet.poly_coefficient(0) == one
     assert jet.poly_coefficient(1).is_zero()
     assert jet.poly_coefficient(2) == norm.scale(Fraction(1, 2))
     # (F^2)(t) * (1 - t^2 |phi|^2) = 1 up to the truncation order.
     f2 = jet * jet
-    inverse = poly_jet([one, None, -norm], 2)
+    inverse = TJet([one, None, -norm])
     prod = f2 * inverse
     assert prod.poly_coefficient(0) == one
     assert prod.poly_coefficient(1).is_zero()
@@ -59,7 +57,7 @@ def test_levi_normalizer_jet_coefficients():
 def test_connection_jets_match_displayed_expansions(rng):
     for phi in [one, z1, z1 * z2c, z1 ** 4, random_bidegree_poly(rng, 2, 1)]:
         phibar = phi.conj()
-        jets = connection_coefficient_jets(phi, 2)
+        jets = connection_coefficient_jets(phi)
         norm = phi * phibar
         # order-1 coefficients:
         assert jets.along_holo.poly_coefficient(1) == -apply_Z1bar(phibar)
@@ -73,13 +71,8 @@ def test_connection_jets_match_displayed_expansions(rng):
             -(phibar * torsion_factor(phi))
 
 
-def test_connection_jets_reject_high_order():
-    with pytest.raises(UnsupportedOrderError):
-        connection_coefficient_jets(z1, order=3)
-
-
 def test_constant_deformation_jets_vanish():
-    jets = connection_coefficient_jets(one, 2)
+    jets = connection_coefficient_jets(one)
     for k in range(3):
         assert jets.along_holo.poly_coefficient(k).is_zero()
         assert jets.along_antiholo.poly_coefficient(k).is_zero()

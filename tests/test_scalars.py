@@ -168,6 +168,11 @@ def test_mixed_int_and_fraction_operands_on_both_sides(p, s):
         assert_matches(s / x, ref_div(r, p))
     assert (x == s) == (p == r)
     assert (s == x) == (p == r)
+    if x == s:
+        assert hash(x) == hash(s)
+    real = gr(s)
+    assert real == s and hash(real) == hash(s)
+    assert len({real, s}) == 1 and {s: "x"}.get(real) == "x"
 
 
 def test_equal_values_built_differently_share_a_hash():
@@ -190,3 +195,8 @@ def test_foreign_operands_behave_as_before():
         x + "1"
     assert (x == None) is False  # noqa: E711
     assert (x != None) is True  # noqa: E711
+    for part in (0.1, "1/3"):
+        with pytest.raises(TypeError):
+            gr(part)
+        with pytest.raises(TypeError):
+            gr(1, part)

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from crlab import (HermitianForm, KOHN, PreconditionError, SpherePoly,
+from crlab import (KOHN, PreconditionError, SpherePoly,
                    assemble_form, basis, classify, drift_operator, drift_square_form,
                    first_variation, gr, inner, one, pluriharmonic_basis,
                    remainder_form, second_variation,
@@ -13,8 +13,8 @@ from crlab import (HermitianForm, KOHN, PreconditionError, SpherePoly,
 from crlab.operators import PANEITZ
 from crlab.variation import (INDEFINITE, NEGATIVE_DEFINITE, NEGATIVE_SEMIDEFINITE,
                              POSITIVE_DEFINITE, POSITIVE_SEMIDEFINITE, ZERO_FORM)
-from conftest import (random_bidegree_poly, random_pluriharmonic, random_poly,
-                      same_operator_on_sphere)
+from conftest import (dense_form, random_bidegree_poly, random_pluriharmonic,
+                      random_poly, same_operator_on_sphere)
 
 ZERO = SpherePoly.zero()
 
@@ -253,8 +253,7 @@ def test_classify_examples():
         entries = tuple(tuple(gr(Fraction(v)) if not isinstance(v, tuple)
                               else gr(Fraction(v[0]), Fraction(v[1])) for v in row)
                         for row in rows)
-        n = len(rows)
-        return HermitianForm.from_dense(tuple("e%d" % i for i in range(n)), (one,) * n, entries)
+        return dense_form(entries)
 
     assert classify(form_from([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == POSITIVE_DEFINITE
     assert classify(form_from([[1, 2], [2, 1]])) == INDEFINITE
@@ -352,9 +351,7 @@ def test_classify_against_charpoly_oracle(rng):
     corpus.append(_scattered_blocks(rng, [[[gr(-1), gr(-1)], [gr(-1), gr(-1)]], [[gr(-4)]]]))
     verdicts = set()
     for raw in corpus:
-        n = len(raw)
-        form = HermitianForm.from_dense(tuple("e%d" % i for i in range(n)), (one,) * n,
-                                        tuple(tuple(row) for row in raw))
+        form = dense_form(raw)
         pos, neg, zero = _eigen_sign_counts(raw)
         verdict = classify(form)
         verdicts.add(verdict)
