@@ -12,9 +12,17 @@ Subcommands:
 
 All numeric output is exact (rational strings); ``--approx`` adds decimal
 renderings marked non-authoritative.  ``--format text|json|csv`` render the
-same records.  Exit status 0 means every check passed; on failure the list
-of failing record ids is printed to stderr as JSON; usage and expression
-errors exit 2.
+same records.  Exit status:
+
+    0  every check passed
+    1  a check failed; the list of failing record ids is printed to stderr as JSON
+    2  bad input: a usage or expression error, or an argument outside an
+       operation's domain (PreconditionError); one stderr line
+    3  an exact identity that must always hold failed inside the library
+       (IdentityCheckError, an internal bug, not a failed claim); one stderr
+       line naming the identity
+
+No exit status prints a traceback.
 """
 
 from __future__ import annotations
@@ -37,7 +45,8 @@ from .report import Report
 from .scalars import GaussianRational
 from .spherepoly import SpherePoly, one
 from .variation import (POSITIVE_DEFINITE, assemble_form, classify,
-                        first_variation, pluriharmonic_basis, second_variation)
+                        IdentityCheckError, PreconditionError, first_variation,
+                        pluriharmonic_basis, second_variation)
 
 _OPERATORS = {
     "kohn": (KOHN, lambda p, q: 2 * (p + 1) * q, "2(p+1)q"),
@@ -340,9 +349,13 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         args.run(args, report)
-    except (ParseError, EvaluationError, UsageError, DegenerateStructureError) as exc:
+    except (ParseError, EvaluationError, UsageError, DegenerateStructureError,
+            PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except IdentityCheckError as exc:
+        print(f"internal error: identity check failed: {exc}", file=sys.stderr)
+        return 3
     report.elapsed_ms = int((time.perf_counter() - started) * 1000)
     report.sort()
     rendered = report.render(args.format, approx=args.approx)

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .deformation import paneitz_family_jet
 from .harmonics import basis, canonicalize
@@ -69,6 +70,24 @@ ZERO_FORM = "zero"
 def torsion_potential(phi: SpherePoly) -> SpherePoly:
     """E = 4*phi + i*T(phi); constant multiple (4 + q - p) * phi on P_{p,q}."""
     return phi.scale(4) + apply_T(phi).scale(I)
+
+
+@lru_cache(maxsize=128)
+def _weights_of(terms: frozenset, k: int) -> tuple[SpherePoly, SpherePoly]:
+    phi = SpherePoly(dict(terms))
+    phibar = phi.conj()
+    norm = phi * phibar
+    return norm, norm.scale(k) - torsion_potential(phi) * phibar
+
+
+def _weights(phi: SpherePoly, k: int) -> tuple[SpherePoly, SpherePoly]:
+    """(|phi|^2, w_k) with w_k = k|phi|^2 - E conj(phi), memoised per exact phi and k.
+
+    The bounded cache is keyed on phi's term set, so equal polynomials
+    share an entry however they were built; the returned polynomials are
+    immutable and shared between callers.
+    """
+    return _weights_of(frozenset(phi.terms.items()), k)
 
 
 def drift_operator(phi: SpherePoly) -> LinOp:
@@ -354,7 +373,7 @@ def remainder_form(phi: SpherePoly, f: SpherePoly, g: SpherePoly) -> GaussianRat
     if q > 0:
         expected = GaussianRational(0)
     else:
-        weight = (phi * phi.conj()).scale(p) - torsion_potential(phi) * phi.conj()
+        _, weight = _weights(phi, p)
         expected = inner(weight * apply_Z1(f_rep), apply_Z1(g_rep)) * 8
     if value != expected:
         raise IdentityCheckError("remainder pairing disagrees with its closed form")
@@ -371,7 +390,10 @@ def weighted_gradient_pairing(phi: SpherePoly, k: int, l: int, side: str,
 
         (k + p1 - q1 - 4) * integral |phi|^2 |d f_k|^2
 
-    when k = l; both laws are checked before returning.
+    when k = l; both laws are checked before returning, on every call.
+    Only the phi-only polynomials |phi|^2 and the weight are memoised (per
+    exact phi and k, in a bounded cache); both integrals are computed anew
+    for each pair.
     """
     bidegree = phi.bidegree_if_uniform()
     if bidegree is None:
@@ -383,8 +405,7 @@ def weighted_gradient_pairing(phi: SpherePoly, k: int, l: int, side: str,
     else:
         raise PreconditionError(f"side must be holomorphic|antiholomorphic, got {side!r}")
     p1, q1 = bidegree
-    norm = phi * phi.conj()
-    weight = norm.scale(k) - torsion_potential(phi) * phi.conj()
+    norm, weight = _weights(phi, k)
     df_k = derivative(f_k)
     df_l = derivative(f_l)
     value = inner(weight * df_k, df_l)
@@ -429,16 +450,14 @@ def second_variation_decomposition(phi: SpherePoly, f: SpherePoly) -> SecondVari
     anti = {q: piece for (p, q), piece in parts.items() if p == 0}
     rep = sum(parts.values(), SpherePoly.zero())
 
-    norm = phi * phi.conj()
-    e_pb = torsion_potential(phi) * phi.conj()
     total = GaussianRational(0)
     for k, fk in holo.items():
-        weight = norm.scale(k) - e_pb
+        weight = _weights(phi, k)[1]
         dfk = apply_Z1(fk)
         for fl in holo.values():
             total = total + inner(weight * dfk, apply_Z1(fl))
     for k, gk in anti.items():
-        weight = (norm.scale(k) - e_pb).conj()
+        weight = _weights(phi, k)[1].conj()
         dgk = apply_Z1bar(gk)
         for gl in anti.values():
             total = total + inner(weight * dgk, apply_Z1bar(gl))

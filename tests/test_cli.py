@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from crlab import IdentityCheckError, PreconditionError, cli
 from crlab.cli import main
 from crlab.report import decode_complex, decode_rational
 
@@ -66,6 +67,22 @@ def test_parse_errors_exit_2_verbatim(capsys):
     assert code == 2
     assert "unknown token 'z3'" in err and "column 1" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("error, code", [
+    (PreconditionError("pmax must be >= 1"), 2),
+    (IdentityCheckError("remainder pairing disagrees with its closed form"), 3),
+])
+def test_library_errors_exit_with_one_line(capsys, monkeypatch, error, code):
+    def failing(args, report):
+        raise error
+    monkeypatch.setattr(cli, "cmd_bochner", failing)
+    status, out, err = run_cli(capsys, "bochner", "--phi", "z1")
+    assert status == code
+    assert out == ""
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and str(error) in lines[0]
 
 
 def test_rossi_witnesses_roundtrip(capsys):

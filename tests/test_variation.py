@@ -3,9 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from crlab import (KOHN, PreconditionError, SpherePoly,
+import crlab.variation as variation
+from crlab import (KOHN, IdentityCheckError, PreconditionError, SpherePoly,
                    assemble_form, basis, classify, drift_operator, drift_square_form,
-                   first_variation, gr, inner, one, pluriharmonic_basis,
+                   first_variation, gr, inner, one, parse_poly, pluriharmonic_basis,
                    remainder_form, second_variation,
                    second_variation_decomposition, sphere_equal,
                    torsion_potential, variations_from_jets,
@@ -158,6 +159,47 @@ def test_weighted_pairing_rejects_mixed_phi():
         weighted_gradient_pairing(one + z1, 1, 1, "holomorphic", z1, z1)
     with pytest.raises(PreconditionError):
         weighted_gradient_pairing(z1, 1, 1, "sideways", z1, z1)
+
+
+def _pairings(phi):
+    out = []
+    for k in (1, 2):
+        for l in (1, 2):
+            for side, fs in (("holomorphic", lambda d: basis(d, 0).elements),
+                             ("antiholomorphic", lambda d: basis(0, d).elements)):
+                for fk in fs(k):
+                    for fl in fs(l):
+                        out.append(weighted_gradient_pairing(phi, k, l, side, fk, fl))
+    return out
+
+
+def test_weighted_pairing_memo_is_keyed_on_the_exact_polynomial():
+    built = [SpherePoly.monomial((1, 1, 0, 0)), parse_poly("z1*z2"), z1 * z2]
+    values = [_pairings(phi) for phi in built]
+    assert any(not v.is_zero() for v in values[0])
+    assert values[0] == values[1] == values[2]
+
+
+def test_weighted_pairing_scales_with_the_modulus_of_phi():
+    # w_k is quadratic in phi: c*phi pairs to |c|^2 times phi's pairing, so a
+    # cached weight of phi reused for c*phi would show.
+    base = _pairings(z1)
+    for c in (gr(1), gr(2), gr(0, 1)):
+        assert _pairings(z1.scale(c)) == [v * c * c.conj() for v in base]
+
+
+def test_weighted_pairing_checks_both_laws_with_a_wrong_potential(monkeypatch):
+    f2 = basis(2, 0).elements[2]  # z1^2
+    variation._weights_of.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(variation, "torsion_potential", lambda phi: phi.scale(5) + phi * z1c)
+            with pytest.raises(IdentityCheckError, match="cross-degree"):
+                weighted_gradient_pairing(z1, 2, 1, "holomorphic", f2, z1)
+            with pytest.raises(IdentityCheckError, match="diagonal"):
+                weighted_gradient_pairing(z1, 1, 1, "holomorphic", z1, z1)
+    finally:
+        variation._weights_of.cache_clear()
 
 
 # -- second-variation decomposition ------------------------------------------------------
@@ -402,9 +444,6 @@ def test_assemble_form_matches_dense_inner_oracle(rng):
 
 
 def test_assemble_form_rejects_non_monomial_basis(monkeypatch):
-    import crlab.variation as variation
-    from crlab import IdentityCheckError
-
     vectors = variation.pluriharmonic_basis(1)
     mixed = variation.BasisVector("z1 + z2", z1 + z2, 1, "holomorphic")
     monkeypatch.setattr(variation, "pluriharmonic_basis", lambda pmax: (mixed,) + vectors)
@@ -413,7 +452,7 @@ def test_assemble_form_rejects_non_monomial_basis(monkeypatch):
 
 
 def test_assemble_form_flags_non_hermitian_operators():
-    from crlab import IdentityCheckError, MulBy
+    from crlab import MulBy
 
     with pytest.raises(IdentityCheckError):
         assemble_form(MulBy(z1), 2, expect_hermitian=True)
