@@ -32,7 +32,11 @@ by the Leibniz rule
     w (b h) = sum over subwords S of w of (w_S b) (w_{S^c} h),
 
 and is again a sum of coefficients times words.  ``A @ B`` composes
-(apply B first); ``A(f)`` applies each distinct word suffix to f once.
+(apply B first).  ``A(f)`` applies each distinct word suffix to f once and
+then makes one multiply-accumulate pass: every product of a coefficient
+term with a term of its word's image is added straight into one term map,
+and monomials whose sums cancelled are dropped once at the end.  The field
+appliers accumulate their two partial-derivative images the same way.
 """
 
 from __future__ import annotations
@@ -43,44 +47,41 @@ from typing import Callable, Iterable
 
 from .harmonics import basis
 from .integration import inner
-from .scalars import ONE, GaussianRational, ScalarLike
+from .scalars import GaussianRational, ScalarLike
 from .spherepoly import Monomial, SpherePoly, monomial_of
 
 
 def apply_Z1(poly: SpherePoly) -> SpherePoly:
     """conj(z2) d/dz1 - conj(z1) d/dz2; maps bidegree (p,q) to (p-1, q+1)."""
-    def images():
-        for (a, b, c, d), coeff in poly.terms.items():
-            if a:
-                yield monomial_of((a - 1, b, c, d + 1)), coeff * a
-            if b:
-                yield monomial_of((a, b - 1, c + 1, d)), coeff * -b
-
-    return SpherePoly.summed(images())
+    terms = poly.terms.items()
+    # The d/dz1 images of distinct monomials are distinct; only d/dz2 ones can meet them.
+    out = {monomial_of((a - 1, b, c, d + 1)): coeff * a for (a, b, c, d), coeff in terms if a}
+    get, count = out.get, len(out)
+    for (a, b, c, d), coeff in terms:
+        if b:
+            mono, count = monomial_of((a, b - 1, c + 1, d)), count + 1
+            acc = get(mono)
+            out[mono] = coeff * -b if acc is None else acc + coeff * -b
+    return SpherePoly._of(out, len(out) < count)
 
 
 def apply_Z1bar(poly: SpherePoly) -> SpherePoly:
     """z2 d/dconj(z1) - z1 d/dconj(z2); maps bidegree (p,q) to (p+1, q-1)."""
-    def images():
-        for (a, b, c, d), coeff in poly.terms.items():
-            if c:
-                yield monomial_of((a, b + 1, c - 1, d)), coeff * c
-            if d:
-                yield monomial_of((a + 1, b, c, d - 1)), coeff * -d
-
-    return SpherePoly.summed(images())
+    terms = poly.terms.items()
+    out = {monomial_of((a, b + 1, c - 1, d)): coeff * c for (a, b, c, d), coeff in terms if c}
+    get, count = out.get, len(out)
+    for (a, b, c, d), coeff in terms:
+        if d:
+            mono, count = monomial_of((a + 1, b, c, d - 1)), count + 1
+            acc = get(mono)
+            out[mono] = coeff * -d if acc is None else acc + coeff * -d
+    return SpherePoly._of(out, len(out) < count)
 
 
 def apply_T(poly: SpherePoly) -> SpherePoly:
     """Generator of the diagonal circle action: i*m on circle grade m."""
-    out: dict[Monomial, GaussianRational] = {}
-    for mono, coeff in poly.terms.items():
-        m = mono.circle_grade
-        if m:
-            out[mono] = coeff * GaussianRational(0, m)
-    result = SpherePoly.__new__(SpherePoly)
-    result._terms = out
-    return result
+    return SpherePoly._of({mono: coeff * GaussianRational(0, m)
+                           for mono, coeff in poly.terms.items() if (m := mono.circle_grade)})
 
 
 Word = tuple[str, ...]
@@ -89,7 +90,6 @@ _FIELDS: dict[str, Callable[[SpherePoly], SpherePoly]] = {
     "Z1": apply_Z1, "Z1bar": apply_Z1bar, "T": apply_T}
 # T is a real vector field: conj . T . conj = T.
 _CONJ_LETTER = {"Z1": "Z1bar", "Z1bar": "Z1", "T": "T"}
-_CONSTANT = Monomial(0, 0, 0, 0)
 
 
 class _Images(dict):
@@ -101,18 +101,6 @@ class _Images(dict):
     def __missing__(self, word: Word) -> SpherePoly:
         image = self[word] = _FIELDS[word[0]](self[word[1:]])
         return image
-
-
-def _times(coeff: SpherePoly, poly: SpherePoly) -> SpherePoly:
-    """coeff * poly, scaling instead of multiplying when either factor is constant."""
-    left, right = coeff._terms, poly._terms
-    if len(left) == 1 and _CONSTANT in left:
-        value, other = left[_CONSTANT], poly
-    elif len(right) == 1 and _CONSTANT in right:
-        value, other = right[_CONSTANT], coeff
-    else:
-        return coeff * poly
-    return other if value == ONE else other.scale(value)
 
 
 def _splits(word: Word, images: _Images) -> Iterable[tuple[Word, Word]]:
@@ -156,14 +144,30 @@ class LinOp:
         self.terms = {word: coeff for word, coeff in terms.items() if coeff.terms}
 
     def apply(self, poly: SpherePoly) -> SpherePoly:
-        if len(self.terms) == 1:
-            ((word, coeff),) = self.terms.items()
-            for letter in reversed(word):
-                poly = _FIELDS[letter](poly)
-            return _times(coeff, poly)
+        """The sum over words w of coeff_w * w(poly), in one multiply-accumulate pass.
+
+        Each distinct word suffix is applied to poly once (:class:`_Images`);
+        every product of a coefficient term with an image term goes straight
+        into one term map, whose cancelled monomials are dropped at the end.
+        """
         images = _Images({(): poly})
-        return SpherePoly.summed(pair for word, coeff in self.terms.items()
-                                 for pair in _times(coeff, images[word]).terms.items())
+        out: dict[Monomial, GaussianRational] = {}
+        count = 0
+        get = out.get
+        for word, coeff in self.terms.items():
+            image = images[word].terms.items()
+            count += len(coeff.terms) * len(image)
+            for (a1, b1, c1, d1), x1 in coeff.terms.items():
+                if not (a1 or b1 or c1 or d1):  # a constant term keeps each image monomial
+                    for mono, x2 in image:
+                        acc = get(mono)
+                        out[mono] = x1 * x2 if acc is None else acc + x1 * x2
+                    continue
+                for (a2, b2, c2, d2), x2 in image:
+                    mono = monomial_of((a1 + a2, b1 + b2, c1 + c2, d1 + d2))
+                    acc = get(mono)
+                    out[mono] = x1 * x2 if acc is None else acc + x1 * x2
+        return SpherePoly._of(out, len(out) < count)
 
     def __call__(self, poly: SpherePoly) -> SpherePoly:
         return self.apply(poly)
@@ -195,7 +199,7 @@ class LinOp:
                 images = _Images({(): b})
                 for outer_word, a in self.terms.items():
                     for applied, kept in _splits(outer_word, images):
-                        yield kept + inner_word, _times(a, images[applied])
+                        yield kept + inner_word, a * images[applied]
 
         return LinOp(_collect(pairs()))
 

@@ -20,12 +20,16 @@ Errors carry 1-based column positions: unknown tokens are lexical errors,
 structural problems are syntax errors, and a zero denominator or an
 exponent above ``MAX_EXPONENT`` is rejected at parse time.  An integer
 literal longer than ``MAX_LITERAL_DIGITS`` digits is a lexical error.
+Before evaluating, :func:`evaluate` bounds the number of terms of every
+subexpression from the tree and raises ``EvaluationError`` above
+``MAX_TERMS``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Union
 
 from .scalars import GaussianRational
@@ -35,6 +39,11 @@ from .spherepoly import SpherePoly
 #: Largest exponent accepted after '^'; expansions grow combinatorially with it
 #: (``(z1+z2+z1c+z2c)^N`` has O(N^3) terms).
 MAX_EXPONENT = 32
+
+#: Most terms any subexpression may expand to.  The bound is taken from the
+#: parse tree before evaluation (see :func:`evaluate`); ``(z1+z2+z1c+z2c)^32``
+#: has 6545 terms.
+MAX_TERMS = 10000
 
 #: Most digits in one integer literal (numerator, denominator or exponent);
 #: longer literals are rejected before they are converted to ``int``.
@@ -56,7 +65,8 @@ class SyntaxParseError(ParseError):
 
 
 class EvaluationError(ValueError):
-    """A well-formed expression with no exact value (e.g. division by z1)."""
+    """A well-formed expression that is not evaluated: it has no exact value
+    (e.g. division by z1), or it may expand to more than ``MAX_TERMS`` terms."""
 
 
 # -- AST ----------------------------------------------------------------------
@@ -248,8 +258,48 @@ def parse(src: str) -> ExprAst:
     return node
 
 
+def _expansion_bound(ast: ExprAst) -> tuple[int, int]:
+    """Upper bounds on the term count and total degree of ast's value.
+
+    Terms add under '+' and '-', multiply under '*', and a power of a t-term
+    base has at most C(t+n-1, n) terms (the multisets of n of its terms);
+    every count is capped by C(D+4, 4), the number of monomials of degree at
+    most D.  Raises EvaluationError at the first subexpression above
+    ``MAX_TERMS``.
+    """
+    if isinstance(ast, (RationalLit, ImaginaryUnit)):
+        return 1, 0
+    if isinstance(ast, Variable):
+        return 1, 1
+    if isinstance(ast, (Negate, Conjugate)):
+        return _expansion_bound(ast.operand)
+    if isinstance(ast, Power):
+        terms, degree = _expansion_bound(ast.base)
+        n = ast.exponent
+        terms, degree = comb(terms + n - 1, n), degree * n
+    elif isinstance(ast, BinaryOp):
+        (terms, degree), (right_terms, right_degree) = (_expansion_bound(ast.left),
+                                                        _expansion_bound(ast.right))
+        if ast.op in "+-":
+            terms, degree = terms + right_terms, max(degree, right_degree)
+        elif ast.op == "*":
+            terms, degree = terms * right_terms, degree + right_degree
+        # '/' divides by a constant and keeps the left operand's bounds.
+    else:
+        raise TypeError(f"not an expression node: {ast!r}")
+    terms = min(terms, comb(degree + 4, 4))
+    if terms > MAX_TERMS:
+        raise EvaluationError(f"expression may expand to more than {MAX_TERMS} terms")
+    return terms, degree
+
+
 def evaluate(ast: ExprAst) -> SpherePoly:
-    """Evaluate an AST to an exact SpherePoly."""
+    """Evaluate an AST to an exact SpherePoly, bounding its size first."""
+    _expansion_bound(ast)
+    return _value(ast)
+
+
+def _value(ast: ExprAst) -> SpherePoly:
     if isinstance(ast, RationalLit):
         return SpherePoly.constant(ast.value)
     if isinstance(ast, ImaginaryUnit):
@@ -257,14 +307,14 @@ def evaluate(ast: ExprAst) -> SpherePoly:
     if isinstance(ast, Variable):
         return SpherePoly.variable(ast.name)
     if isinstance(ast, Negate):
-        return -evaluate(ast.operand)
+        return -_value(ast.operand)
     if isinstance(ast, Conjugate):
-        return evaluate(ast.operand).conj()
+        return _value(ast.operand).conj()
     if isinstance(ast, Power):
-        return evaluate(ast.base) ** ast.exponent
+        return _value(ast.base) ** ast.exponent
     if isinstance(ast, BinaryOp):
-        left = evaluate(ast.left)
-        right = evaluate(ast.right)
+        left = _value(ast.left)
+        right = _value(ast.right)
         if ast.op == "+":
             return left + right
         if ast.op == "-":

@@ -63,9 +63,13 @@ _VAR_MONOS = {
 
 
 class SpherePoly:
-    """Immutable sparse polynomial in z1, z2 and their conjugates."""
+    """Immutable sparse polynomial in z1, z2 and their conjugates.
 
-    __slots__ = ("_terms",)
+    ``terms`` is the term map ``{Monomial: nonzero GaussianRational}``;
+    treat it as read-only.
+    """
+
+    __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Monomial, ScalarLike] | None = None):
         clean: dict[Monomial, GaussianRational] = {}
@@ -74,7 +78,7 @@ class SpherePoly:
                 val = GaussianRational.coerce(coeff)
                 if not val.is_zero():
                     clean[Monomial(*mono)] = val
-        self._terms = clean
+        self.terms = clean
 
     # -- constructors ------------------------------------------------------
 
@@ -114,29 +118,33 @@ class SpherePoly:
             else:
                 out[mono] = acc + coeff if acc else coeff
                 collided = True
+        return cls._of(out, collided)
+
+    @classmethod
+    def _of(cls, terms: dict[Monomial, GaussianRational], summed: bool = False) -> "SpherePoly":
+        """The polynomial of a term map it takes over.
+
+        Pass ``summed`` when coefficients were added in place: a sum may have
+        cancelled to zero, so zeros are dropped first.
+        """
         result = cls.__new__(cls)
-        result._terms = {mono: coeff for mono, coeff in out.items() if coeff} if collided else out
+        result.terms = {mono: coeff for mono, coeff in terms.items() if coeff} if summed else terms
         return result
 
     # -- term access ---------------------------------------------------------
 
-    @property
-    def terms(self) -> dict[Monomial, GaussianRational]:
-        """The underlying term map.  Treat as read-only."""
-        return self._terms
-
     def sorted_terms(self) -> list[tuple[Monomial, GaussianRational]]:
         """Terms in lexicographic exponent order (the canonical iteration order)."""
-        return sorted(self._terms.items(), key=lambda kv: kv[0])
+        return sorted(self.terms.items(), key=lambda kv: kv[0])
 
     def coefficient(self, mono: Monomial | tuple[int, int, int, int]) -> GaussianRational:
-        return self._terms.get(Monomial(*mono), GaussianRational(0))
+        return self.terms.get(Monomial(*mono), GaussianRational(0))
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self.terms
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self.terms)
 
     # -- ring operations -----------------------------------------------------
 
@@ -151,7 +159,7 @@ class SpherePoly:
             o = SpherePoly._coerce(other)
         except TypeError:
             return NotImplemented
-        return SpherePoly.summed(o._terms.items(), dict(self._terms))
+        return SpherePoly.summed(o.terms.items(), dict(self.terms))
 
     __radd__ = __add__
 
@@ -170,20 +178,22 @@ class SpherePoly:
         return o + (-self)
 
     def __neg__(self):
-        result = SpherePoly.__new__(SpherePoly)
-        result._terms = {mono: -coeff for mono, coeff in self._terms.items()}
-        return result
+        return SpherePoly._of({mono: -coeff for mono, coeff in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self.scale(other)
         if not isinstance(other, SpherePoly):
             return NotImplemented
-        right = other._terms.items()
-        return SpherePoly.summed(
-            (monomial_of((a1 + a2, b1 + b2, c1 + c2, d1 + d2)), x1 * x2)
-            for (a1, b1, c1, d1), x1 in self._terms.items()
-            for (a2, b2, c2, d2), x2 in right)
+        right = other.terms.items()
+        out: dict[Monomial, GaussianRational] = {}
+        get = out.get
+        for (a1, b1, c1, d1), x1 in self.terms.items():
+            for (a2, b2, c2, d2), x2 in right:
+                mono = monomial_of((a1 + a2, b1 + b2, c1 + c2, d1 + d2))
+                acc = get(mono)
+                out[mono] = x1 * x2 if acc is None else acc + x1 * x2
+        return SpherePoly._of(out, len(out) < len(self.terms) * len(right))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -194,9 +204,7 @@ class SpherePoly:
         factor = GaussianRational.coerce(value)
         if factor.is_zero():
             return SpherePoly.zero()
-        result = SpherePoly.__new__(SpherePoly)
-        result._terms = {mono: coeff * factor for mono, coeff in self._terms.items()}
-        return result
+        return SpherePoly._of({mono: coeff * factor for mono, coeff in self.terms.items()})
 
     def __pow__(self, exponent: int) -> "SpherePoly":
         if not isinstance(exponent, int) or exponent < 0:
@@ -212,16 +220,14 @@ class SpherePoly:
         return out
 
     def conj(self) -> "SpherePoly":
-        result = SpherePoly.__new__(SpherePoly)
-        result._terms = {mono.conj(): coeff.conj() for mono, coeff in self._terms.items()}
-        return result
+        return SpherePoly._of({mono.conj(): coeff.conj() for mono, coeff in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, GaussianRational)):
             other = SpherePoly._coerce(other)
         if not isinstance(other, SpherePoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self.terms == other.terms
 
     __hash__ = None  # mutable dict inside; identity-free value type without hashing
 
@@ -230,30 +236,20 @@ class SpherePoly:
     def bigraded_components(self) -> dict[tuple[int, int], "SpherePoly"]:
         """Split into pieces of uniform bidegree (p, q).  Pieces sum to self."""
         buckets: dict[tuple[int, int], dict[Monomial, GaussianRational]] = {}
-        for mono, coeff in self._terms.items():
+        for mono, coeff in self.terms.items():
             buckets.setdefault(mono.bidegree, {})[mono] = coeff
-        out = {}
-        for key, terms in buckets.items():
-            piece = SpherePoly.__new__(SpherePoly)
-            piece._terms = terms
-            out[key] = piece
-        return out
+        return {key: SpherePoly._of(terms) for key, terms in buckets.items()}
 
     def circle_components(self) -> dict[int, "SpherePoly"]:
         """Split into pieces of uniform circle grade m = p - q."""
         buckets: dict[int, dict[Monomial, GaussianRational]] = {}
-        for mono, coeff in self._terms.items():
+        for mono, coeff in self.terms.items():
             buckets.setdefault(mono.circle_grade, {})[mono] = coeff
-        out = {}
-        for key, terms in buckets.items():
-            piece = SpherePoly.__new__(SpherePoly)
-            piece._terms = terms
-            out[key] = piece
-        return out
+        return {key: SpherePoly._of(terms) for key, terms in buckets.items()}
 
     def bidegree_if_uniform(self) -> tuple[int, int] | None:
         """The bidegree if every term shares one, else None."""
-        degrees = {mono.bidegree for mono in self._terms}
+        degrees = {mono.bidegree for mono in self.terms}
         if len(degrees) == 1:
             return next(iter(degrees))
         return None
@@ -262,7 +258,7 @@ class SpherePoly:
 
     def _partial(self, slot: int) -> "SpherePoly":
         def images():
-            for mono, coeff in self._terms.items():
+            for mono, coeff in self.terms.items():
                 exp = mono[slot]
                 if exp:
                     lowered = list(mono)
@@ -288,7 +284,7 @@ class SpherePoly:
         z1c_value = z1_value.conj()
         z2c_value = z2_value.conj()
         total = GaussianRational(0)
-        for mono, coeff in self._terms.items():
+        for mono, coeff in self.terms.items():
             total = total + coeff * (z1_value ** mono.a) * (z2_value ** mono.b) \
                 * (z1c_value ** mono.c) * (z2c_value ** mono.d)
         return total
@@ -309,7 +305,7 @@ class SpherePoly:
         ``conj_style`` is ``"suffix"`` (z1c) or ``"call"`` (conj(z1)).  The
         output reparses to a structurally identical polynomial.
         """
-        if not self._terms:
+        if not self.terms:
             return "0"
         if conj_style not in ("suffix", "call"):
             raise ValueError(f"unknown conj_style {conj_style!r}")

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -165,6 +166,16 @@ def test_integrate_rejects_exponent_above_bound(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: exponent 33 exceeds the bound 32 (column 17)\n"
+
+
+def test_integrate_rejects_expansion_above_term_bound(capsys):
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "integrate", "--expr",
+                             "(z1+z2+z1c+z2c)^32*(z1+z2+z1c+z2c)^32")
+    assert time.perf_counter() - started < 1
+    assert code == 2
+    assert out == ""
+    assert err == "error: expression may expand to more than 10000 terms\n"
 
 
 @pytest.mark.parametrize("args", [("rossi", "--t", "1e5000"),

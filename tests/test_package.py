@@ -1,4 +1,8 @@
-"""The package's public surface."""
+"""The package's public surface and its dependencies."""
+
+import ast
+import sys
+from pathlib import Path
 
 import crlab
 
@@ -9,3 +13,19 @@ def test_every_exported_name_resolves():
     namespace: dict = {}
     exec("from crlab import *", namespace)
     assert set(crlab.__all__) <= set(namespace)
+
+
+def test_runtime_imports_only_the_standard_library():
+    # Every import in the package is crlab-relative or a standard-library module.
+    outside = []
+    for path in sorted(Path(crlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            outside += [f"{path.name}: {name}" for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names | {"crlab"}]
+    assert outside == []

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crlab import Monomial, SpherePoly, gr, one, parse_poly, sphere_equal, z1, z1c, z2, z2c
-from crlab.parsing import LexicalError, ParseError, SyntaxParseError, evaluate, parse
+from crlab.parsing import (MAX_TERMS, EvaluationError, LexicalError, ParseError,
+                           SyntaxParseError, _expansion_bound, evaluate, parse)
 
 
 def test_basic_expression():
@@ -97,6 +98,27 @@ def test_zero_denominator_rejected_at_parse_time():
 def test_float_literals_are_rejected():
     with pytest.raises(ParseError):
         parse("0.5*z1")
+
+
+@pytest.mark.parametrize("src, terms, degree", [
+    ("(z1+z2+z1c+z2c)^32", 6545, 32),       # C(35, 32) multisets of the four terms
+    ("(z1*z1c)^32", 1, 64),                 # degree 64 alone is no reason to reject
+    ("(z1+z2)^32*(z1c+z2c)^32", 33 * 33, 64),
+    ("(z1+1)^3 - conj(z2)/7", 4 + 1, 3),    # '+' and '-' add, '/' keeps the left side
+    # 15 * 15 products, capped by the C(4+4, 4) monomials of degree at most 4
+    ("(z1+z2+z1c+z2c+1)^2*(z1+z2+z1c+z2c+1)^2", 70, 4),
+])
+def test_expansion_bound(src, terms, degree):
+    assert _expansion_bound(parse(src)) == (terms, degree)
+
+
+@pytest.mark.parametrize("src", [
+    "(z1+z2+z1c+z2c)^32*(z1+z2+z1c+z2c)^32",
+    "z1 + ((z1+z2+z1c+z2c)^32 + (z1+z2+z1c+z2c)^32)^0",  # every subexpression is bounded
+])
+def test_expansion_above_term_bound_is_rejected_before_evaluation(src):
+    with pytest.raises(EvaluationError, match=f"more than {MAX_TERMS} terms"):
+        evaluate(parse(src))
 
 
 def test_printer_round_trips_fixed_cases():
