@@ -46,7 +46,7 @@ from .scalars import GaussianRational
 from .spherepoly import SpherePoly, one
 from .variation import (POSITIVE_DEFINITE, assemble_form, classify,
                         IdentityCheckError, PreconditionError, first_variation,
-                        pluriharmonic_basis, second_variation)
+                        second_variation)
 
 _OPERATORS = {
     "kohn": (KOHN, lambda p, q: 2 * (p + 1) * q, "2(p+1)q"),
@@ -233,17 +233,15 @@ def cmd_variation(args, report: Report):
         return
     form = assemble_form(second_variation(phi), args.pmax, expect_hermitian=True)
     verdict = classify(form)
-    vectors = pluriharmonic_basis(args.pmax)
     diag = form.diagonal()
-    negatives = [(v, diag[i]) for i, v in enumerate(vectors)
-                 if diag[i].real_sign() < 0]
+    negatives = [i for i, value in enumerate(diag) if value.real_sign() < 0]
     report.add(
         "second-variation-classification",
         "exact definiteness of the second-variation form on the pluriharmonic space",
         True,
         classification=verdict,
         dimension=form.dimension,
-        negative_directions=[v.label for v, _ in negatives],
+        negative_directions=[form.labels[i] for i in negatives],
     )
     be = be_check(phi)
     if be.satisfies_be and not phi.is_zero():
@@ -257,13 +255,14 @@ def cmd_variation(args, report: Report):
     if bidegree is not None and not be.satisfies_be and not phi.is_zero():
         p1, q1 = bidegree
         bound = q1 + 4 - p1
-        confined = all(v.degree < bound for v, _ in negatives)
+        # A basis element of H_(p,0) or H_(0,p) has total degree p.
+        confined = all(sum(form.elements[i].bidegree_if_uniform()) < bound for i in negatives)
         report.add(
             "negative-direction-confinement",
             f"negative directions only occur in H_(p,0)/H_(0,p) with p < {bound}",
             confined,
             bound=str(bound),
-            negative_directions={v.label: value for v, value in negatives},
+            negative_directions={form.labels[i]: diag[i] for i in negatives},
         )
 
 

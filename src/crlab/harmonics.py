@@ -90,7 +90,7 @@ def _kernel_basis(p: int, q: int) -> list[SpherePoly]:
         # The Laplacian target space is empty: all of P_{p,q} is harmonic.
         return [SpherePoly.monomial(m) for m in bidegree_monomials(p, q)]
     strings = [_weight_string(p, q, w) for w in range(-q, p + 1)]
-    return sorted(strings, key=lambda f: next(iter(f.terms)))
+    return sorted(strings, key=lambda f: next(iter(f.nums)))
 
 
 def _weight_string(p: int, q: int, w: int) -> SpherePoly:
@@ -168,7 +168,7 @@ def canonical_form(x: SpherePoly) -> SpherePoly:
 
 def sphere_equal(x: SpherePoly, y: SpherePoly) -> bool:
     """True when x and y agree as functions on the unit sphere."""
-    if x.terms == y.terms:
+    if x == y:
         return True
     return not canonicalize(x - y)
 

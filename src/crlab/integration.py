@@ -21,9 +21,10 @@ linear in the second slot.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import factorial, gcd
 
-from .scalars import GaussianRational
+from .scalars import GaussianRational, _make
 from .spherepoly import Monomial, SpherePoly
 
 #: Ratio between the contact volume form theta ^ dtheta and this measure.
@@ -35,9 +36,33 @@ CONTACT_MASS_NOTE = (
 )
 
 
+@lru_cache(maxsize=1024)
 def moment(holo: int, anti: int) -> Fraction:
-    """integral of |z1|^(2*holo) * |z2|^(2*anti) under the unit-mass measure."""
+    """integral of |z1|^(2*holo) * |z2|^(2*anti) under the unit-mass measure.
+
+    Always 1 / ((holo + anti + 1) * C(holo + anti, holo)): its numerator is 1.
+    """
     return Fraction(factorial(holo) * factorial(anti), factorial(holo + anti + 1))
+
+
+def moment_total(sums: dict[tuple[int, int], tuple[int, int]], den: int) -> GaussianRational:
+    """(sum over keys (h, a) of (re + im*i) * moment(h, a)) / den, for integer pairs.
+
+    The sums accumulated per moment are brought onto the lcm of the
+    moments' denominators, and the result is reduced once.
+    """
+    re = im = 0
+    common = 1
+    for key, (x, y) in sums.items():
+        n = moment(*key).denominator
+        if n != common:
+            g = gcd(n, common)
+            re, im = re * (n // g), im * (n // g)
+            x, y = x * (common // g), y * (common // g)
+            common *= n // g
+        re += x
+        im += y
+    return _make(re, im, common * den)
 
 
 def integrate_monomial(mono: Monomial) -> GaussianRational:
@@ -49,11 +74,8 @@ def integrate_monomial(mono: Monomial) -> GaussianRational:
 
 
 def integrate(poly: SpherePoly) -> GaussianRational:
-    total = GaussianRational(0)
-    for mono, coeff in poly.terms.items():
-        if mono.a == mono.c and mono.b == mono.d:
-            total = total + coeff * moment(mono.a, mono.b)
-    return total
+    return moment_total({(a, b): pair for (a, b, c, d), pair in poly.nums.items()
+                         if a == c and b == d}, poly.den)
 
 
 def inner(x: SpherePoly, y: SpherePoly) -> GaussianRational:
@@ -61,19 +83,28 @@ def inner(x: SpherePoly, y: SpherePoly) -> GaussianRational:
 
     The product term of x-monomial (a,b,c,d) against y-monomial (a',b',c',d')
     integrates to zero unless a-c == a'-c' and b-d == b'-d', so terms are
-    bucketed by that key and only matching pairs are combined.
+    bucketed by that key and only matching pairs are combined.  Products of
+    numerators are summed per moment, and :func:`moment_total` divides by
+    ``x.den * y.den`` once.
     """
-    buckets: dict[tuple[int, int], list[tuple[Monomial, GaussianRational]]] = {}
-    for mono, coeff in y.terms.items():
-        buckets.setdefault((mono.a - mono.c, mono.b - mono.d), []).append((mono, coeff))
-    total = GaussianRational(0)
-    for mono, coeff in x.terms.items():
-        matches = buckets.get((mono.a - mono.c, mono.b - mono.d))
+    buckets: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
+    for (a, b, c, d), (u, v) in y.nums.items():
+        buckets.setdefault((a - c, b - d), []).append((c, d, u, v))
+    sums: dict[tuple[int, int], tuple[int, int]] = {}
+    get = sums.get
+    for (a, b, c, d), (s, t) in x.nums.items():
+        matches = buckets.get((a - c, b - d))
         if not matches:
             continue
-        for other, ocoeff in matches:
-            total = total + coeff * ocoeff.conj() * moment(mono.a + other.c, mono.b + other.d)
-    return total
+        for oc, od, u, v in matches:
+            # (s + t i) * conj(u + v i)
+            key = (a + oc, b + od)
+            acc = get(key)
+            if acc is None:
+                sums[key] = (s * u + t * v, t * u - s * v)
+            else:
+                sums[key] = (acc[0] + s * u + t * v, acc[1] + t * u - s * v)
+    return moment_total(sums, x.den * y.den)
 
 
 def norm_sq(x: SpherePoly) -> GaussianRational:

@@ -32,17 +32,22 @@ by the Leibniz rule
     w (b h) = sum over subwords S of w of (w_S b) (w_{S^c} h),
 
 and is again a sum of coefficients times words.  ``A @ B`` composes
-(apply B first).  ``A(f)`` applies each distinct word suffix to f once and
-then makes one multiply-accumulate pass: every product of a coefficient
-term with a term of its word's image is added straight into one term map,
-and monomials whose sums cancelled are dropped once at the end.  The field
-appliers accumulate their two partial-derivative images the same way.
+(apply B first).  ``A(f)`` applies each distinct word suffix to f once,
+shortest first (a zero suffix image is passed on without a field call),
+and then makes one multiply-accumulate pass over the integer view of
+:mod:`crlab.spherepoly`: each word's coefficient-times-image products are
+brought onto the lcm of the words' denominators, every product of Gaussian
+integer numerators is added straight into one term map, and monomials whose
+sums cancelled are dropped and one gcd is taken at the end.  The field
+appliers multiply numerators by exponents over an unchanged denominator
+and accumulate their two partial-derivative images the same way.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 from typing import Callable, Iterable
 
 from .harmonics import basis
@@ -53,35 +58,35 @@ from .spherepoly import Monomial, SpherePoly, monomial_of
 
 def apply_Z1(poly: SpherePoly) -> SpherePoly:
     """conj(z2) d/dz1 - conj(z1) d/dz2; maps bidegree (p,q) to (p-1, q+1)."""
-    terms = poly.terms.items()
+    nums = poly.nums.items()
     # The d/dz1 images of distinct monomials are distinct; only d/dz2 ones can meet them.
-    out = {monomial_of((a - 1, b, c, d + 1)): coeff * a for (a, b, c, d), coeff in terms if a}
+    out = {monomial_of((a - 1, b, c, d + 1)): (x * a, y * a) for (a, b, c, d), (x, y) in nums if a}
     get, count = out.get, len(out)
-    for (a, b, c, d), coeff in terms:
+    for (a, b, c, d), (x, y) in nums:
         if b:
             mono, count = monomial_of((a, b - 1, c + 1, d)), count + 1
             acc = get(mono)
-            out[mono] = coeff * -b if acc is None else acc + coeff * -b
-    return SpherePoly._of(out, len(out) < count)
+            out[mono] = (-x * b, -y * b) if acc is None else (acc[0] - x * b, acc[1] - y * b)
+    return SpherePoly._of(out, poly.den, len(out) < count)
 
 
 def apply_Z1bar(poly: SpherePoly) -> SpherePoly:
     """z2 d/dconj(z1) - z1 d/dconj(z2); maps bidegree (p,q) to (p+1, q-1)."""
-    terms = poly.terms.items()
-    out = {monomial_of((a, b + 1, c - 1, d)): coeff * c for (a, b, c, d), coeff in terms if c}
+    nums = poly.nums.items()
+    out = {monomial_of((a, b + 1, c - 1, d)): (x * c, y * c) for (a, b, c, d), (x, y) in nums if c}
     get, count = out.get, len(out)
-    for (a, b, c, d), coeff in terms:
+    for (a, b, c, d), (x, y) in nums:
         if d:
             mono, count = monomial_of((a + 1, b, c, d - 1)), count + 1
             acc = get(mono)
-            out[mono] = coeff * -d if acc is None else acc + coeff * -d
-    return SpherePoly._of(out, len(out) < count)
+            out[mono] = (-x * d, -y * d) if acc is None else (acc[0] - x * d, acc[1] - y * d)
+    return SpherePoly._of(out, poly.den, len(out) < count)
 
 
 def apply_T(poly: SpherePoly) -> SpherePoly:
     """Generator of the diagonal circle action: i*m on circle grade m."""
-    return SpherePoly._of({mono: coeff * GaussianRational(0, m)
-                           for mono, coeff in poly.terms.items() if (m := mono.circle_grade)})
+    return SpherePoly._of({mono: (-y * m, x * m) for mono, (x, y) in poly.nums.items()
+                           if (m := mono[0] + mono[1] - mono[2] - mono[3])}, poly.den)
 
 
 Word = tuple[str, ...]
@@ -95,11 +100,13 @@ _CONJ_LETTER = {"Z1": "Z1bar", "Z1bar": "Z1", "T": "T"}
 class _Images(dict):
     """word -> word(poly), built as ``_Images({(): poly})``.
 
-    Each word is computed on first lookup, from the image of its suffix.
+    Each word is computed on first lookup, from the image of its suffix; a
+    zero suffix image is the word's image too, with no field applied.
     """
 
     def __missing__(self, word: Word) -> SpherePoly:
-        image = self[word] = _FIELDS[word[0]](self[word[1:]])
+        rest = self[word[1:]]
+        image = self[word] = _FIELDS[word[0]](rest) if rest.nums else rest
         return image
 
 
@@ -116,8 +123,17 @@ def _splits(word: Word, images: _Images) -> Iterable[tuple[Word, Word]]:
     first = word[:1]
     for applied, kept in _splits(word[1:], images):
         yield applied, first + kept
-        if images[first + applied].terms:
+        if images[first + applied].nums:
             yield first + applied, kept
+
+
+def _suffix_order(words: Iterable[Word]) -> list[tuple[Word, Callable, Word]]:
+    """(suffix, field of its first letter, rest) for every nonempty suffix of words.
+
+    Shorter suffixes come first, so each one's rest is applied before it.
+    """
+    suffixes = {word[i:] for word in words for i in range(len(word))}
+    return [(word, _FIELDS[word[0]], word[1:]) for word in sorted(suffixes, key=len)]
 
 
 def _collect(pairs: Iterable[tuple[Word, SpherePoly]]) -> dict[Word, SpherePoly]:
@@ -125,9 +141,7 @@ def _collect(pairs: Iterable[tuple[Word, SpherePoly]]) -> dict[Word, SpherePoly]
     grouped: dict[Word, list[SpherePoly]] = {}
     for word, coeff in pairs:
         grouped.setdefault(word, []).append(coeff)
-    return {word: coeffs[0] if len(coeffs) == 1 else SpherePoly.summed(
-                pair for coeff in coeffs for pair in coeff.terms.items())
-            for word, coeffs in grouped.items()}
+    return {word: SpherePoly.summed(coeffs) for word, coeffs in grouped.items()}
 
 
 class LinOp:
@@ -138,36 +152,59 @@ class LinOp:
     dropped.  Treat it as read-only.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_suffixes")
 
     def __init__(self, terms: dict[Word, SpherePoly]):
-        self.terms = {word: coeff for word, coeff in terms.items() if coeff.terms}
+        self.terms = {word: coeff for word, coeff in terms.items() if coeff.nums}
+        self._suffixes = None
 
     def apply(self, poly: SpherePoly) -> SpherePoly:
         """The sum over words w of coeff_w * w(poly), in one multiply-accumulate pass.
 
-        Each distinct word suffix is applied to poly once (:class:`_Images`);
-        every product of a coefficient term with an image term goes straight
-        into one term map, whose cancelled monomials are dropped at the end.
+        Each distinct word suffix is applied to poly once, in the order of
+        :func:`_suffix_order` (built on the first call and kept); a zero
+        suffix image ends its branch without a field call.  Every word's products are brought onto the lcm of the words'
+        denominators (coefficient times image), and every product of a
+        coefficient numerator with an image numerator goes straight into
+        one term map; cancelled monomials are dropped and one gcd is taken
+        at the end.
         """
-        images = _Images({(): poly})
-        out: dict[Monomial, GaussianRational] = {}
+        suffixes = self._suffixes
+        if suffixes is None:
+            suffixes = self._suffixes = _suffix_order(self.terms)
+        images = {(): poly}
+        for word, field, rest in suffixes:
+            image = images[rest]
+            images[word] = field(image) if image.nums else image
+        pairs = [(coeff, image) for word, coeff in self.terms.items()
+                 if (image := images[word]).nums]
+        den = lcm(*(coeff.den * image.den for coeff, image in pairs)) if pairs else 1
+        out: dict[Monomial, tuple[int, int]] = {}
         count = 0
         get = out.get
-        for word, coeff in self.terms.items():
-            image = images[word].terms.items()
-            count += len(coeff.terms) * len(image)
-            for (a1, b1, c1, d1), x1 in coeff.terms.items():
+        for coeff, image in pairs:
+            factor = den // (coeff.den * image.den)
+            image_nums = image.nums.items()
+            count += len(coeff.nums) * len(image_nums)
+            for (a1, b1, c1, d1), (x, y) in coeff.nums.items():
+                if factor != 1:
+                    x, y = x * factor, y * factor
                 if not (a1 or b1 or c1 or d1):  # a constant term keeps each image monomial
-                    for mono, x2 in image:
+                    for mono, (u, v) in image_nums:
                         acc = get(mono)
-                        out[mono] = x1 * x2 if acc is None else acc + x1 * x2
+                        if acc is None:
+                            out[mono] = (x * u - y * v, x * v + y * u)
+                        else:
+                            out[mono] = (acc[0] + x * u - y * v, acc[1] + x * v + y * u)
                     continue
-                for (a2, b2, c2, d2), x2 in image:
+                for (a2, b2, c2, d2), (u, v) in image_nums:
                     mono = monomial_of((a1 + a2, b1 + b2, c1 + c2, d1 + d2))
                     acc = get(mono)
-                    out[mono] = x1 * x2 if acc is None else acc + x1 * x2
-        return SpherePoly._of(out, len(out) < count)
+                    if acc is None:
+                        out[mono] = (x * u - y * v, x * v + y * u)
+                    else:
+                        out[mono] = (acc[0] + x * u - y * v, acc[1] + x * v + y * u)
+        return SpherePoly._of(out, den, len(out) < count)
 
     def __call__(self, poly: SpherePoly) -> SpherePoly:
         return self.apply(poly)
@@ -312,8 +349,8 @@ def common_eigenvalue(op: LinOp, p: int, q: int) -> GaussianRational:
         if image.is_zero():
             candidate = GaussianRational(0)
         else:
-            mono, coeff = next(iter(f.sorted_terms()))
-            candidate = image.coefficient(mono) / coeff
+            mono = min(f.nums)
+            candidate = image.coefficient(mono) / f.coefficient(mono)
             if image != f.scale(candidate):
                 raise ArithmeticError(f"operator is not scalar on H_({p},{q})")
         if value is None:

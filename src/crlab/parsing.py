@@ -17,12 +17,16 @@ Conjugates may be written z1c/z2c or conj(z1)/conj(z2).
 a structurally identical polynomial.
 
 Errors carry 1-based column positions: unknown tokens are lexical errors,
-structural problems are syntax errors, and a zero denominator or an
-exponent above ``MAX_EXPONENT`` is rejected at parse time.  An integer
-literal longer than ``MAX_LITERAL_DIGITS`` digits is a lexical error.
-Before evaluating, :func:`evaluate` bounds the number of terms of every
-subexpression from the tree and raises ``EvaluationError`` above
-``MAX_TERMS``.
+structural problems are syntax errors, and a zero denominator, an exponent
+above ``MAX_EXPONENT`` or nesting deeper than ``MAX_NESTING`` is rejected
+at parse time.  An integer literal longer than ``MAX_LITERAL_DIGITS``
+digits is a lexical error.  Before evaluating, :func:`evaluate` bounds the
+number of terms of every subexpression from the tree and raises
+``EvaluationError`` above ``MAX_TERMS``.
+
+A chain ``a + b - c`` or ``a * b / c`` of any length is parsed into a
+left-deep tree and walked along its left spine by a loop, so only nesting
+(which is bounded) costs stack depth.
 """
 
 from __future__ import annotations
@@ -44,6 +48,10 @@ MAX_EXPONENT = 32
 #: parse tree before evaluation (see :func:`evaluate`); ``(z1+z2+z1c+z2c)^32``
 #: has 6545 terms.
 MAX_TERMS = 10000
+
+#: Deepest nesting of parentheses, ``conj(...)`` and unary minus; deeper input
+#: is a syntax error, so no expression can exhaust the interpreter's stack.
+MAX_NESTING = 100
 
 #: Most digits in one integer literal (numerator, denominator or exponent);
 #: longer literals are rejected before they are converted to ``int``.
@@ -170,6 +178,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -185,6 +194,12 @@ class _Parser:
             raise SyntaxParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}",
                                    tok.column)
         return self.advance()
+
+    def enter(self, tok: Token):
+        """Open one nesting level at tok; close it with ``depth -= 1``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise SyntaxParseError(f"nesting deeper than the bound {MAX_NESTING}", tok.column)
 
     def parse_expr(self) -> ExprAst:
         node = self.parse_term()
@@ -202,8 +217,10 @@ class _Parser:
 
     def parse_factor(self) -> ExprAst:
         if self.peek().kind == "-":
-            self.advance()
-            return Negate(self.parse_factor())
+            self.enter(self.advance())
+            node = Negate(self.parse_factor())
+            self.depth -= 1
+            return node
         node = self.parse_base()
         if self.peek().kind == "^":
             self.advance()
@@ -235,15 +252,17 @@ class _Parser:
             if tok.text == "i":
                 return ImaginaryUnit()
             if tok.text == "conj":
-                self.expect("(")
+                self.enter(self.expect("("))
                 node = self.parse_expr()
                 self.expect(")")
+                self.depth -= 1
                 return Conjugate(node)
             return Variable(tok.text)
         if tok.kind == "(":
-            self.advance()
+            self.enter(self.advance())
             node = self.parse_expr()
             self.expect(")")
+            self.depth -= 1
             return node
         raise SyntaxParseError(f"unexpected {tok.text or 'end of input'!r}", tok.column)
 
@@ -256,6 +275,20 @@ def parse(src: str) -> ExprAst:
     if tok.kind != "end":
         raise SyntaxParseError(f"trailing input {tok.text!r}", tok.column)
     return node
+
+
+def _chain(ast: BinaryOp) -> tuple[ExprAst, list[tuple[str, ExprAst]]]:
+    """(first operand, [(op, right operand), ...]) along the left spine of ast.
+
+    Evaluating the first operand and then applying each (op, right) in
+    turn is the left-deep tree's own order.
+    """
+    rest = []
+    while isinstance(ast, BinaryOp):
+        rest.append((ast.op, ast.right))
+        ast = ast.left
+    rest.reverse()
+    return ast, rest
 
 
 def _expansion_bound(ast: ExprAst) -> tuple[int, int]:
@@ -276,17 +309,24 @@ def _expansion_bound(ast: ExprAst) -> tuple[int, int]:
     if isinstance(ast, Power):
         terms, degree = _expansion_bound(ast.base)
         n = ast.exponent
-        terms, degree = comb(terms + n - 1, n), degree * n
-    elif isinstance(ast, BinaryOp):
-        (terms, degree), (right_terms, right_degree) = (_expansion_bound(ast.left),
-                                                        _expansion_bound(ast.right))
-        if ast.op in "+-":
-            terms, degree = terms + right_terms, max(degree, right_degree)
-        elif ast.op == "*":
-            terms, degree = terms * right_terms, degree + right_degree
-        # '/' divides by a constant and keeps the left operand's bounds.
-    else:
-        raise TypeError(f"not an expression node: {ast!r}")
+        return _capped(comb(terms + n - 1, n), degree * n)
+    if isinstance(ast, BinaryOp):
+        first, rest = _chain(ast)
+        terms, degree = _expansion_bound(first)
+        for op, right in rest:
+            right_terms, right_degree = _expansion_bound(right)
+            if op in "+-":
+                terms, degree = terms + right_terms, max(degree, right_degree)
+            elif op == "*":
+                terms, degree = terms * right_terms, degree + right_degree
+            # '/' divides by a constant and keeps the left operand's bounds.
+            terms, degree = _capped(terms, degree)
+        return terms, degree
+    raise TypeError(f"not an expression node: {ast!r}")
+
+
+def _capped(terms: int, degree: int) -> tuple[int, int]:
+    """terms capped by the monomials of degree at most degree, checked against MAX_TERMS."""
     terms = min(terms, comb(degree + 4, 4))
     if terms > MAX_TERMS:
         raise EvaluationError(f"expression may expand to more than {MAX_TERMS} terms")
@@ -313,22 +353,28 @@ def _value(ast: ExprAst) -> SpherePoly:
     if isinstance(ast, Power):
         return _value(ast.base) ** ast.exponent
     if isinstance(ast, BinaryOp):
-        left = _value(ast.left)
-        right = _value(ast.right)
-        if ast.op == "+":
-            return left + right
-        if ast.op == "-":
-            return left - right
-        if ast.op == "/":
-            if len(right) > 1 or (not right.is_zero()
-                                  and right.bidegree_if_uniform() != (0, 0)):
-                raise EvaluationError("division only by a nonzero constant")
-            scalar = right.coefficient((0, 0, 0, 0))
-            if scalar.is_zero():
-                raise EvaluationError("division by zero")
-            return left.scale(GaussianRational(1) / scalar)
-        return left * right
+        first, rest = _chain(ast)
+        value = _value(first)
+        for op, right in rest:
+            value = _combine(op, value, _value(right))
+        return value
     raise TypeError(f"not an expression node: {ast!r}")
+
+
+def _combine(op: str, left: SpherePoly, right: SpherePoly) -> SpherePoly:
+    if op == "+":
+        return left + right
+    if op == "-":
+        return left - right
+    if op == "/":
+        if len(right) > 1 or (not right.is_zero()
+                              and right.bidegree_if_uniform() != (0, 0)):
+            raise EvaluationError("division only by a nonzero constant")
+        scalar = right.coefficient((0, 0, 0, 0))
+        if scalar.is_zero():
+            raise EvaluationError("division by zero")
+        return left.scale(GaussianRational(1) / scalar)
+    return left * right
 
 
 def parse_poly(src: str) -> SpherePoly:

@@ -2,9 +2,18 @@
 
 A :class:`SpherePoly` is a finite linear combination of monomials
 ``z1^a * z2^b * conj(z1)^c * conj(z2)^d`` with Gaussian-rational
-coefficients, stored sparsely as ``{Monomial: GaussianRational}`` with no
-zero coefficients.  Restricted to ``|z1|^2 + |z2|^2 = 1`` these span the
+coefficients.  Restricted to ``|z1|^2 + |z2|^2 = 1`` these span the
 polynomial functions on S^3 (a dense subalgebra of the smooth functions).
+
+The coefficients are stored as Gaussian integers over one shared positive
+denominator: a sparse map ``{Monomial: (re, im)}`` of integer numerator
+pairs and one ``den``, the representation of FLINT's ``fmpq_poly``.  The
+form is canonical: no zero pair, and a single gcd over all numerators and
+the denominator is 1.  So a product term costs four integer multiplies and
+no object, sums first bring their operands onto the lcm of their
+denominators, and each result takes one gcd at the end instead of one per
+coefficient.  ``GaussianRational`` is the type of every scalar that leaves
+a polynomial (``coefficient``, ``terms``, integrals).
 
 Gradings used throughout:
 
@@ -21,9 +30,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from math import gcd
 from typing import Iterable, Mapping, NamedTuple
 
-from .scalars import GaussianRational, ScalarLike
+from .scalars import ZERO, GaussianRational, ScalarLike, _make
 
 
 class Monomial(NamedTuple):
@@ -41,9 +51,6 @@ class Monomial(NamedTuple):
     @property
     def circle_grade(self) -> int:
         return (self.a + self.b) - (self.c + self.d)
-
-    def conj(self) -> "Monomial":
-        return Monomial(self.c, self.d, self.a, self.b)
 
     def __mul__(self, other: "Monomial") -> "Monomial":  # type: ignore[override]
         return Monomial(self.a + other.a, self.b + other.b,
@@ -65,20 +72,36 @@ _VAR_MONOS = {
 class SpherePoly:
     """Immutable sparse polynomial in z1, z2 and their conjugates.
 
-    ``terms`` is the term map ``{Monomial: nonzero GaussianRational}``;
-    treat it as read-only.
+    The coefficients are stored as Gaussian integers over one shared
+    denominator: ``nums`` maps each monomial to the numerator pair
+    ``(re, im)`` of its coefficient ``(re + im*i) / den``, and ``den`` is a
+    positive integer.  The form is canonical: no pair is ``(0, 0)``, and
+    ``den`` and all numerators have gcd 1 (zero is ``{}`` over 1), so equal
+    polynomials have equal ``nums`` and ``den``.  Treat both as read-only.
+
+    ``terms`` is the same polynomial as a fresh ``{Monomial: GaussianRational}``
+    map, built on each access, for code outside the arithmetic loops.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, terms: Mapping[Monomial, ScalarLike] | None = None):
-        clean: dict[Monomial, GaussianRational] = {}
+        # Reduced coefficients over the lcm of their denominators leave no common factor.
+        nums: dict[Monomial, tuple[int, int]] = {}
+        den = 1
         if terms:
             for mono, coeff in terms.items():
                 val = GaussianRational.coerce(coeff)
-                if not val.is_zero():
-                    clean[Monomial(*mono)] = val
-        self.terms = clean
+                a, b, d = val._a, val._b, val._d
+                if not (a or b):
+                    continue
+                if d != den:
+                    if den % d:
+                        nums, den = _over_lcm(nums, den, d)
+                    a, b = a * (den // d), b * (den // d)
+                nums[Monomial(*mono)] = (a, b)
+        self.nums = nums
+        self.den = den
 
     # -- constructors ------------------------------------------------------
 
@@ -100,51 +123,86 @@ class SpherePoly:
         return cls({Monomial(*mono): coeff})
 
     @classmethod
-    def summed(cls, pairs: Iterable[tuple[Monomial, GaussianRational]],
-               start: dict[Monomial, GaussianRational] | None = None) -> "SpherePoly":
-        """The sum of ``start`` (a term map it takes over) and (monomial, coefficient) pairs.
+    def summed(cls, polys: Iterable["SpherePoly"]) -> "SpherePoly":
+        """The sum of polys, over the lcm of their denominators.
 
-        Every coefficient given must be nonzero.  A sum that reaches zero is
-        replaced by the next coefficient for its monomial rather than added
-        to, and zeros are dropped once at the end.
+        Numerators are added in one term map, which is rescaled whenever the
+        lcm grows; only when two polynomials share a monomial can a sum
+        cancel or a common factor appear, so only then are zeros dropped and
+        the gcd taken.
         """
-        out = {} if start is None else start
-        get = out.get
+        out: dict[Monomial, tuple[int, int]] | None = None
+        den = 1
         collided = False
-        for mono, coeff in pairs:
-            acc = get(mono)
-            if acc is None:
-                out[mono] = coeff
-            else:
-                out[mono] = acc + coeff if acc else coeff
-                collided = True
-        return cls._of(out, collided)
+        for poly in polys:
+            nums = poly.nums
+            if not nums:
+                continue
+            if out is None:  # the first summand is copied whole
+                out, den = dict(nums), poly.den
+                continue
+            d = poly.den
+            if den % d:
+                out, den = _over_lcm(out, den, d)
+            factor = den // d
+            get = out.get
+            for mono, (x, y) in nums.items():
+                if factor != 1:
+                    x, y = x * factor, y * factor
+                acc = get(mono)
+                if acc is None:
+                    out[mono] = (x, y)
+                else:
+                    out[mono] = (acc[0] + x, acc[1] + y)
+                    collided = True
+        if out is None:
+            return _ZERO
+        return cls._of(out, den, collided) if collided else _raw(out, den)
 
     @classmethod
-    def _of(cls, terms: dict[Monomial, GaussianRational], summed: bool = False) -> "SpherePoly":
-        """The polynomial of a term map it takes over.
+    def _of(cls, nums: dict[Monomial, tuple[int, int]], den: int,
+            summed: bool = False) -> "SpherePoly":
+        """The canonical polynomial of a numerator map it takes over, over den > 0.
 
-        Pass ``summed`` when coefficients were added in place: a sum may have
-        cancelled to zero, so zeros are dropped first.
+        Pass ``summed`` when numerators were added in place: a sum may have
+        cancelled to ``(0, 0)``, so those pairs are dropped first.  Then the
+        gcd of den and every numerator is divided out, in one pass that
+        stops as soon as it reaches 1.
         """
-        result = cls.__new__(cls)
-        result.terms = {mono: coeff for mono, coeff in terms.items() if coeff} if summed else terms
-        return result
+        if summed:
+            nums = {mono: pair for mono, pair in nums.items() if pair[0] or pair[1]}
+        if den != 1:
+            g = den
+            for x, y in nums.values():
+                g = gcd(g, x, y)
+                if g == 1:
+                    break
+            else:
+                nums = {mono: (x // g, y // g) for mono, (x, y) in nums.items()}
+                den //= g
+        return _raw(nums, den)
 
     # -- term access ---------------------------------------------------------
+
+    @property
+    def terms(self) -> dict[Monomial, GaussianRational]:
+        """``{Monomial: nonzero GaussianRational}``, built from the integer view."""
+        den = self.den
+        return {mono: _make(x, y, den) for mono, (x, y) in self.nums.items()}
 
     def sorted_terms(self) -> list[tuple[Monomial, GaussianRational]]:
         """Terms in lexicographic exponent order (the canonical iteration order)."""
         return sorted(self.terms.items(), key=lambda kv: kv[0])
 
     def coefficient(self, mono: Monomial | tuple[int, int, int, int]) -> GaussianRational:
-        return self.terms.get(Monomial(*mono), GaussianRational(0))
+        pair = self.nums.get(Monomial(*mono))
+        return ZERO if pair is None else _make(pair[0], pair[1], self.den)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.nums)
 
     # -- ring operations -----------------------------------------------------
 
@@ -159,7 +217,7 @@ class SpherePoly:
             o = SpherePoly._coerce(other)
         except TypeError:
             return NotImplemented
-        return SpherePoly.summed(o.terms.items(), dict(self.terms))
+        return SpherePoly.summed((self, o))
 
     __radd__ = __add__
 
@@ -178,22 +236,26 @@ class SpherePoly:
         return o + (-self)
 
     def __neg__(self):
-        return SpherePoly._of({mono: -coeff for mono, coeff in self.terms.items()})
+        return _raw({mono: (-x, -y) for mono, (x, y) in self.nums.items()}, self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self.scale(other)
         if not isinstance(other, SpherePoly):
             return NotImplemented
-        right = other.terms.items()
-        out: dict[Monomial, GaussianRational] = {}
+        right = other.nums.items()
+        out: dict[Monomial, tuple[int, int]] = {}
         get = out.get
-        for (a1, b1, c1, d1), x1 in self.terms.items():
-            for (a2, b2, c2, d2), x2 in right:
+        for (a1, b1, c1, d1), (x, y) in self.nums.items():
+            for (a2, b2, c2, d2), (u, v) in right:
                 mono = monomial_of((a1 + a2, b1 + b2, c1 + c2, d1 + d2))
                 acc = get(mono)
-                out[mono] = x1 * x2 if acc is None else acc + x1 * x2
-        return SpherePoly._of(out, len(out) < len(self.terms) * len(right))
+                if acc is None:
+                    out[mono] = (x * u - y * v, x * v + y * u)
+                else:
+                    out[mono] = (acc[0] + x * u - y * v, acc[1] + x * v + y * u)
+        return SpherePoly._of(out, self.den * other.den,
+                              len(out) < len(self.nums) * len(right))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -202,32 +264,42 @@ class SpherePoly:
 
     def scale(self, value: ScalarLike) -> "SpherePoly":
         factor = GaussianRational.coerce(value)
-        if factor.is_zero():
-            return SpherePoly.zero()
-        return SpherePoly._of({mono: coeff * factor for mono, coeff in self.terms.items()})
+        u, v, d = factor._a, factor._b, factor._d
+        if not (u or v):
+            return _ZERO
+        if v:
+            nums = {mono: (x * u - y * v, x * v + y * u) for mono, (x, y) in self.nums.items()}
+        else:
+            nums = {mono: (x * u, y * u) for mono, (x, y) in self.nums.items()}
+        return SpherePoly._of(nums, self.den * d)
 
     def __pow__(self, exponent: int) -> "SpherePoly":
+        """self multiplied by itself exponent - 1 times.
+
+        For sparse polynomials repeated multiplication by the base does less
+        work than repeated squaring, whose last squares multiply two large
+        powers (Fateman, *On the computation of powers of sparse
+        polynomials*, 1974).
+        """
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        out = SpherePoly.constant(1)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
+        if not exponent:
+            return SpherePoly.constant(1)
+        out = self
+        for _ in range(exponent - 1):
+            out = out * self
         return out
 
     def conj(self) -> "SpherePoly":
-        return SpherePoly._of({mono.conj(): coeff.conj() for mono, coeff in self.terms.items()})
+        return _raw({monomial_of((c, d, a, b)): (x, -y)
+                     for (a, b, c, d), (x, y) in self.nums.items()}, self.den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, GaussianRational)):
             other = SpherePoly._coerce(other)
         if not isinstance(other, SpherePoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.nums == other.nums
 
     __hash__ = None  # mutable dict inside; identity-free value type without hashing
 
@@ -235,21 +307,22 @@ class SpherePoly:
 
     def bigraded_components(self) -> dict[tuple[int, int], "SpherePoly"]:
         """Split into pieces of uniform bidegree (p, q).  Pieces sum to self."""
-        buckets: dict[tuple[int, int], dict[Monomial, GaussianRational]] = {}
-        for mono, coeff in self.terms.items():
-            buckets.setdefault(mono.bidegree, {})[mono] = coeff
-        return {key: SpherePoly._of(terms) for key, terms in buckets.items()}
+        return self._split(lambda mono: mono.bidegree)
 
     def circle_components(self) -> dict[int, "SpherePoly"]:
         """Split into pieces of uniform circle grade m = p - q."""
-        buckets: dict[int, dict[Monomial, GaussianRational]] = {}
-        for mono, coeff in self.terms.items():
-            buckets.setdefault(mono.circle_grade, {})[mono] = coeff
-        return {key: SpherePoly._of(terms) for key, terms in buckets.items()}
+        return self._split(lambda mono: mono.circle_grade)
+
+    def _split(self, grade) -> dict:
+        """Pieces of self keyed by grade(monomial), each in canonical form."""
+        buckets: dict = {}
+        for mono, pair in self.nums.items():
+            buckets.setdefault(grade(mono), {})[mono] = pair
+        return {key: SpherePoly._of(nums, self.den) for key, nums in buckets.items()}
 
     def bidegree_if_uniform(self) -> tuple[int, int] | None:
         """The bidegree if every term shares one, else None."""
-        degrees = {mono.bidegree for mono in self.terms}
+        degrees = {mono.bidegree for mono in self.nums}
         if len(degrees) == 1:
             return next(iter(degrees))
         return None
@@ -257,15 +330,15 @@ class SpherePoly:
     # -- calculus ------------------------------------------------------------
 
     def _partial(self, slot: int) -> "SpherePoly":
-        def images():
-            for mono, coeff in self.terms.items():
-                exp = mono[slot]
-                if exp:
-                    lowered = list(mono)
-                    lowered[slot] = exp - 1
-                    yield monomial_of(lowered), coeff * exp
-
-        return SpherePoly.summed(images())
+        # Lowering one exponent is injective, so no two images meet.
+        out = {}
+        for mono, (x, y) in self.nums.items():
+            exp = mono[slot]
+            if exp:
+                lowered = list(mono)
+                lowered[slot] = exp - 1
+                out[monomial_of(lowered)] = (x * exp, y * exp)
+        return SpherePoly._of(out, self.den)
 
     def d_dz1(self) -> "SpherePoly":
         return self._partial(0)
@@ -305,7 +378,7 @@ class SpherePoly:
         ``conj_style`` is ``"suffix"`` (z1c) or ``"call"`` (conj(z1)).  The
         output reparses to a structurally identical polynomial.
         """
-        if not self.terms:
+        if not self.nums:
             return "0"
         if conj_style not in ("suffix", "call"):
             raise ValueError(f"unknown conj_style {conj_style!r}")
@@ -335,6 +408,25 @@ class SpherePoly:
 
     def __repr__(self) -> str:
         return f"SpherePoly({self.to_source()!r})"
+
+
+def _raw(nums: dict[Monomial, tuple[int, int]], den: int) -> SpherePoly:
+    """The polynomial nums over den, for a pair that is already canonical."""
+    poly = _new(SpherePoly)
+    poly.nums = nums
+    poly.den = den
+    return poly
+
+
+def _over_lcm(nums: dict[Monomial, tuple[int, int]], den: int,
+              d: int) -> tuple[dict[Monomial, tuple[int, int]], int]:
+    """Numerators over den rewritten over lcm(den, d), with that lcm."""
+    grow = d // gcd(den, d)
+    return {mono: (x * grow, y * grow) for mono, (x, y) in nums.items()}, den * grow
+
+
+_new = object.__new__
+_ZERO = SpherePoly()
 
 
 def _rat_text(value: Fraction) -> str:

@@ -43,12 +43,12 @@ from functools import lru_cache
 
 from .deformation import paneitz_family_jet
 from .harmonics import basis, canonicalize
-from .integration import inner, moment
+from .integration import inner, moment_total
 from .operators import (CONJ_KOHN, KOHN, LinOp, MulBy, PANEITZ, SUBLAP, Z1,
                         Z1BAR, ZERO_OP, apply_T, apply_Z1, apply_Z1bar, grad_op,
                         kohn)
 from .scalars import ZERO, GaussianRational, I
-from .spherepoly import Monomial, SpherePoly
+from .spherepoly import SpherePoly
 
 
 class PreconditionError(ValueError):
@@ -73,8 +73,8 @@ def torsion_potential(phi: SpherePoly) -> SpherePoly:
 
 
 @lru_cache(maxsize=128)
-def _weights_of(terms: frozenset, k: int) -> tuple[SpherePoly, SpherePoly]:
-    phi = SpherePoly(dict(terms))
+def _weights_of(nums: frozenset, den: int, k: int) -> tuple[SpherePoly, SpherePoly]:
+    phi = SpherePoly._of(dict(nums), den)
     phibar = phi.conj()
     norm = phi * phibar
     return norm, norm.scale(k) - torsion_potential(phi) * phibar
@@ -83,11 +83,11 @@ def _weights_of(terms: frozenset, k: int) -> tuple[SpherePoly, SpherePoly]:
 def _weights(phi: SpherePoly, k: int) -> tuple[SpherePoly, SpherePoly]:
     """(|phi|^2, w_k) with w_k = k|phi|^2 - E conj(phi), memoised per exact phi and k.
 
-    The bounded cache is keyed on phi's term set, so equal polynomials
-    share an entry however they were built; the returned polynomials are
-    immutable and shared between callers.
+    The bounded cache is keyed on phi's canonical numerators and
+    denominator, so equal polynomials share an entry however they were
+    built; the returned polynomials are immutable and shared between callers.
     """
-    return _weights_of(frozenset(phi.terms.items()), k)
+    return _weights_of(frozenset(phi.nums.items()), phi.den, k)
 
 
 def drift_operator(phi: SpherePoly) -> LinOp:
@@ -213,29 +213,42 @@ def assemble_form(op: LinOp, pmax: int, expect_hermitian: bool = False) -> Hermi
     Every basis element is a single monomial, and a term of ``op f_i``
     pairs with f_j only when their torus weights (a - c, b - d) agree (see
     :func:`crlab.integration.inner`).  So the basis is indexed once by
-    weight and row i is one pass over the terms of ``op f_i``; only the
-    nonzero entries are kept.  ``expect_hermitian`` turns a failed
+    weight and row i is one pass over the integer numerators of ``op f_i``,
+    summing each entry's products per moment; :func:`moment_total` then
+    divides each entry by its denominator once, and only the nonzero
+    entries are kept.  ``expect_hermitian`` turns a failed
     conjugate-symmetry check into an error, which is how the "the variation
     operators are real" claims are asserted.
     """
     if pmax < 1:
         raise PreconditionError("pmax must be >= 1")
     vectors = pluriharmonic_basis(pmax)
-    by_weight: dict[tuple[int, int], list[tuple[int, Monomial, GaussianRational]]] = {}
+    by_weight: dict[tuple[int, int], list[tuple[int, int, int, int, int]]] = {}
+    dens = []
     for j, v in enumerate(vectors):
         if len(v.element) != 1:
             raise IdentityCheckError(f"pluriharmonic basis element {v.label} is not a monomial")
-        ((mono, coeff),) = v.element.terms.items()
-        by_weight.setdefault((mono.a - mono.c, mono.b - mono.d), []).append(
-            (j, mono, coeff.conj()))
+        (((a, b, c, d), (u, w)),) = v.element.nums.items()
+        by_weight.setdefault((a - c, b - d), []).append((j, c, d, u, w))
+        dens.append(v.element.den)
     rows = []
     for v in vectors:
-        row: dict[int, GaussianRational] = {}
-        for mono, coeff in op(v.element).terms.items():
-            for j, other, other_conj in by_weight.get((mono.a - mono.c, mono.b - mono.d), ()):
-                term = coeff * other_conj * moment(mono.a + other.c, mono.b + other.d)
-                row[j] = row[j] + term if j in row else term
-        rows.append({j: value for j, value in row.items() if not value.is_zero()})
+        image = op(v.element)
+        sums: dict[int, dict[tuple[int, int], tuple[int, int]]] = {}
+        for (a, b, c, d), (x, y) in image.nums.items():
+            for j, oc, od, u, w in by_weight.get((a - c, b - d), ()):
+                # (x + y i) * conj(u + w i), summed per moment
+                entry = sums.get(j)
+                if entry is None:
+                    entry = sums[j] = {}
+                key = (a + oc, b + od)
+                acc = entry.get(key)
+                if acc is None:
+                    entry[key] = (x * u + y * w, y * u - x * w)
+                else:
+                    entry[key] = (acc[0] + x * u + y * w, acc[1] + y * u - x * w)
+        row = {j: moment_total(entry, image.den * dens[j]) for j, entry in sums.items()}
+        rows.append({j: value for j, value in row.items() if value})
     form = HermitianForm(tuple(v.label for v in vectors),
                          tuple(v.element for v in vectors), tuple(rows))
     if expect_hermitian and not form.is_hermitian():

@@ -178,6 +178,21 @@ def test_integrate_rejects_expansion_above_term_bound(capsys):
     assert err == "error: expression may expand to more than 10000 terms\n"
 
 
+def test_integrate_accepts_a_long_sum(capsys):
+    code, out, err = run_cli(capsys, "integrate", "--expr", "+".join(["z1"] * 2000))
+    assert code == 0
+    assert "2000*z1" in out and err == ""
+
+
+@pytest.mark.parametrize("expr", ["(" * 400 + "z1" + ")" * 400, "-" * 400 + "z1"])
+def test_nesting_above_bound_exits_2_with_one_line(capsys, expr):
+    code, out, err = run_cli(capsys, "integrate", "--expr=" + expr)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err == "error: nesting deeper than the bound 100 (column 101)\n"
+
+
 @pytest.mark.parametrize("args", [("rossi", "--t", "1e5000"),
                                   ("torsion", "--phi", "z1", "--t", "1e5000"),
                                   ("rossi", "--t", "1/" + "3" * 101)])

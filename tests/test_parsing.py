@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crlab import Monomial, SpherePoly, gr, one, parse_poly, sphere_equal, z1, z1c, z2, z2c
-from crlab.parsing import (MAX_TERMS, EvaluationError, LexicalError, ParseError,
-                           SyntaxParseError, _expansion_bound, evaluate, parse)
+from crlab.parsing import (MAX_NESTING, MAX_TERMS, EvaluationError, LexicalError,
+                           ParseError, SyntaxParseError, _expansion_bound, evaluate, parse)
 
 
 def test_basic_expression():
@@ -119,6 +119,27 @@ def test_expansion_bound(src, terms, degree):
 def test_expansion_above_term_bound_is_rejected_before_evaluation(src):
     with pytest.raises(EvaluationError, match=f"more than {MAX_TERMS} terms"):
         evaluate(parse(src))
+
+
+@pytest.mark.parametrize("opening", ["(", "conj(", "-"])
+def test_nesting_above_bound_is_a_positioned_syntax_error(opening):
+    closing = ")" if opening != "-" else ""
+    at_bound = opening * MAX_NESTING + "z1" + closing * MAX_NESTING
+    once = {"(": z1, "conj(": z1c, "-": -z1}[opening]  # one level of the opening
+    assert parse_poly(at_bound) == (once if MAX_NESTING % 2 else z1)
+    deeper = opening * (MAX_NESTING + 1) + "z1" + closing * (MAX_NESTING + 1)
+    with pytest.raises(SyntaxParseError, match=f"nesting deeper than the bound {MAX_NESTING}") as err:
+        parse(deeper)
+    assert err.value.column == len(opening) * MAX_NESTING + len(opening)
+
+
+def test_long_chains_evaluate_without_recursion():
+    assert parse_poly("+".join(["z1"] * 5000)) == z1.scale(5000)
+    assert parse_poly("*".join(["z2"] * 3000)) == z2 ** 3000
+    assert parse_poly(" - ".join(["z1c"] * 3001)) == z1c.scale(-2999)
+    assert parse_poly("z1" + "*1/2" * 2000) == z1.scale(Fraction(1, 2 ** 2000))
+    # A chain keeps left-to-right order and precedence (5/2 is one literal): 6.
+    assert parse_poly("1 - 2 - 3 + 4*5/2") == SpherePoly.constant(6)
 
 
 def test_printer_round_trips_fixed_cases():

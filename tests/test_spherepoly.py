@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
-from crlab import Monomial, SpherePoly, gr, one, radius_sq, z1, z1c, z2, z2c
+from crlab import (KOHN, Monomial, SpherePoly, apply_T, apply_Z1, apply_Z1bar, gr, one,
+                   radius_sq, z1, z1c, z2, z2c)
 from conftest import SPHERE_POINTS, random_poly
 
 
@@ -132,3 +134,75 @@ def test_ring_axioms(x, y, z):
     assert x * y == y * x
     assert (x * y) * z == x * (y * z)
     assert x * (y + z) == x * y + x * z
+
+
+def test_power_equals_repeated_product_and_repeated_squares(rng):
+    for _ in range(10):
+        x = random_poly(rng, 2, 2, terms=3)
+        product = one
+        for n in range(7):
+            assert x ** n == product
+            product = product * x
+        square = x * x
+        assert x ** 8 == (square * square) * (square * square)
+    base = z1 + z2 + z1c + z2c
+    assert len(base ** 12) == 455  # C(15, 3) monomials of degree 12
+
+
+# -- the integer view: numerators over one shared denominator -----------------
+
+
+@st.composite
+def rational_polys(draw):
+    """Polynomials whose coefficients have unrelated denominators up to 12."""
+    n = draw(st.integers(0, 5))
+    terms = {}
+    for _ in range(n):
+        exps = draw(st.tuples(*[st.integers(0, 2)] * 4))
+        re = Fraction(draw(st.integers(-12, 12)), draw(st.integers(1, 12)))
+        im = Fraction(draw(st.integers(-12, 12)), draw(st.integers(1, 12)))
+        terms[Monomial(*exps)] = gr(re, im)
+    return SpherePoly(terms)
+
+
+scalars = st.builds(lambda a, b, c, d: gr(Fraction(a, b), Fraction(c, d)),
+                    st.integers(-6, 6), st.integers(1, 6), st.integers(-6, 6), st.integers(1, 6))
+
+
+def assert_canonical(poly: SpherePoly):
+    assert poly.den > 0
+    assert all(pair != (0, 0) for pair in poly.nums.values())
+    assert gcd(poly.den, *(n for pair in poly.nums.values() for n in pair)) == 1
+    assert all(not coeff.is_zero() for coeff in poly.terms.values())
+    assert SpherePoly(dict(poly.terms)) == poly
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_polys(), rational_polys(), scalars)
+def test_every_result_is_canonical(x, y, c):
+    results = [x, x + y, x - y, x - x, x * y, x * (x - x), x.scale(c), x.scale(0), -x,
+               x.conj(), x ** 3, apply_Z1(x), apply_Z1bar(x), apply_T(x), KOHN(x),
+               x.d_dz1(), x.d_dz2c(), *x.bigraded_components().values(),
+               *x.circle_components().values(), SpherePoly.summed([x, y, -x, y.scale(c)])]
+    for poly in results:
+        assert_canonical(poly)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_polys(), rational_polys(), scalars)
+def test_equality_agrees_with_coefficient_maps(x, y, c):
+    pairs = [(x, y), (x * y, y * x), ((x + y) - y, x), (x.scale(2), x + x),
+             (x.scale(c).scale(c), x.scale(c * c)), (x * y + x, x * (y + 1)),
+             (x.conj().conj(), x), (x, x.scale(c))]
+    for a, b in pairs:
+        assert (a == b) == (a.terms == b.terms)
+        assert (a == b) == (a.nums == b.nums and a.den == b.den)
+
+
+def test_shared_denominator_is_the_lcm_of_the_coefficients():
+    x = SpherePoly({Monomial(1, 0, 0, 0): Fraction(1, 4), Monomial(0, 1, 0, 0): gr(0, Fraction(1, 6))})
+    assert (x.nums, x.den) == ({Monomial(1, 0, 0, 0): (3, 0), Monomial(0, 1, 0, 0): (0, 2)}, 12)
+    # (1 + i)/2 * (1 - i) = 1: the gcd taken after the product clears the denominator.
+    assert (z1.scale(gr(Fraction(1, 2), Fraction(1, 2))) * z1.scale(gr(1, -1))) == z1 * z1
+    assert ((z1 * z1).den, (x.scale(12)).den) == (1, 1)
+    assert x.terms == {Monomial(1, 0, 0, 0): Fraction(1, 4), Monomial(0, 1, 0, 0): gr(0, Fraction(1, 6))}

@@ -1,7 +1,9 @@
 """The polynomial kernels against sympy, which shares no code with them.
 
-``SpherePoly.__mul__``, the field appliers, ``inner`` and ``LinOp.apply``
-each accumulate products into one term map and drop what cancels.  Here
+``SpherePoly.__mul__``, ``scale``, ``conj``, sums, the field appliers,
+``inner``, ``LinOp.apply`` and ``assemble_form`` each work on integer
+numerators over one shared denominator, accumulate products into one term
+map, and drop what cancels.  Here
 every result is recomputed in sympy's sparse polynomial ring over the
 Gaussian rationals, in z1, z2 and independent variables w1, w2 standing
 for conj(z1), conj(z2), and compared term by term: the same monomials with
@@ -14,8 +16,8 @@ from math import factorial
 import sympy
 from sympy import QQ, QQ_I
 
-from crlab import (SpherePoly, apply_T, apply_Z1, apply_Z1bar, gr, inner,
-                   radius_sq, second_variation, z1, z1c, z2, z2c)
+from crlab import (SpherePoly, apply_T, apply_Z1, apply_Z1bar, assemble_form, gr, inner,
+                   pluriharmonic_basis, radius_sq, second_variation, z1, z1c, z2, z2c)
 from crlab.operators import T, Z1, Z1BAR
 from conftest import random_poly, random_scalar
 
@@ -134,3 +136,34 @@ def test_apply_cancels_across_words(rng):
         f = random_poly(rng, 3, 3, terms=5).scale(random_scalar(rng, allow_zero=False))
         assert op(f).terms == {}
         assert sympy_apply(op, f) == 0
+
+
+def to_sympy_scalar(c):
+    return QQ_I(QQ(c.re.numerator, c.re.denominator), QQ(c.im.numerator, c.im.denominator))
+
+
+def test_scale_conj_and_sums_match_sympy(rng):
+    for _ in range(100):
+        x, y = random_poly(rng, 3, 3, terms=5), random_poly(rng, 3, 3, terms=5)
+        c = random_scalar(rng)
+        sx, sy = to_sympy(x), to_sympy(y)
+        assert crlab_terms(x.scale(c)) == sympy_terms(sx * RING(to_sympy_scalar(c)))
+        assert crlab_terms(x.conj()) == sympy_terms(sympy_conj(sx))
+        assert crlab_terms(x + y) == sympy_terms(sx + sy)
+        assert crlab_terms(x - y) == sympy_terms(sx - sy)
+        assert crlab_terms(-x) == sympy_terms(-sx)
+
+
+def test_assemble_form_entries_match_sympy():
+    phi = (z1 ** 2 * z2c).scale(gr(1, 2)) + z1c.scale(gr(Fraction(1, 3), -1))
+    op = second_variation(phi)
+    form = assemble_form(op, 3)
+    elements = [v.element for v in pluriharmonic_basis(3)]
+    assert form.elements == tuple(elements)
+    for i, f in enumerate(elements):
+        image = sympy_apply(op, f)
+        for j, g in enumerate(elements):
+            expected = sympy_integral(image * sympy_conj(to_sympy(g)))
+            value = form.rows[i].get(j, gr(0))
+            assert j not in form.rows[i] or not value.is_zero()  # no stored zero entry
+            assert (value.re, value.im) == (_fraction(expected.x), _fraction(expected.y))
