@@ -32,15 +32,27 @@ by the Leibniz rule
     w (b h) = sum over subwords S of w of (w_S b) (w_{S^c} h),
 
 and is again a sum of coefficients times words.  ``A @ B`` composes
-(apply B first).  ``A(f)`` applies each distinct word suffix to f once,
-shortest first (a zero suffix image is passed on without a field call),
-and then makes one multiply-accumulate pass over the integer view of
-:mod:`crlab.spherepoly`: each word's coefficient-times-image products are
-brought onto the lcm of the words' denominators, every product of Gaussian
-integer numerators is added straight into one term map, and monomials whose
-sums cancelled are dropped and one gcd is taken at the end.  The field
-appliers multiply numerators by exponents over an unchanged denominator
-and accumulate their two partial-derivative images the same way.
+(apply B first).
+
+Both ways of using an operator read one plan, built from its terms on
+first use: the distinct word suffixes, shortest first, and every word's
+coefficient numerators brought once onto one shared denominator, the lcm
+of theirs.  The fields act through kernels on the integer view of
+:mod:`crlab.spherepoly`: a kernel multiplies numerators by exponents over
+an unchanged denominator, so the images of f are numerator maps over f's
+denominator that are never wrapped as polynomials or reduced, and a zero
+suffix image is passed on without a kernel call.  (``apply_Z1``,
+``apply_Z1bar`` and ``apply_T`` are the same kernels followed by one gcd.)
+
+* ``A(f)`` adds every product of a coefficient numerator with an image
+  numerator straight into one term map; monomials whose sums cancelled are
+  dropped and one gcd is taken at the end.
+* ``A.moment_sums`` pairs A(f_i) against monomials f_j without building
+  A(f_i).  Each letter moves a monomial's torus weight (a - c, b - d) by a
+  fixed amount, so a word's image of a monomial lies at one weight and only
+  the coefficient terms of matching weight are multiplied; their products
+  go straight into the per-moment sums that
+  :func:`crlab.integration.moment_total` divides.
 """
 
 from __future__ import annotations
@@ -48,7 +60,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import lcm
-from typing import Callable, Iterable
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .harmonics import basis
 from .integration import inner
@@ -56,43 +69,81 @@ from .scalars import GaussianRational, ScalarLike
 from .spherepoly import Monomial, SpherePoly, monomial_of
 
 
+Nums = dict[Monomial, tuple[int, int]]
+Weight = tuple[int, int]
+#: A monomial f_j that products are paired against: (j, c, d, re, im) for
+#: f_j = (re + im*i)/den_j * z1^a z2^b conj(z1)^c conj(z2)^d.
+Target = tuple[int, int, int, int, int]
+
+
+# Field kernels: each maps a numerator map to the numerators of the field's
+# image over the same denominator (every coefficient is an integer multiple
+# of one numerator), with no zero pair and no gcd taken.
+
+def _z1_nums(nums: Nums) -> Nums:
+    items = nums.items()
+    # The d/dz1 images of distinct monomials are distinct; only d/dz2 ones can meet them.
+    out = {monomial_of((a - 1, b, c, d + 1)): (x * a, y * a) for (a, b, c, d), (x, y) in items if a}
+    get = out.get
+    for (a, b, c, d), (x, y) in items:
+        if b:
+            mono = monomial_of((a, b - 1, c + 1, d))
+            acc = get(mono)
+            if acc is None:
+                out[mono] = (-x * b, -y * b)
+            elif acc[0] != x * b or acc[1] != y * b:
+                out[mono] = (acc[0] - x * b, acc[1] - y * b)
+            else:  # cancelled; no other d/dz2 image lands here
+                del out[mono]
+    return out
+
+
+def _z1bar_nums(nums: Nums) -> Nums:
+    items = nums.items()
+    out = {monomial_of((a, b + 1, c - 1, d)): (x * c, y * c) for (a, b, c, d), (x, y) in items if c}
+    get = out.get
+    for (a, b, c, d), (x, y) in items:
+        if d:
+            mono = monomial_of((a + 1, b, c, d - 1))
+            acc = get(mono)
+            if acc is None:
+                out[mono] = (-x * d, -y * d)
+            elif acc[0] != x * d or acc[1] != y * d:
+                out[mono] = (acc[0] - x * d, acc[1] - y * d)
+            else:
+                del out[mono]
+    return out
+
+
+def _t_nums(nums: Nums) -> Nums:
+    return {mono: (-y * m, x * m) for mono, (x, y) in nums.items()
+            if (m := mono[0] + mono[1] - mono[2] - mono[3])}
+
+
 def apply_Z1(poly: SpherePoly) -> SpherePoly:
     """conj(z2) d/dz1 - conj(z1) d/dz2; maps bidegree (p,q) to (p-1, q+1)."""
-    nums = poly.nums.items()
-    # The d/dz1 images of distinct monomials are distinct; only d/dz2 ones can meet them.
-    out = {monomial_of((a - 1, b, c, d + 1)): (x * a, y * a) for (a, b, c, d), (x, y) in nums if a}
-    get, count = out.get, len(out)
-    for (a, b, c, d), (x, y) in nums:
-        if b:
-            mono, count = monomial_of((a, b - 1, c + 1, d)), count + 1
-            acc = get(mono)
-            out[mono] = (-x * b, -y * b) if acc is None else (acc[0] - x * b, acc[1] - y * b)
-    return SpherePoly._of(out, poly.den, len(out) < count)
+    return SpherePoly._of(_z1_nums(poly.nums), poly.den)
 
 
 def apply_Z1bar(poly: SpherePoly) -> SpherePoly:
     """z2 d/dconj(z1) - z1 d/dconj(z2); maps bidegree (p,q) to (p+1, q-1)."""
-    nums = poly.nums.items()
-    out = {monomial_of((a, b + 1, c - 1, d)): (x * c, y * c) for (a, b, c, d), (x, y) in nums if c}
-    get, count = out.get, len(out)
-    for (a, b, c, d), (x, y) in nums:
-        if d:
-            mono, count = monomial_of((a + 1, b, c, d - 1)), count + 1
-            acc = get(mono)
-            out[mono] = (-x * d, -y * d) if acc is None else (acc[0] - x * d, acc[1] - y * d)
-    return SpherePoly._of(out, poly.den, len(out) < count)
+    return SpherePoly._of(_z1bar_nums(poly.nums), poly.den)
 
 
 def apply_T(poly: SpherePoly) -> SpherePoly:
     """Generator of the diagonal circle action: i*m on circle grade m."""
-    return SpherePoly._of({mono: (-y * m, x * m) for mono, (x, y) in poly.nums.items()
-                           if (m := mono[0] + mono[1] - mono[2] - mono[3])}, poly.den)
+    return SpherePoly._of(_t_nums(poly.nums), poly.den)
 
 
 Word = tuple[str, ...]
 
 _FIELDS: dict[str, Callable[[SpherePoly], SpherePoly]] = {
     "Z1": apply_Z1, "Z1bar": apply_Z1bar, "T": apply_T}
+_KERNELS: dict[str, Callable[[Nums], Nums]] = {
+    "Z1": _z1_nums, "Z1bar": _z1bar_nums, "T": _t_nums}
+# Each letter moves a monomial's torus weight (a - c, b - d) by (s, s):
+# Z1 lowers both parts by one, Z1bar raises them, T keeps them.
+_WEIGHT_SHIFT = {"Z1": -1, "Z1bar": 1, "T": 0}
 # T is a real vector field: conj . T . conj = T.
 _CONJ_LETTER = {"Z1": "Z1bar", "Z1bar": "Z1", "T": "T"}
 
@@ -127,13 +178,41 @@ def _splits(word: Word, images: _Images) -> Iterable[tuple[Word, Word]]:
             yield first + applied, kept
 
 
-def _suffix_order(words: Iterable[Word]) -> list[tuple[Word, Callable, Word]]:
-    """(suffix, field of its first letter, rest) for every nonempty suffix of words.
+class _Plan:
+    """How a LinOp is applied, built once from its terms.
 
-    Shorter suffixes come first, so each one's rest is applied before it.
+    ``suffixes`` holds (suffix, kernel of its first letter, rest) for every
+    nonempty suffix of the words, shorter ones first, so each one's rest is
+    applied before it.  ``words`` holds (word, weight shift, coefficient
+    numerators) with every coefficient brought onto the one denominator
+    ``den``, the lcm of theirs.
     """
-    suffixes = {word[i:] for word in words for i in range(len(word))}
-    return [(word, _FIELDS[word[0]], word[1:]) for word in sorted(suffixes, key=len)]
+
+    __slots__ = ("suffixes", "words", "den")
+
+    def __init__(self, terms: Mapping[Word, SpherePoly]):
+        found = {word[i:] for word in terms for i in range(len(word))}
+        self.suffixes: list[tuple[Word, Callable[[Nums], Nums], Word]] = [
+            (word, _KERNELS[word[0]], word[1:]) for word in sorted(found, key=len)]
+        self.den = den = lcm(*(coeff.den for coeff in terms.values()))
+        self.words: list[tuple[Word, int, Nums]] = []
+        for word, coeff in terms.items():
+            factor = den // coeff.den
+            nums = coeff.nums if factor == 1 else {
+                mono: (x * factor, y * factor) for mono, (x, y) in coeff.nums.items()}
+            self.words.append((word, sum(_WEIGHT_SHIFT[letter] for letter in word), nums))
+
+    def images(self, nums: Nums) -> dict[Word, Nums]:
+        """Numerators of every word suffix applied to nums, over nums' denominator.
+
+        A zero suffix image is the image of every longer suffix too, with no
+        kernel call.
+        """
+        images = {(): nums}
+        for word, kernel, rest in self.suffixes:
+            image = images[rest]
+            images[word] = kernel(image) if image else image
+        return images
 
 
 def _collect(pairs: Iterable[tuple[Word, SpherePoly]]) -> dict[Word, SpherePoly]:
@@ -147,48 +226,47 @@ def _collect(pairs: Iterable[tuple[Word, SpherePoly]]) -> dict[Word, SpherePoly]
 class LinOp:
     """Linear operator on SpherePoly: a sum of polynomial coefficients times words.
 
-    ``terms`` maps each word (a tuple of the letters "Z1", "Z1bar", "T",
-    the last applied first) to its coefficient; zero coefficients are
-    dropped.  Treat it as read-only.
+    ``terms`` is a read-only mapping from each word (a tuple of the letters
+    "Z1", "Z1bar", "T", the last applied first) to its coefficient; zero
+    coefficients are dropped.  The plan that :meth:`apply` and
+    :meth:`moment_sums` share is built from it on first use.
     """
 
-    __slots__ = ("terms", "_suffixes")
+    __slots__ = ("terms", "_plan")
 
-    def __init__(self, terms: dict[Word, SpherePoly]):
-        self.terms = {word: coeff for word, coeff in terms.items() if coeff.nums}
-        self._suffixes = None
+    def __init__(self, terms: Mapping[Word, SpherePoly]):
+        self.terms = MappingProxyType({word: coeff for word, coeff in terms.items() if coeff.nums})
+        self._plan = None
+
+    def _get_plan(self) -> _Plan:
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = _Plan(self.terms)
+        return plan
 
     def apply(self, poly: SpherePoly) -> SpherePoly:
         """The sum over words w of coeff_w * w(poly), in one multiply-accumulate pass.
 
-        Each distinct word suffix is applied to poly once, in the order of
-        :func:`_suffix_order` (built on the first call and kept); a zero
-        suffix image ends its branch without a field call.  Every word's products are brought onto the lcm of the words'
-        denominators (coefficient times image), and every product of a
-        coefficient numerator with an image numerator goes straight into
-        one term map; cancelled monomials are dropped and one gcd is taken
-        at the end.
+        Each distinct word suffix is applied to the numerators of poly
+        once, shortest first, and no image is wrapped or reduced; a zero
+        suffix image ends its branch without a field call.
+
+        The coefficients sit on the plan's one shared denominator, so every
+        product of a coefficient numerator with an image numerator goes
+        straight into one term map over ``plan.den * poly.den``.  Cancelled
+        monomials are dropped and one gcd is taken at the end.
         """
-        suffixes = self._suffixes
-        if suffixes is None:
-            suffixes = self._suffixes = _suffix_order(self.terms)
-        images = {(): poly}
-        for word, field, rest in suffixes:
-            image = images[rest]
-            images[word] = field(image) if image.nums else image
-        pairs = [(coeff, image) for word, coeff in self.terms.items()
-                 if (image := images[word]).nums]
-        den = lcm(*(coeff.den * image.den for coeff, image in pairs)) if pairs else 1
-        out: dict[Monomial, tuple[int, int]] = {}
+        plan = self._get_plan()
+        images = plan.images(poly.nums)
+        out: Nums = {}
         count = 0
         get = out.get
-        for coeff, image in pairs:
-            factor = den // (coeff.den * image.den)
-            image_nums = image.nums.items()
-            count += len(coeff.nums) * len(image_nums)
-            for (a1, b1, c1, d1), (x, y) in coeff.nums.items():
-                if factor != 1:
-                    x, y = x * factor, y * factor
+        for word, _, coeff_nums in plan.words:
+            image_nums = images[word].items()
+            if not image_nums:
+                continue
+            count += len(coeff_nums) * len(image_nums)
+            for (a1, b1, c1, d1), (x, y) in coeff_nums.items():
                 if not (a1 or b1 or c1 or d1):  # a constant term keeps each image monomial
                     for mono, (u, v) in image_nums:
                         acc = get(mono)
@@ -204,7 +282,65 @@ class LinOp:
                         out[mono] = (x * u - y * v, x * v + y * u)
                     else:
                         out[mono] = (acc[0] + x * u - y * v, acc[1] + x * v + y * u)
-        return SpherePoly._of(out, den, len(out) < count)
+        return SpherePoly._of(out, plan.den * poly.den, len(out) < count)
+
+    def moment_sums(self, monomials: Iterable[SpherePoly], targets: Mapping[Weight, list[Target]]
+                    ) -> Iterator[tuple[dict[int, dict[tuple[int, int], tuple[int, int]]], int]]:
+        """Per monomial f_i: the numerators of each pairing <self(f_i), f_j>, summed per moment.
+
+        ``targets`` maps a torus weight (a - c, b - d) to the monomials f_j
+        of that weight, each as (j, c, d, u, w) for the numerator u + w*i.
+        Each f_i yields (sums, den): sums[j][(h, k)] summed against
+        moment(h, k) and divided by den times f_j's denominator is the
+        integral of self(f_i) * conj(f_j).
+
+        self(f_i) is never built.  A word's image of the monomial f_i lies
+        at one weight, W(f_i) moved by the word's shift, so only the
+        coefficient terms at weight W(f_j) - W(w(f_i)) can pair with f_j.
+        The coefficient terms of each word are grouped by weight once per
+        call, and each product of a coefficient numerator, an image
+        numerator and conj(u + w*i) goes straight into its (j, moment) sum;
+        no product that cannot pair is formed.
+        """
+        plan = self._get_plan()
+        words = []
+        for word, shift, coeff_nums in plan.words:
+            groups: dict[Weight, list[tuple[int, int, int, int]]] = {}
+            for (a, b, c, d), (x, y) in coeff_nums.items():
+                groups.setdefault((a - c, b - d), []).append((a, b, x, y))
+            words.append((word, shift, groups.items()))
+        for f in monomials:
+            if len(f.nums) != 1:
+                raise ValueError("moment_sums pairs the images of monomials only")
+            (((fa, fb, fc, fd), _),) = f.nums.items()
+            images = plan.images(f.nums)
+            sums: dict[int, dict[tuple[int, int], tuple[int, int]]] = {}
+            for word, shift, groups in words:
+                image = images[word]
+                if not image:
+                    continue
+                wa, wb = fa - fc + shift, fb - fd + shift
+                for (ga, gb), cterms in groups:
+                    matches = targets.get((ga + wa, gb + wb))
+                    if matches is None:
+                        continue
+                    for j, oc, od, s, t in matches:
+                        # image * conj(s + t i), keyed by its moment offsets against f_j
+                        scaled = [(a2 + oc, b2 + od, u * s + v * t, v * s - u * t)
+                                  for (a2, b2, _, _), (u, v) in image.items()]
+                        entry = sums.get(j)
+                        if entry is None:
+                            entry = sums[j] = {}
+                        get = entry.get
+                        for a2, b2, u, v in scaled:
+                            for a1, b1, x, y in cterms:
+                                key = (a1 + a2, b1 + b2)
+                                acc = get(key)
+                                if acc is None:
+                                    entry[key] = (x * u - y * v, x * v + y * u)
+                                else:
+                                    entry[key] = (acc[0] + x * u - y * v, acc[1] + x * v + y * u)
+            yield sums, plan.den * f.den
 
     def __call__(self, poly: SpherePoly) -> SpherePoly:
         return self.apply(poly)
@@ -253,7 +389,7 @@ class LinOp:
         return NotImplemented
 
     def __repr__(self):
-        return f"LinOp({self.terms!r})"
+        return f"LinOp({dict(self.terms)!r})"
 
 
 def MulBy(factor: SpherePoly | ScalarLike) -> LinOp:
@@ -272,6 +408,8 @@ KOHN = -2 * (Z1 @ Z1BAR)
 CONJ_KOHN = -2 * (Z1BAR @ Z1)
 SUBLAP = Fraction(1, 2) * (KOHN + CONJ_KOHN)
 PANEITZ = Fraction(1, 4) * (KOHN @ CONJ_KOHN)
+#: kohn^2 + conj_kohn^2, a term of the second variation.
+KOHN_SQUARES = KOHN @ KOHN + CONJ_KOHN @ CONJ_KOHN
 
 
 def kohn(x: SpherePoly) -> SpherePoly:

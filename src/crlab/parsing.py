@@ -9,6 +9,11 @@ Grammar (whitespace-insensitive):
               | 'conj' '(' expr ')' | '(' expr ')'
     rational := uint ('/' uint)?
 
+A rational literal ``a/b`` is one base, except right after a term-level
+'/': there ``a`` is the whole divisor, so ``z1/3/4`` is ``(z1/3)/4``, as
+left-associative division reads it, while ``1/2*z1`` keeps ``1/2`` as one
+literal.
+
 Only exact literals exist: rationals a/b and the imaginary unit i; no
 floating point is accepted.  Division is exact and only by a nonzero
 constant (so i/3 is fine and z1/z2 is rejected when evaluated).
@@ -212,16 +217,16 @@ class _Parser:
         node = self.parse_factor()
         while self.peek().kind in ("*", "/"):
             op = self.advance().kind
-            node = BinaryOp(op, node, self.parse_factor())
+            node = BinaryOp(op, node, self.parse_factor(divisor=op == "/"))
         return node
 
-    def parse_factor(self) -> ExprAst:
+    def parse_factor(self, divisor: bool = False) -> ExprAst:
         if self.peek().kind == "-":
             self.enter(self.advance())
-            node = Negate(self.parse_factor())
+            node = Negate(self.parse_factor(divisor))
             self.depth -= 1
             return node
-        node = self.parse_base()
+        node = self.parse_base(divisor)
         if self.peek().kind == "^":
             self.advance()
             tok = self.expect("uint")
@@ -232,14 +237,17 @@ class _Parser:
             return Power(node, exponent)
         return node
 
-    def parse_base(self) -> ExprAst:
+    def parse_base(self, divisor: bool = False) -> ExprAst:
+        """A base; after a term-level '/' (``divisor``) an integer is not a rational's numerator."""
         tok = self.peek()
         if tok.kind == "uint":
             self.advance()
             numerator = int(tok.text)
-            # Consume a '/' here only for a rational literal; division by a
-            # non-literal stays a term-level operation.
-            if self.peek().kind == "/" and self.tokens[self.pos + 1].kind == "uint":
+            # Consume a '/' here only for a rational literal, and not in a
+            # divisor, so z1/3/4 is (z1/3)/4; division by a non-literal
+            # stays a term-level operation.
+            if (not divisor and self.peek().kind == "/"
+                    and self.tokens[self.pos + 1].kind == "uint"):
                 self.advance()
                 den_tok = self.expect("uint")
                 denominator = int(den_tok.text)
@@ -296,41 +304,58 @@ def _expansion_bound(ast: ExprAst) -> tuple[int, int]:
 
     Terms add under '+' and '-', multiply under '*', and a power of a t-term
     base has at most C(t+n-1, n) terms (the multisets of n of its terms);
-    every count is capped by C(D+4, 4), the number of monomials of degree at
-    most D.  Raises EvaluationError at the first subexpression above
+    every count is capped by C(D+k, k), the number of monomials of degree at
+    most D in the k variables that occur (``conj`` swaps z1 with z1c and z2
+    with z2c).  Raises EvaluationError at the first subexpression above
     ``MAX_TERMS``.
     """
+    terms, degree, _ = _bounds(ast)
+    return terms, degree
+
+
+_CONJ_NAME = {"z1": "z1c", "z2": "z2c", "z1c": "z1", "z2c": "z2"}
+
+
+def _bounds(ast: ExprAst) -> tuple[int, int, frozenset[str]]:
+    """(term bound, degree bound, variables that occur) of ast's value."""
     if isinstance(ast, (RationalLit, ImaginaryUnit)):
-        return 1, 0
+        return 1, 0, frozenset()
     if isinstance(ast, Variable):
-        return 1, 1
-    if isinstance(ast, (Negate, Conjugate)):
-        return _expansion_bound(ast.operand)
+        return 1, 1, frozenset((ast.name,))
+    if isinstance(ast, Negate):
+        return _bounds(ast.operand)
+    if isinstance(ast, Conjugate):
+        terms, degree, names = _bounds(ast.operand)
+        return terms, degree, frozenset(_CONJ_NAME[name] for name in names)
     if isinstance(ast, Power):
-        terms, degree = _expansion_bound(ast.base)
+        terms, degree, names = _bounds(ast.base)
         n = ast.exponent
-        return _capped(comb(terms + n - 1, n), degree * n)
+        return _capped(comb(terms + n - 1, n), degree * n, names)
     if isinstance(ast, BinaryOp):
         first, rest = _chain(ast)
-        terms, degree = _expansion_bound(first)
+        terms, degree, names = _bounds(first)
         for op, right in rest:
-            right_terms, right_degree = _expansion_bound(right)
+            right_terms, right_degree, right_names = _bounds(right)
             if op in "+-":
                 terms, degree = terms + right_terms, max(degree, right_degree)
+                names |= right_names
             elif op == "*":
                 terms, degree = terms * right_terms, degree + right_degree
+                names |= right_names
             # '/' divides by a constant and keeps the left operand's bounds.
-            terms, degree = _capped(terms, degree)
-        return terms, degree
+            terms, degree, names = _capped(terms, degree, names)
+        return terms, degree, names
     raise TypeError(f"not an expression node: {ast!r}")
 
 
-def _capped(terms: int, degree: int) -> tuple[int, int]:
-    """terms capped by the monomials of degree at most degree, checked against MAX_TERMS."""
-    terms = min(terms, comb(degree + 4, 4))
+def _capped(terms: int, degree: int,
+            names: frozenset[str]) -> tuple[int, int, frozenset[str]]:
+    """terms capped by the monomials in names of degree at most degree, checked
+    against MAX_TERMS."""
+    terms = min(terms, comb(degree + len(names), len(names)))
     if terms > MAX_TERMS:
         raise EvaluationError(f"expression may expand to more than {MAX_TERMS} terms")
-    return terms, degree
+    return terms, degree, names
 
 
 def evaluate(ast: ExprAst) -> SpherePoly:

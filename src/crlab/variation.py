@@ -40,14 +40,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable
 
 from .deformation import paneitz_family_jet
 from .harmonics import basis, canonicalize
 from .integration import inner, moment_total
-from .operators import (CONJ_KOHN, KOHN, LinOp, MulBy, PANEITZ, SUBLAP, Z1,
-                        Z1BAR, ZERO_OP, apply_T, apply_Z1, apply_Z1bar, grad_op,
-                        kohn)
-from .scalars import ZERO, GaussianRational, I
+from .operators import (CONJ_KOHN, KOHN, KOHN_SQUARES, LinOp, MulBy, PANEITZ,
+                        SUBLAP, Z1, Z1BAR, ZERO_OP, Target, _collect, apply_T,
+                        apply_Z1, apply_Z1bar, grad_op, kohn)
+from .scalars import ZERO, GaussianRational, I, ScalarLike
 from .spherepoly import SpherePoly
 
 
@@ -101,16 +102,24 @@ def drift_operator(phi: SpherePoly) -> LinOp:
     )
 
 
+def _combination(parts: Iterable[tuple[ScalarLike, LinOp]]) -> LinOp:
+    """The sum of c * op over (c, op) in parts, collected once."""
+    return LinOp(_collect((word, coeff if c == 1 else coeff.scale(c))
+                          for c, op in parts for word, coeff in op.terms.items()))
+
+
 def first_variation(phi: SpherePoly) -> LinOp:
     """d/dt of the deformed Paneitz operator at t = 0."""
     d_op = drift_operator(phi)
     e = torsion_potential(phi)
-    four_times = (
-        (-2) * (d_op @ CONJ_KOHN)
-        + (-2) * (KOHN @ d_op)
-        + 4 * (MulBy(e) @ Z1 @ Z1 + MulBy(apply_Z1(e)) @ Z1)
-    )
-    return Fraction(1, 4) * four_times
+    # The module docstring's four-times form, each coefficient divided by 4.
+    minus_half = Fraction(-1, 2)
+    return _combination((
+        (minus_half, d_op @ CONJ_KOHN),
+        (minus_half, KOHN @ d_op),
+        (1, MulBy(e) @ Z1 @ Z1),
+        (1, MulBy(apply_Z1(e)) @ Z1),
+    ))
 
 
 def second_variation(phi: SpherePoly) -> LinOp:
@@ -120,18 +129,19 @@ def second_variation(phi: SpherePoly) -> LinOp:
     phibar = phi.conj()
     norm = phi * phibar
     e_pb = e * phibar
-    four_times = (
-        16 * (MulBy(norm) @ PANEITZ)
-        + 2 * (MulBy(norm) @ (KOHN @ KOHN + CONJ_KOHN @ CONJ_KOHN))
-        + 8 * (d_op @ d_op)
-        + (-8) * (MulBy(e_pb) @ SUBLAP)
-        + 8 * grad_op(e_pb)
-        + 4 * (MulBy(kohn(norm)) @ SUBLAP)
-        + (-8) * (grad_op(norm) @ SUBLAP)
-        + (-4) * (grad_op(norm) @ CONJ_KOHN)
-        + (-4) * (KOHN @ grad_op(norm))
-    )
-    return Fraction(1, 4) * four_times
+    grad_norm = grad_op(norm)
+    # The module docstring's four-times form, each coefficient divided by 4.
+    return _combination((
+        (4, MulBy(norm) @ PANEITZ),
+        (Fraction(1, 2), MulBy(norm) @ KOHN_SQUARES),
+        (2, d_op @ d_op),
+        (-2, MulBy(e_pb) @ SUBLAP),
+        (2, grad_op(e_pb)),
+        (1, MulBy(kohn(norm)) @ SUBLAP),
+        (-2, grad_norm @ SUBLAP),
+        (-1, grad_norm @ CONJ_KOHN),
+        (-1, KOHN @ grad_norm),
+    ))
 
 
 def variations_from_jets(phi: SpherePoly) -> tuple[LinOp, LinOp]:
@@ -213,17 +223,20 @@ def assemble_form(op: LinOp, pmax: int, expect_hermitian: bool = False) -> Hermi
     Every basis element is a single monomial, and a term of ``op f_i``
     pairs with f_j only when their torus weights (a - c, b - d) agree (see
     :func:`crlab.integration.inner`).  So the basis is indexed once by
-    weight and row i is one pass over the integer numerators of ``op f_i``,
-    summing each entry's products per moment; :func:`moment_total` then
-    divides each entry by its denominator once, and only the nonzero
-    entries are kept.  ``expect_hermitian`` turns a failed
+    weight, and :meth:`LinOp.moment_sums` gives each row without building
+    ``op f_i``: it matches each word's coefficient terms by weight to the
+    f_j they can reach and sums the numerators of coefficient x image x
+    conj(f_j), all over the plan's one shared denominator, per (j, moment).
+    :func:`moment_total` then divides each entry by its denominator once,
+    and only the nonzero entries are kept.  Every entry is computed on its
+    own; none is filled in by symmetry.  ``expect_hermitian`` turns a failed
     conjugate-symmetry check into an error, which is how the "the variation
     operators are real" claims are asserted.
     """
     if pmax < 1:
         raise PreconditionError("pmax must be >= 1")
     vectors = pluriharmonic_basis(pmax)
-    by_weight: dict[tuple[int, int], list[tuple[int, int, int, int, int]]] = {}
+    by_weight: dict[tuple[int, int], list[Target]] = {}
     dens = []
     for j, v in enumerate(vectors):
         if len(v.element) != 1:
@@ -232,22 +245,8 @@ def assemble_form(op: LinOp, pmax: int, expect_hermitian: bool = False) -> Hermi
         by_weight.setdefault((a - c, b - d), []).append((j, c, d, u, w))
         dens.append(v.element.den)
     rows = []
-    for v in vectors:
-        image = op(v.element)
-        sums: dict[int, dict[tuple[int, int], tuple[int, int]]] = {}
-        for (a, b, c, d), (x, y) in image.nums.items():
-            for j, oc, od, u, w in by_weight.get((a - c, b - d), ()):
-                # (x + y i) * conj(u + w i), summed per moment
-                entry = sums.get(j)
-                if entry is None:
-                    entry = sums[j] = {}
-                key = (a + oc, b + od)
-                acc = entry.get(key)
-                if acc is None:
-                    entry[key] = (x * u + y * w, y * u - x * w)
-                else:
-                    entry[key] = (acc[0] + x * u + y * w, acc[1] + y * u - x * w)
-        row = {j: moment_total(entry, image.den * dens[j]) for j, entry in sums.items()}
+    for sums, den in op.moment_sums((v.element for v in vectors), by_weight):
+        row = {j: moment_total(entry, den * dens[j]) for j, entry in sums.items()}
         rows.append({j: value for j, value in row.items() if value})
     form = HermitianForm(tuple(v.label for v in vectors),
                          tuple(v.element for v in vectors), tuple(rows))

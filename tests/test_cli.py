@@ -178,6 +178,12 @@ def test_integrate_rejects_expansion_above_term_bound(capsys):
     assert err == "error: expression may expand to more than 10000 terms\n"
 
 
+def test_integrate_accepts_a_long_product_in_one_variable(capsys):
+    # 2^20 products, but at most 21 monomials in z1 alone
+    code, out, err = run_cli(capsys, "integrate", "--expr", "*".join(["(z1+1)"] * 20))
+    assert (code, err) == (0, "")
+
+
 def test_integrate_accepts_a_long_sum(capsys):
     code, out, err = run_cli(capsys, "integrate", "--expr", "+".join(["z1"] * 2000))
     assert code == 0

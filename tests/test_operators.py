@@ -19,6 +19,29 @@ def test_z1_on_coordinates():
     assert apply_Z1(z1c).is_zero()
 
 
+def _weight(mono):
+    return (mono.a - mono.c, mono.b - mono.d)
+
+
+def test_fields_shift_torus_weight_by_fixed_amounts(rng):
+    # The weight-matched form assembly relies on Z1, Z1bar and T moving the
+    # torus weight (a - c, b - d) of each monomial by (-1,-1), (+1,+1), (0,0).
+    for field, shift in ((apply_Z1, -1), (apply_Z1bar, 1), (apply_T, 0)):
+        for _ in range(10):
+            for mono in random_poly(rng, 3, 3, terms=6).nums:
+                wa, wb = _weight(mono)
+                image = field(SpherePoly.monomial(mono))
+                assert all(_weight(m) == (wa + shift, wb + shift) for m in image.nums)
+
+
+def test_linop_terms_are_read_only():
+    with pytest.raises(TypeError):
+        KOHN.terms[("T",)] = one
+    with pytest.raises(TypeError):
+        del KOHN.terms[next(iter(KOHN.terms))]
+    assert kohn(z1c) == z1c.scale(2)
+
+
 def test_z1bar_on_coordinates_and_conj_consistency():
     assert apply_Z1bar(z1c) == z2
     assert apply_Z1bar(z1).is_zero()
@@ -210,3 +233,26 @@ def test_operator_algebra_matches_sequential_application(rng):
         assert (c * a)(f) == a_f.scale(c)
         assert (a * c)(f) == a_f.scale(c)
         assert a.conj_op()(f) == a(f.conj()).conj()
+
+
+def test_moment_sums_match_inner_against_scaled_monomials(rng):
+    # Monomials with Gaussian coefficients other than 1, several at one
+    # torus weight, exercise the conj(f_j) factor and the per-weight
+    # matching of the contraction that assembles variation forms.
+    from crlab.integration import moment_total
+
+    for _ in range(12):
+        op, _ = random_operator(rng, 2)
+        monos = sorted(random_poly(rng, 2, 2, terms=8).nums)
+        elements = [SpherePoly.monomial(m, random_scalar(rng, allow_zero=False)) for m in monos]
+        targets = {}
+        for j, f in enumerate(elements):
+            (((a, b, c, d), (u, w)),) = f.nums.items()
+            targets.setdefault((a - c, b - d), []).append((j, c, d, u, w))
+        for f, (sums, den) in zip(elements, op.moment_sums(elements, targets), strict=True):
+            image = op(f)
+            for j, g in enumerate(elements):
+                got = moment_total(sums[j], den * g.den) if j in sums else gr(0)
+                assert got == inner(image, g)
+    with pytest.raises(ValueError):
+        list(KOHN.moment_sums([z1 + z2], {}))

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crlab import Monomial, SpherePoly, gr, one, parse_poly, sphere_equal, z1, z1c, z2, z2c
-from crlab.parsing import (MAX_NESTING, MAX_TERMS, EvaluationError, LexicalError,
-                           ParseError, SyntaxParseError, _expansion_bound, evaluate, parse)
+from crlab.parsing import (MAX_NESTING, MAX_TERMS, BinaryOp, EvaluationError, LexicalError,
+                           ParseError, RationalLit, SyntaxParseError, Variable,
+                           _expansion_bound, evaluate, parse)
 
 
 def test_basic_expression():
@@ -41,6 +42,12 @@ def test_precedence_and_associativity():
     assert parse_poly("1 - 2 - 3") == one.scale(-4)
     assert parse_poly("2*z1+3*z2") == z1.scale(2) + z2.scale(3)
     assert parse_poly("-2^2") == one.scale(-4)
+    # After a '/', an integer is the whole divisor: division associates left.
+    assert parse_poly("z1/3/4") == parse_poly("(z1/3)/4") == z1.scale(Fraction(1, 12))
+    assert parse_poly("z1/-3/4") == z1.scale(Fraction(-1, 12))
+    # Elsewhere a/b is still one rational literal, as to_source prints it.
+    assert parse("1/2*z1") == BinaryOp("*", RationalLit(Fraction(1, 2)), Variable("z1"))
+    assert parse_poly("1/2*z1") == z1.scale(Fraction(1, 2))
 
 
 def test_whitespace_insensitive():
@@ -107,9 +114,18 @@ def test_float_literals_are_rejected():
     ("(z1+1)^3 - conj(z2)/7", 4 + 1, 3),    # '+' and '-' add, '/' keeps the left side
     # 15 * 15 products, capped by the C(4+4, 4) monomials of degree at most 4
     ("(z1+z2+z1c+z2c+1)^2*(z1+z2+z1c+z2c+1)^2", 70, 4),
+    # capped by the monomials in the variables that occur: here z1 alone
+    ("*".join(["(z1+1)"] * 20), 21, 20),
+    ("(z1+1)^3*conj(z1+1)^3", 16, 6),       # conj turns z1 into z1c: two variables
 ])
 def test_expansion_bound(src, terms, degree):
     assert _expansion_bound(parse(src)) == (terms, degree)
+
+
+def test_long_product_of_one_variable_is_evaluated():
+    product = parse_poly("*".join(["(z1+1)"] * 20))
+    assert len(product) == 21
+    assert product == parse_poly("(z1+1)^20")
 
 
 @pytest.mark.parametrize("src", [

@@ -429,8 +429,10 @@ def test_assemble_form_matches_dense_inner_oracle(rng):
     # <op f_i, f_j>, computed by one inner() call per entry, exactly.
     from crlab import MulBy
 
+    # The last phi's words carry different denominators, so the plan's common
+    # denominator is exercised.
     phis = [one, z1 ** 4, z1 * z2c, random_poly(rng, 2, 2, terms=4),
-            random_bidegree_poly(rng, 2, 1)]
+            random_bidegree_poly(rng, 2, 1), parse_poly("1/3*z1^2*z2c + 2/5*i*z1*z2*z1c")]
     ops = [(KOHN, 3), (MulBy(z1), 3)]
     for phi in phis:
         ops += [(first_variation(phi), 3), (second_variation(phi), 3)]
