@@ -10,7 +10,7 @@ and negativity verdicts.
 
 from .scalars import GaussianRational, gr
 from .spherepoly import Monomial, SpherePoly, one, radius_sq, z1, z1c, z2, z2c
-from .integration import inner, integrate, integrate_monomial, norm_sq
+from .integration import inner, integrate
 from .operators import (KOHN, CONJ_KOHN, PANEITZ, SUBLAP, T, Z1, Z1BAR, LinOp,
                         MulBy, apply_T, apply_Z1, apply_Z1bar, bochner_residual,
                         common_eigenvalue, conj_kohn, grad_op, kohn,
@@ -23,7 +23,7 @@ from .deformation import (ConnectionJets, DegenerateStructureError, TJet,
 from .variation import (HermitianForm, IdentityCheckError, PreconditionError,
                         SecondVariationSplit, assemble_form,
                         classify, drift_operator, drift_square_form, first_variation,
-                        pluriharmonic_basis, remainder_form, second_variation,
+                        pluriharmonic_basis, second_variation,
                         second_variation_decomposition, torsion_potential,
                         variations_from_jets,
                         weighted_gradient_pairing)
@@ -34,7 +34,7 @@ __version__ = "0.1.0"
 __all__ = [
     "GaussianRational", "gr", "Monomial", "SpherePoly", "one", "radius_sq",
     "z1", "z1c", "z2", "z2c",
-    "inner", "integrate", "integrate_monomial", "norm_sq",
+    "inner", "integrate",
     "KOHN", "CONJ_KOHN", "PANEITZ", "SUBLAP", "T", "Z1", "Z1BAR", "LinOp", "MulBy",
     "apply_T", "apply_Z1", "apply_Z1bar", "bochner_residual", "common_eigenvalue",
     "conj_kohn", "grad_op", "kohn", "kohn_energy_identity", "paneitz", "sublap",
@@ -46,7 +46,7 @@ __all__ = [
     "HermitianForm", "IdentityCheckError", "PreconditionError",
     "SecondVariationSplit", "assemble_form", "classify",
     "drift_operator", "drift_square_form", "first_variation", "pluriharmonic_basis",
-    "remainder_form", "second_variation", "second_variation_decomposition",
+    "second_variation", "second_variation_decomposition",
     "torsion_potential", "variations_from_jets",
     "weighted_gradient_pairing",
     "EvaluationError", "ParseError", "parse", "parse_poly", "evaluate",

@@ -235,13 +235,14 @@ def cmd_variation(args, report: Report):
     verdict = classify(form)
     diag = form.diagonal()
     negatives = [i for i, value in enumerate(diag) if value.real_sign() < 0]
+    labels = [form.elements[i].to_source() for i in negatives]
     report.add(
         "second-variation-classification",
         "exact definiteness of the second-variation form on the pluriharmonic space",
         True,
         classification=verdict,
         dimension=form.dimension,
-        negative_directions=[form.labels[i] for i in negatives],
+        negative_directions=labels,
     )
     be = be_check(phi)
     if be.satisfies_be and not phi.is_zero():
@@ -262,7 +263,7 @@ def cmd_variation(args, report: Report):
             f"negative directions only occur in H_(p,0)/H_(0,p) with p < {bound}",
             confined,
             bound=str(bound),
-            negative_directions={form.labels[i]: diag[i] for i in negatives},
+            negative_directions={label: diag[i] for label, i in zip(labels, negatives)},
         )
 
 

@@ -20,12 +20,10 @@ linear in the second slot.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import lru_cache
-from math import factorial, gcd
+from math import comb, gcd
 
 from .scalars import GaussianRational, _make
-from .spherepoly import Monomial, SpherePoly
+from .spherepoly import SpherePoly
 
 #: Ratio between the contact volume form theta ^ dtheta and this measure.
 CONTACT_MASS_NOTE = (
@@ -36,25 +34,18 @@ CONTACT_MASS_NOTE = (
 )
 
 
-@lru_cache(maxsize=1024)
-def moment(holo: int, anti: int) -> Fraction:
-    """integral of |z1|^(2*holo) * |z2|^(2*anti) under the unit-mass measure.
-
-    Always 1 / ((holo + anti + 1) * C(holo + anti, holo)): its numerator is 1.
-    """
-    return Fraction(factorial(holo) * factorial(anti), factorial(holo + anti + 1))
-
-
 def moment_total(sums: dict[tuple[int, int], tuple[int, int]], den: int) -> GaussianRational:
-    """(sum over keys (h, a) of (re + im*i) * moment(h, a)) / den, for integer pairs.
+    """(sum over keys (h, a) of (re + im*i) * M(h, a)) / den, for integer pairs.
 
-    The sums accumulated per moment are brought onto the lcm of the
-    moments' denominators, and the result is reduced once.
+    M(h, a), the integral of |z1|^(2h) |z2|^(2a), is h! a! / (h + a + 1)! =
+    1 / ((h + a + 1) * C(h + a, h)): its numerator is always 1.  So the
+    sums accumulated per moment are brought onto the lcm of the moments'
+    denominators, and the result is reduced once.
     """
     re = im = 0
     common = 1
-    for key, (x, y) in sums.items():
-        n = moment(*key).denominator
+    for (h, a), (x, y) in sums.items():
+        n = (h + a + 1) * comb(h + a, h)
         if n != common:
             g = gcd(n, common)
             re, im = re * (n // g), im * (n // g)
@@ -63,14 +54,6 @@ def moment_total(sums: dict[tuple[int, int], tuple[int, int]], den: int) -> Gaus
         re += x
         im += y
     return _make(re, im, common * den)
-
-
-def integrate_monomial(mono: Monomial) -> GaussianRational:
-    """Exact integral of one monomial; zero unless exponents pair up (a=c, b=d)."""
-    a, b, c, d = mono
-    if a != c or b != d:
-        return GaussianRational(0)
-    return GaussianRational(moment(a, b))
 
 
 def integrate(poly: SpherePoly) -> GaussianRational:
@@ -105,8 +88,3 @@ def inner(x: SpherePoly, y: SpherePoly) -> GaussianRational:
             else:
                 sums[key] = (acc[0] + s * u + t * v, acc[1] + t * u - s * v)
     return moment_total(sums, x.den * y.den)
-
-
-def norm_sq(x: SpherePoly) -> GaussianRational:
-    """<x, x>; always real and nonnegative, zero only for functions vanishing on S^3."""
-    return inner(x, x)

@@ -290,9 +290,9 @@ class LinOp:
 
         ``targets`` maps a torus weight (a - c, b - d) to the monomials f_j
         of that weight, each as (j, c, d, u, w) for the numerator u + w*i.
-        Each f_i yields (sums, den): sums[j][(h, k)] summed against
-        moment(h, k) and divided by den times f_j's denominator is the
-        integral of self(f_i) * conj(f_j).
+        Each f_i yields (sums, den): :func:`crlab.integration.moment_total`
+        of sums[j] over den times f_j's denominator is the integral of
+        self(f_i) * conj(f_j).
 
         self(f_i) is never built.  A word's image of the monomial f_i lies
         at one weight, W(f_i) moved by the word's shift, so only the

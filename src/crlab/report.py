@@ -49,17 +49,6 @@ def encode_witness(value):
     raise TypeError(f"cannot encode witness value {value!r}")
 
 
-def decode_rational(text: str) -> Fraction:
-    """Inverse of the rational witness encoding."""
-    return Fraction(text)
-
-
-def decode_complex(value) -> GaussianRational:
-    if isinstance(value, str):
-        return GaussianRational(Fraction(value))
-    return GaussianRational(Fraction(value["re"]), Fraction(value["im"]))
-
-
 def _approximate(encoded):
     if isinstance(encoded, str):
         try:

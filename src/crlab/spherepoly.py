@@ -48,14 +48,6 @@ class Monomial(NamedTuple):
     def bidegree(self) -> tuple[int, int]:
         return (self.a + self.b, self.c + self.d)
 
-    @property
-    def circle_grade(self) -> int:
-        return (self.a + self.b) - (self.c + self.d)
-
-    def __mul__(self, other: "Monomial") -> "Monomial":  # type: ignore[override]
-        return Monomial(self.a + other.a, self.b + other.b,
-                        self.c + other.c, self.d + other.d)
-
 
 #: Monomial from a tuple of four exponents, skipping the named tuple's
 #: Python-level ``__new__``; used where monomials are built per term.
@@ -306,18 +298,10 @@ class SpherePoly:
     # -- gradings ------------------------------------------------------------
 
     def bigraded_components(self) -> dict[tuple[int, int], "SpherePoly"]:
-        """Split into pieces of uniform bidegree (p, q).  Pieces sum to self."""
-        return self._split(lambda mono: mono.bidegree)
-
-    def circle_components(self) -> dict[int, "SpherePoly"]:
-        """Split into pieces of uniform circle grade m = p - q."""
-        return self._split(lambda mono: mono.circle_grade)
-
-    def _split(self, grade) -> dict:
-        """Pieces of self keyed by grade(monomial), each in canonical form."""
-        buckets: dict = {}
+        """Split into canonical pieces of uniform bidegree (p, q).  Pieces sum to self."""
+        buckets: dict[tuple[int, int], dict[Monomial, tuple[int, int]]] = {}
         for mono, pair in self.nums.items():
-            buckets.setdefault(grade(mono), {})[mono] = pair
+            buckets.setdefault(mono.bidegree, {})[mono] = pair
         return {key: SpherePoly._of(nums, self.den) for key, nums in buckets.items()}
 
     def bidegree_if_uniform(self) -> tuple[int, int] | None:
@@ -372,28 +356,20 @@ class SpherePoly:
 
     # -- formatting -------------------------------------------------------------
 
-    def to_source(self, conj_style: str = "suffix") -> str:
+    def to_source(self) -> str:
         """Render in the expression grammar accepted by :mod:`crlab.parsing`.
 
-        ``conj_style`` is ``"suffix"`` (z1c) or ``"call"`` (conj(z1)).  The
-        output reparses to a structurally identical polynomial.
+        Conjugates print as z1c and z2c.  The output reparses to a
+        structurally identical polynomial.
         """
         if not self.nums:
             return "0"
-        if conj_style not in ("suffix", "call"):
-            raise ValueError(f"unknown conj_style {conj_style!r}")
         pieces: list[tuple[int, str]] = []  # (sign, unsigned text)
         for mono, coeff in self.sorted_terms():
             factors = []
-            names = (("z1", mono.a), ("z2", mono.b))
-            cnames = (("z1c", mono.c, "z1"), ("z2c", mono.d, "z2"))
-            for name, exp in names:
+            for name, exp in zip(("z1", "z2", "z1c", "z2c"), mono):
                 if exp:
                     factors.append(name if exp == 1 else f"{name}^{exp}")
-            for name, exp, base in cnames:
-                if exp:
-                    text = name if conj_style == "suffix" else f"conj({base})"
-                    factors.append(text if exp == 1 else f"{text}^{exp}")
             sign, coeff_text = _coefficient_text(coeff, bool(factors))
             body = "*".join(([coeff_text] if coeff_text else []) + factors)
             pieces.append((sign, body))

@@ -170,7 +170,6 @@ class HermitianForm:
     when that entry is nonzero; every absent entry is zero.
     """
 
-    labels: tuple[str, ...]
     elements: tuple[SpherePoly, ...]
     rows: tuple[dict[int, GaussianRational], ...]
 
@@ -200,10 +199,13 @@ class HermitianForm:
 class BasisVector:
     """One basis direction of the truncated pluriharmonic space H."""
 
-    label: str
     element: SpherePoly
     degree: int
     side: str  # "holomorphic" (H_{k,0}) or "antiholomorphic" (H_{0,k})
+
+    @property
+    def label(self) -> str:
+        return self.element.to_source()
 
 
 def pluriharmonic_basis(pmax: int) -> tuple[BasisVector, ...]:
@@ -211,9 +213,9 @@ def pluriharmonic_basis(pmax: int) -> tuple[BasisVector, ...]:
     out: list[BasisVector] = []
     for k in range(1, pmax + 1):
         for f in basis(k, 0).elements:
-            out.append(BasisVector(f.to_source(), f, k, "holomorphic"))
+            out.append(BasisVector(f, k, "holomorphic"))
         for f in basis(0, k).elements:
-            out.append(BasisVector(f.to_source(), f, k, "antiholomorphic"))
+            out.append(BasisVector(f, k, "antiholomorphic"))
     return tuple(out)
 
 
@@ -248,8 +250,7 @@ def assemble_form(op: LinOp, pmax: int, expect_hermitian: bool = False) -> Hermi
     for sums, den in op.moment_sums((v.element for v in vectors), by_weight):
         row = {j: moment_total(entry, den * dens[j]) for j, entry in sums.items()}
         rows.append({j: value for j, value in row.items() if value})
-    form = HermitianForm(tuple(v.label for v in vectors),
-                         tuple(v.element for v in vectors), tuple(rows))
+    form = HermitianForm(tuple(v.element for v in vectors), tuple(rows))
     if expect_hermitian and not form.is_hermitian():
         raise IdentityCheckError("assembled form is not Hermitian")
     return form
@@ -356,39 +357,6 @@ def drift_square_form(phi: SpherePoly, f: SpherePoly) -> GaussianRational:
         raise IdentityCheckError("<D^2 f, f> disagrees with |D f|^2 on Ker paneitz")
     if not value.is_real() or value.real_sign() < 0:
         raise IdentityCheckError("<D^2 f, f> must be real and nonnegative")
-    return value
-
-
-def remainder_form(phi: SpherePoly, f: SpherePoly, g: SpherePoly) -> GaussianRational:
-    """<R f, g> for f in a single H_{p,0} or H_{0,p} and CR g.
-
-    Evaluates <(4*paneitz_ddot - 8*drift^2) f, g> directly and checks it
-    against the closed form: zero when f is anti-CR, and
-
-        8 * integral (p |phi|^2 - E conj(phi)) (Z1 f) conj(Z1 g)
-
-    when f is in H_{p,0}.
-    """
-    g_parts = canonicalize(g)
-    if any(q != 0 for (_, q) in g_parts):
-        raise PreconditionError("g must be a CR function (components H_{k,0} only)")
-    f_parts = canonicalize(f)
-    if len(f_parts) > 1 or any(p > 0 and q > 0 for (p, q) in f_parts):
-        raise PreconditionError("f must lie in a single H_{p,0} or H_{0,p}")
-    g_rep = sum(g_parts.values(), SpherePoly.zero())
-    if not f_parts:
-        return GaussianRational(0)
-    (p, q), f_rep = next(iter(f_parts.items()))
-    d_op = drift_operator(phi)
-    ddot = second_variation(phi)
-    value = inner(ddot(f_rep).scale(4) - d_op(d_op(f_rep)).scale(8), g_rep)
-    if q > 0:
-        expected = GaussianRational(0)
-    else:
-        _, weight = _weights(phi, p)
-        expected = inner(weight * apply_Z1(f_rep), apply_Z1(g_rep)) * 8
-    if value != expected:
-        raise IdentityCheckError("remainder pairing disagrees with its closed form")
     return value
 
 

@@ -8,13 +8,19 @@ Two oracles that never touch the code paths they check:
   on [0,1]) and evaluating that by binomial expansion, term by term.
 * ``SPHERE_POINTS`` are exact Gaussian-rational points of S^3; evaluating
   polynomials there decides sphere-level identities with zero rounding.
+
+It also holds the loader for the benchmark's modules and the decoder of
+complex report witnesses.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -85,11 +91,32 @@ def same_operator_on_sphere(a, b) -> bool:
 
 
 def dense_form(entries) -> HermitianForm:
-    """Form with the given dense n x n entries over labels e0.. and constant elements."""
-    n = len(entries)
-    return HermitianForm(tuple(f"e{i}" for i in range(n)), (SpherePoly.constant(1),) * n,
+    """Form with the given dense n x n entries over constant elements."""
+    return HermitianForm((SpherePoly.constant(1),) * len(entries),
                          tuple({j: v for j, v in enumerate(row) if not v.is_zero()}
                                for row in entries))
+
+
+def decode_complex(value) -> GaussianRational:
+    """Inverse of the witness encoding of a complex value (a plain string when real)."""
+    if isinstance(value, str):
+        return gr(Fraction(value))
+    return gr(Fraction(value["re"]), Fraction(value["im"]))
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load_bench(name: str):
+    """A module of bench/, loaded from its file without putting bench/ on sys.path."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    writes, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # leave bench/ untouched
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = writes
+    return module
 
 
 def random_scalar(rng: random.Random, allow_zero: bool = True) -> GaussianRational:

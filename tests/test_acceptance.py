@@ -9,6 +9,7 @@ Every check is exact (tolerance zero).  Each test prints one PASS/FAIL line
 import random
 from fractions import Fraction
 
+import crlab.variation as variation
 from crlab import (SpherePoly, assemble_form, basis, bochner_residual,
                    classify, conj_kohn, drift_square_form, first_variation, gr,
                    inner, kohn, kohn_energy_identity, one, paneitz,
@@ -183,9 +184,25 @@ def test_criterion_10_be_positivity():
                    "three Burns-Epstein deformations")
 
 
+def negative_index(form) -> int | None:
+    """Exact negative index of a Hermitian form, summed over its blocks; None if undecided."""
+    rows = form.rows
+    total = 0
+    for block in variation._blocks(rows):
+        inertia = variation._block_inertia([[rows[i].get(j, gr(0)) for j in block]
+                                            for i in block])
+        if inertia is None:
+            return None
+        total += inertia[1]
+    return total
+
+
 def test_criterion_11_negative_directions():
     ddot = second_variation(one)
     ok = all(inner(ddot(f), f).real_sign() < 0 for f in (z1, z2, z1c, z2c))
+    # The negative space is exactly four-dimensional, however far the basis reaches.
+    for pmax in (4, 12):
+        ok &= negative_index(assemble_form(ddot, pmax, expect_hermitian=True)) == 4
     # Confinement: negative diagonal directions obey p < q1 + 4 - p1.
     corpus = [(one, 0, 0), (z1c, 0, 1), (z1 * z2c, 1, 1), (z1 ** 3, 3, 0),
               (z1 ** 2 * z1c, 2, 1)]

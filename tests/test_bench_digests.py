@@ -7,31 +7,16 @@ output that a change moves fails here, in the test suite, before any
 benchmark run.  Nothing under ``bench/`` is written.
 """
 
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+from conftest import BENCH, load_bench
+
 EXPECTED = json.loads((BENCH / "expected_digests.json").read_text())
 
-
-def _load(name: str):
-    """A module of bench/, loaded from its file without putting bench/ on sys.path."""
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    writes, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # leave bench/ untouched
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = writes
-    return module
-
-
-workloads = _load("workloads")
-worker = _load("worker")
+workloads = load_bench("workloads")
+worker = load_bench("worker")
 
 
 @pytest.mark.parametrize("workload", sorted(EXPECTED["workloads"]))

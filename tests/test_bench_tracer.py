@@ -1,0 +1,25 @@
+"""The benchmark's layer tracer still finds every name it wraps in crlab.
+
+``bench/tracer.py`` patches crlab functions by name and reads
+``HermitianForm.entries``; a rename or deletion there would otherwise show
+only in a traced benchmark run.  Nothing under ``bench/`` is written.
+"""
+
+import crlab
+from conftest import load_bench
+
+tracer_module = load_bench("tracer")
+
+
+def test_tracer_counts_calls_through_the_public_names():
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        crlab.assemble_form(crlab.KOHN, 1)
+        crlab.inner(crlab.z1, crlab.z1)
+    finally:
+        tracer.uninstall()
+    stats = tracer.aggregate()
+    assert stats["variation.assemble_form.calls"] == 1
+    assert stats["integration.inner.calls"] == 1
+    assert stats["variation.form_entries"] == 16

@@ -12,7 +12,7 @@ import pytest
 
 from crlab import IdentityCheckError, PreconditionError, cli
 from crlab.cli import main
-from crlab.report import decode_complex, decode_rational
+from conftest import decode_complex
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -91,7 +91,7 @@ def test_rossi_witnesses_roundtrip(capsys):
     assert code == 0
     by_id = {r["id"]: r for r in data["records"]}
     webster = by_id["rossi-webster-curvature"]["witness"]["webster_R"]
-    assert decode_rational(webster) == Fraction(10, 3)
+    assert Fraction(webster) == Fraction(10, 3)
     coeff = decode_complex(by_id["rossi-torsion-crosscheck"]["witness"]["torsion_coeff"])
     assert coeff.im == Fraction(8, 3) and coeff.re == 0
 

@@ -7,7 +7,7 @@ import crlab.variation as variation
 from crlab import (KOHN, IdentityCheckError, PreconditionError, SpherePoly,
                    assemble_form, basis, classify, drift_operator, drift_square_form,
                    first_variation, gr, inner, one, parse_poly, pluriharmonic_basis,
-                   remainder_form, second_variation,
+                   second_variation,
                    second_variation_decomposition, sphere_equal,
                    torsion_potential, variations_from_jets,
                    weighted_gradient_pairing, z1, z1c, z2, z2c)
@@ -91,28 +91,6 @@ def test_jet_reconstruction_matches_closed_forms(rng):
         for f in elems:
             assert sphere_equal(jet_dot(f), dot(f))
             assert sphere_equal(jet_ddot(f), ddot(f))
-
-
-# -- remainder pairing -------------------------------------------------------------
-
-
-def test_remainder_vanishes_on_antiholomorphic_side():
-    assert remainder_form(z1 * z2c, z1c, z1).is_zero()
-
-
-def test_remainder_closed_form_value():
-    assert remainder_form(z1, z1, z1) == gr(Fraction(-8, 3))
-
-
-def test_remainder_zero_deformation():
-    assert remainder_form(ZERO, z1 ** 2, z1).is_zero()
-
-
-def test_remainder_rejects_non_cr_test_function():
-    with pytest.raises(PreconditionError):
-        remainder_form(z1, z1, z1c)
-    with pytest.raises(PreconditionError):
-        remainder_form(z1, z1 * z2c, z1)
 
 
 # -- drift square -------------------------------------------------------------------
@@ -447,7 +425,7 @@ def test_assemble_form_matches_dense_inner_oracle(rng):
 
 def test_assemble_form_rejects_non_monomial_basis(monkeypatch):
     vectors = variation.pluriharmonic_basis(1)
-    mixed = variation.BasisVector("z1 + z2", z1 + z2, 1, "holomorphic")
+    mixed = variation.BasisVector(z1 + z2, 1, "holomorphic")
     monkeypatch.setattr(variation, "pluriharmonic_basis", lambda pmax: (mixed,) + vectors)
     with pytest.raises(IdentityCheckError):
         assemble_form(KOHN, 1)
