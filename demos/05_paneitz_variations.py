@@ -35,7 +35,7 @@ for text in ["z1^4", "z1^3*z2", "z1^5*z1c", "1", "z1^3", "z1*z2c"]:
     phi = parse_poly(text)
     form = assemble_form(second_variation(phi), 4, expect_hermitian=True)
     verdict = classify(form)
-    negatives = [v.label for v, d in zip(pluriharmonic_basis(4), form.diagonal())
+    negatives = [f.to_source() for f, d in zip(pluriharmonic_basis(4), form.diagonal())
                  if d.real_sign() < 0]
     note = f"; negative directions: {negatives}" if negatives else ""
     print(f"  phi = {text:10} -> {verdict}{note}")

@@ -25,14 +25,14 @@ A :class:`LinOp` is kept in normal form: a map from words in the letters
 ``"Z1"``, ``"Z1bar"`` and ``"T"`` to nonzero polynomial coefficients, the
 operator being the sum of coefficient times word.  A word's last letter is
 applied first and the empty word is the identity, so ``{(): f}`` is
-multiplication by f.  Every letter is a derivation of the polynomial ring,
-so a composite moves each inner coefficient b left through the outer word w
-by the Leibniz rule
+multiplication by f.  Every letter L is a derivation of the polynomial
+ring, so composing it after a term b*v is one Leibniz step
 
-    w (b h) = sum over subwords S of w of (w_S b) (w_{S^c} h),
+    L (b v) = L(b) v + b (L v),
 
-and is again a sum of coefficients times words.  ``A @ B`` composes
-(apply B first).
+which is again a sum of coefficients times words.  ``A @ B`` composes
+(apply B first): it moves each coefficient of B left through each word of
+A by this step, one letter at a time, last letter first.
 
 Both ways of using an operator read one plan, built from its terms on
 first use: the distinct word suffixes, shortest first, and every word's
@@ -44,9 +44,8 @@ denominator that are never wrapped as polynomials or reduced, and a zero
 suffix image is passed on without a kernel call.  (``apply_Z1``,
 ``apply_Z1bar`` and ``apply_T`` are the same kernels followed by one gcd.)
 
-* ``A(f)`` adds every product of a coefficient numerator with an image
-  numerator straight into one term map; monomials whose sums cancelled are
-  dropped and one gcd is taken at the end.
+* ``A(f)`` adds each word's coefficient times its image of f with the
+  polynomial product's kernel, into one term map with one gcd at the end.
 * ``A.moment_sums`` pairs A(f_i) against monomials f_j without building
   A(f_i).  Each letter moves a monomial's torus weight (a - c, b - d) by a
   fixed amount, so a word's image of a monomial lies at one weight and only
@@ -66,10 +65,9 @@ from typing import Callable, Iterable, Iterator, Mapping
 from .harmonics import basis
 from .integration import inner
 from .scalars import GaussianRational, ScalarLike
-from .spherepoly import Monomial, SpherePoly, monomial_of
+from .spherepoly import Nums, SpherePoly, _mul_into, monomial_of
 
 
-Nums = dict[Monomial, tuple[int, int]]
 Weight = tuple[int, int]
 #: A monomial f_j that products are paired against: (j, c, d, re, im) for
 #: f_j = (re + im*i)/den_j * z1^a z2^b conj(z1)^c conj(z2)^d.
@@ -137,8 +135,6 @@ def apply_T(poly: SpherePoly) -> SpherePoly:
 
 Word = tuple[str, ...]
 
-_FIELDS: dict[str, Callable[[SpherePoly], SpherePoly]] = {
-    "Z1": apply_Z1, "Z1bar": apply_Z1bar, "T": apply_T}
 _KERNELS: dict[str, Callable[[Nums], Nums]] = {
     "Z1": _z1_nums, "Z1bar": _z1bar_nums, "T": _t_nums}
 # Each letter moves a monomial's torus weight (a - c, b - d) by (s, s):
@@ -146,36 +142,6 @@ _KERNELS: dict[str, Callable[[Nums], Nums]] = {
 _WEIGHT_SHIFT = {"Z1": -1, "Z1bar": 1, "T": 0}
 # T is a real vector field: conj . T . conj = T.
 _CONJ_LETTER = {"Z1": "Z1bar", "Z1bar": "Z1", "T": "T"}
-
-
-class _Images(dict):
-    """word -> word(poly), built as ``_Images({(): poly})``.
-
-    Each word is computed on first lookup, from the image of its suffix; a
-    zero suffix image is the word's image too, with no field applied.
-    """
-
-    def __missing__(self, word: Word) -> SpherePoly:
-        rest = self[word[1:]]
-        image = self[word] = _FIELDS[word[0]](rest) if rest.nums else rest
-        return image
-
-
-def _splits(word: Word, images: _Images) -> Iterable[tuple[Word, Word]]:
-    """(S, rest) over the subwords S of word with images[S] nonzero; rest is the complement.
-
-    ``word`` applied after multiplication by b is the sum of images[S] * rest
-    over these pairs, where images[S] = S(b) (the Leibniz rule, one letter
-    at a time from the right); a branch ends as soon as its derivative is zero.
-    """
-    if not word:
-        yield (), ()
-        return
-    first = word[:1]
-    for applied, kept in _splits(word[1:], images):
-        yield applied, first + kept
-        if images[first + applied].nums:
-            yield first + applied, kept
 
 
 class _Plan:
@@ -223,6 +189,16 @@ def _collect(pairs: Iterable[tuple[Word, SpherePoly]]) -> dict[Word, SpherePoly]
     return {word: SpherePoly.summed(coeffs) for word, coeffs in grouped.items()}
 
 
+def _after(letter: str, terms: Mapping[Word, SpherePoly]) -> dict[Word, SpherePoly]:
+    """Terms of letter composed after the sum of terms, by L (b v) = L(b) v + b (L v)."""
+    kernel = _KERNELS[letter]
+    out = {(letter,) + word: b for word, b in terms.items()}
+    for word, b in terms.items():
+        image = SpherePoly._of(kernel(b.nums), b.den)
+        out[word] = out[word] + image if word in out else image
+    return {word: coeff for word, coeff in out.items() if coeff.nums}
+
+
 class LinOp:
     """Linear operator on SpherePoly: a sum of polynomial coefficients times words.
 
@@ -245,43 +221,21 @@ class LinOp:
         return plan
 
     def apply(self, poly: SpherePoly) -> SpherePoly:
-        """The sum over words w of coeff_w * w(poly), in one multiply-accumulate pass.
+        """The sum over words w of coeff_w * w(poly).
 
-        Each distinct word suffix is applied to the numerators of poly
-        once, shortest first, and no image is wrapped or reduced; a zero
-        suffix image ends its branch without a field call.
-
-        The coefficients sit on the plan's one shared denominator, so every
-        product of a coefficient numerator with an image numerator goes
-        straight into one term map over ``plan.den * poly.den``.  Cancelled
-        monomials are dropped and one gcd is taken at the end.
+        Each word's coefficient numerators (on the plan's shared
+        denominator) times its image numerators are added with the
+        polynomial product's kernel into one term map over
+        ``plan.den * poly.den``, which is reduced once at the end.
         """
         plan = self._get_plan()
         images = plan.images(poly.nums)
         out: Nums = {}
         count = 0
-        get = out.get
         for word, _, coeff_nums in plan.words:
-            image_nums = images[word].items()
-            if not image_nums:
-                continue
-            count += len(coeff_nums) * len(image_nums)
-            for (a1, b1, c1, d1), (x, y) in coeff_nums.items():
-                if not (a1 or b1 or c1 or d1):  # a constant term keeps each image monomial
-                    for mono, (u, v) in image_nums:
-                        acc = get(mono)
-                        if acc is None:
-                            out[mono] = (x * u - y * v, x * v + y * u)
-                        else:
-                            out[mono] = (acc[0] + x * u - y * v, acc[1] + x * v + y * u)
-                    continue
-                for (a2, b2, c2, d2), (u, v) in image_nums:
-                    mono = monomial_of((a1 + a2, b1 + b2, c1 + c2, d1 + d2))
-                    acc = get(mono)
-                    if acc is None:
-                        out[mono] = (x * u - y * v, x * v + y * u)
-                    else:
-                        out[mono] = (acc[0] + x * u - y * v, acc[1] + x * v + y * u)
+            image = images[word]
+            if image:
+                count += _mul_into(out, coeff_nums, image)
         return SpherePoly._of(out, plan.den * poly.den, len(out) < count)
 
     def moment_sums(self, monomials: Iterable[SpherePoly], targets: Mapping[Weight, list[Target]]
@@ -369,10 +323,12 @@ class LinOp:
 
         def pairs():
             for inner_word, b in other.terms.items():
-                images = _Images({(): b})
                 for outer_word, a in self.terms.items():
-                    for applied, kept in _splits(outer_word, images):
-                        yield kept + inner_word, a * images[applied]
+                    terms = {(): b}
+                    for letter in reversed(outer_word):
+                        terms = _after(letter, terms)
+                    for word, coeff in terms.items():
+                        yield word + inner_word, a * coeff
 
         return LinOp(_collect(pairs()))
 

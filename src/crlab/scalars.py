@@ -172,10 +172,6 @@ class GaussianRational:
     def conj(self) -> "GaussianRational":
         return _raw(self._a, -self._b, self._d)
 
-    def norm_sq(self) -> Fraction:
-        """|x|^2 as a plain rational."""
-        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
-
     # -- comparisons -----------------------------------------------------
 
     def __eq__(self, other) -> bool:

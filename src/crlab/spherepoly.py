@@ -53,6 +53,9 @@ class Monomial(NamedTuple):
 #: Python-level ``__new__``; used where monomials are built per term.
 monomial_of = partial(tuple.__new__, Monomial)
 
+#: Numerators of a polynomial's coefficients over its shared denominator.
+Nums = dict[Monomial, tuple[int, int]]
+
 _VAR_MONOS = {
     "z1": Monomial(1, 0, 0, 0),
     "z2": Monomial(0, 1, 0, 0),
@@ -79,7 +82,7 @@ class SpherePoly:
 
     def __init__(self, terms: Mapping[Monomial, ScalarLike] | None = None):
         # Reduced coefficients over the lcm of their denominators leave no common factor.
-        nums: dict[Monomial, tuple[int, int]] = {}
+        nums: Nums = {}
         den = 1
         if terms:
             for mono, coeff in terms.items():
@@ -123,7 +126,7 @@ class SpherePoly:
         cancel or a common factor appear, so only then are zeros dropped and
         the gcd taken.
         """
-        out: dict[Monomial, tuple[int, int]] | None = None
+        out: Nums | None = None
         den = 1
         collided = False
         for poly in polys:
@@ -152,8 +155,7 @@ class SpherePoly:
         return cls._of(out, den, collided) if collided else _raw(out, den)
 
     @classmethod
-    def _of(cls, nums: dict[Monomial, tuple[int, int]], den: int,
-            summed: bool = False) -> "SpherePoly":
+    def _of(cls, nums: Nums, den: int, summed: bool = False) -> "SpherePoly":
         """The canonical polynomial of a numerator map it takes over, over den > 0.
 
         Pass ``summed`` when numerators were added in place: a sum may have
@@ -235,19 +237,9 @@ class SpherePoly:
             return self.scale(other)
         if not isinstance(other, SpherePoly):
             return NotImplemented
-        right = other.nums.items()
-        out: dict[Monomial, tuple[int, int]] = {}
-        get = out.get
-        for (a1, b1, c1, d1), (x, y) in self.nums.items():
-            for (a2, b2, c2, d2), (u, v) in right:
-                mono = monomial_of((a1 + a2, b1 + b2, c1 + c2, d1 + d2))
-                acc = get(mono)
-                if acc is None:
-                    out[mono] = (x * u - y * v, x * v + y * u)
-                else:
-                    out[mono] = (acc[0] + x * u - y * v, acc[1] + x * v + y * u)
-        return SpherePoly._of(out, self.den * other.den,
-                              len(out) < len(self.nums) * len(right))
+        out: Nums = {}
+        count = _mul_into(out, self.nums, other.nums)
+        return SpherePoly._of(out, self.den * other.den, len(out) < count)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -299,7 +291,7 @@ class SpherePoly:
 
     def bigraded_components(self) -> dict[tuple[int, int], "SpherePoly"]:
         """Split into canonical pieces of uniform bidegree (p, q).  Pieces sum to self."""
-        buckets: dict[tuple[int, int], dict[Monomial, tuple[int, int]]] = {}
+        buckets: dict[tuple[int, int], Nums] = {}
         for mono, pair in self.nums.items():
             buckets.setdefault(mono.bidegree, {})[mono] = pair
         return {key: SpherePoly._of(nums, self.den) for key, nums in buckets.items()}
@@ -346,14 +338,6 @@ class SpherePoly:
                 * (z1c_value ** mono.c) * (z2c_value ** mono.d)
         return total
 
-    # -- sphere-level equality -------------------------------------------------
-
-    def sphere_equal(self, other: "SpherePoly | ScalarLike") -> bool:
-        """True when self and other agree as functions on S^3."""
-        from . import harmonics  # local import; harmonics builds on this module
-
-        return harmonics.sphere_equal(self, SpherePoly._coerce(other))
-
     # -- formatting -------------------------------------------------------------
 
     def to_source(self) -> str:
@@ -386,7 +370,35 @@ class SpherePoly:
         return f"SpherePoly({self.to_source()!r})"
 
 
-def _raw(nums: dict[Monomial, tuple[int, int]], den: int) -> SpherePoly:
+def _mul_into(out: Nums, left: Nums, right: Nums) -> int:
+    """Add every product of a left term with a right term into out; return how many.
+
+    The numerators multiply as Gaussian integers and sums are not checked
+    for zero; fewer keys in out than products formed means some sum may
+    have cancelled.  A constant left term keeps each right monomial.
+    """
+    get = out.get
+    right_items = right.items()
+    for (a1, b1, c1, d1), (x, y) in left.items():
+        if not (a1 or b1 or c1 or d1):
+            for mono, (u, v) in right_items:
+                acc = get(mono)
+                if acc is None:
+                    out[mono] = (x * u - y * v, x * v + y * u)
+                else:
+                    out[mono] = (acc[0] + x * u - y * v, acc[1] + x * v + y * u)
+            continue
+        for (a2, b2, c2, d2), (u, v) in right_items:
+            mono = monomial_of((a1 + a2, b1 + b2, c1 + c2, d1 + d2))
+            acc = get(mono)
+            if acc is None:
+                out[mono] = (x * u - y * v, x * v + y * u)
+            else:
+                out[mono] = (acc[0] + x * u - y * v, acc[1] + x * v + y * u)
+    return len(left) * len(right)
+
+
+def _raw(nums: Nums, den: int) -> SpherePoly:
     """The polynomial nums over den, for a pair that is already canonical."""
     poly = _new(SpherePoly)
     poly.nums = nums
@@ -394,8 +406,7 @@ def _raw(nums: dict[Monomial, tuple[int, int]], den: int) -> SpherePoly:
     return poly
 
 
-def _over_lcm(nums: dict[Monomial, tuple[int, int]], den: int,
-              d: int) -> tuple[dict[Monomial, tuple[int, int]], int]:
+def _over_lcm(nums: Nums, den: int, d: int) -> tuple[Nums, int]:
     """Numerators over den rewritten over lcm(den, d), with that lcm."""
     grow = d // gcd(den, d)
     return {mono: (x * grow, y * grow) for mono, (x, y) in nums.items()}, den * grow

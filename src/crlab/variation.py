@@ -195,28 +195,10 @@ class HermitianForm:
                    for i, row in enumerate(rows) for j, v in row.items())
 
 
-@dataclass(frozen=True)
-class BasisVector:
-    """One basis direction of the truncated pluriharmonic space H."""
-
-    element: SpherePoly
-    degree: int
-    side: str  # "holomorphic" (H_{k,0}) or "antiholomorphic" (H_{0,k})
-
-    @property
-    def label(self) -> str:
-        return self.element.to_source()
-
-
-def pluriharmonic_basis(pmax: int) -> tuple[BasisVector, ...]:
-    """Labeled basis of the truncation of H: H_{k,0} and H_{0,k} for 1 <= k <= pmax."""
-    out: list[BasisVector] = []
-    for k in range(1, pmax + 1):
-        for f in basis(k, 0).elements:
-            out.append(BasisVector(f, k, "holomorphic"))
-        for f in basis(0, k).elements:
-            out.append(BasisVector(f, k, "antiholomorphic"))
-    return tuple(out)
+def pluriharmonic_basis(pmax: int) -> tuple[SpherePoly, ...]:
+    """Basis of the truncation of H: H_{k,0} then H_{0,k}, for each 1 <= k <= pmax."""
+    return tuple(f for k in range(1, pmax + 1)
+                 for f in basis(k, 0).elements + basis(0, k).elements)
 
 
 def assemble_form(op: LinOp, pmax: int, expect_hermitian: bool = False) -> HermitianForm:
@@ -237,20 +219,19 @@ def assemble_form(op: LinOp, pmax: int, expect_hermitian: bool = False) -> Hermi
     """
     if pmax < 1:
         raise PreconditionError("pmax must be >= 1")
-    vectors = pluriharmonic_basis(pmax)
+    elements = pluriharmonic_basis(pmax)
     by_weight: dict[tuple[int, int], list[Target]] = {}
-    dens = []
-    for j, v in enumerate(vectors):
-        if len(v.element) != 1:
-            raise IdentityCheckError(f"pluriharmonic basis element {v.label} is not a monomial")
-        (((a, b, c, d), (u, w)),) = v.element.nums.items()
+    for j, f in enumerate(elements):
+        if len(f) != 1:
+            raise IdentityCheckError(
+                f"pluriharmonic basis element {f.to_source()} is not a monomial")
+        (((a, b, c, d), (u, w)),) = f.nums.items()
         by_weight.setdefault((a - c, b - d), []).append((j, c, d, u, w))
-        dens.append(v.element.den)
     rows = []
-    for sums, den in op.moment_sums((v.element for v in vectors), by_weight):
-        row = {j: moment_total(entry, den * dens[j]) for j, entry in sums.items()}
+    for sums, den in op.moment_sums(elements, by_weight):
+        row = {j: moment_total(entry, den * elements[j].den) for j, entry in sums.items()}
         rows.append({j: value for j, value in row.items() if value})
-    form = HermitianForm(tuple(v.element for v in vectors), tuple(rows))
+    form = HermitianForm(elements, tuple(rows))
     if expect_hermitian and not form.is_hermitian():
         raise IdentityCheckError("assembled form is not Hermitian")
     return form

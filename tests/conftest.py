@@ -51,7 +51,7 @@ def oracle_inner(x: SpherePoly, y: SpherePoly) -> GaussianRational:
 
 def _pt(z1re, z1im, z2re, z2im) -> tuple[GaussianRational, GaussianRational]:
     point = (gr(Fraction(*z1re), Fraction(*z1im)), gr(Fraction(*z2re), Fraction(*z2im)))
-    norm = point[0].norm_sq() + point[1].norm_sq()
+    norm = point[0] * point[0].conj() + point[1] * point[1].conj()
     assert norm == 1, f"not a sphere point: {point}"
     return point
 

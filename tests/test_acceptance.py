@@ -210,8 +210,8 @@ def test_criterion_11_negative_directions():
         bound = q1 + 4 - p1
         form = assemble_form(second_variation(phi), 4, expect_hermitian=True)
         diag = form.diagonal()
-        for vector, value in zip(pluriharmonic_basis(4), diag):
+        for f, value in zip(pluriharmonic_basis(4), diag):
             if value.real_sign() < 0:
-                ok &= vector.degree < bound
+                ok &= sum(f.bidegree_if_uniform()) < bound
     report(11, ok, "constant family is negative exactly on the four coordinate "
                    "directions; negative directions confined below q1+4-p1")

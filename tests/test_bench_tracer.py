@@ -2,7 +2,10 @@
 
 ``bench/tracer.py`` patches crlab functions by name and reads
 ``HermitianForm.entries``; a rename or deletion there would otherwise show
-only in a traced benchmark run.  Nothing under ``bench/`` is written.
+only in a traced benchmark run.  It counts operator application through
+``LinOp.__call__`` and polynomial products through ``SpherePoly.__mul__``,
+so those must stay the entry points of the product kernel.  Nothing under
+``bench/`` is written.
 """
 
 import crlab
@@ -17,9 +20,13 @@ def test_tracer_counts_calls_through_the_public_names():
     try:
         crlab.assemble_form(crlab.KOHN, 1)
         crlab.inner(crlab.z1, crlab.z1)
+        crlab.KOHN(crlab.z1c)
+        crlab.z1 * crlab.z2
     finally:
         tracer.uninstall()
     stats = tracer.aggregate()
     assert stats["variation.assemble_form.calls"] == 1
     assert stats["integration.inner.calls"] == 1
     assert stats["variation.form_entries"] == 16
+    assert stats["operators.apply.calls"] == 1
+    assert stats["spherepoly.mul.calls"] == 1

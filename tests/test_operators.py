@@ -178,6 +178,15 @@ def test_operator_algebra_composition_linearity(rng):
     left = (Z1 @ (Z1BAR @ T))(x)
     right = ((Z1 @ Z1BAR) @ T)(x)
     assert left == right
+    # Composition is associative on the normal form itself, not only once applied.
+    inner_op = MulBy(z1 * z2) @ Z1
+    assert dict(((Z1BAR @ T) @ inner_op).terms) == dict((Z1BAR @ (T @ inner_op)).terms)
+
+
+def test_composition_moves_a_coefficient_left_one_letter_at_a_time():
+    # Z1 Z1 (z2^2 h): the Z1(z2^2) = -2 z2 z1c branches of both letters merge on ("Z1",).
+    op = Z1 @ Z1 @ MulBy(z2 ** 2)
+    assert dict(op.terms) == {("Z1", "Z1"): z2 ** 2, ("Z1",): -4 * z2 * z1c, (): 2 * z1c ** 2}
 
 
 def test_conjugate_operator_of_kohn_is_conj_kohn(rng):

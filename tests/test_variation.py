@@ -255,17 +255,17 @@ def test_assemble_first_variation_form_is_zero(rng):
 
 def test_assemble_kohn_form_is_diagonal_with_known_blocks():
     form = assemble_form(KOHN, 2)
-    vectors = pluriharmonic_basis(2)
-    for i, vi in enumerate(vectors):
-        for j, vj in enumerate(vectors):
+    elements = pluriharmonic_basis(2)
+    for i, fi in enumerate(elements):
+        _, q = fi.bidegree_if_uniform()
+        for j in range(len(elements)):
             entry = form.entries[i][j]
             if i != j:
                 assert entry.is_zero()
-            elif vi.side == "holomorphic":
+            elif q == 0:  # H_(k,0)
                 assert entry.is_zero()
-            else:
-                expected = 2 * vi.degree * inner(vi.element, vi.element)
-                assert entry == expected
+            else:  # H_(0,k), where kohn is 2k
+                assert entry == 2 * q * inner(fi, fi)
 
 
 def test_classify_examples():
@@ -416,7 +416,7 @@ def test_assemble_form_matches_dense_inner_oracle(rng):
         ops += [(first_variation(phi), 3), (second_variation(phi), 3)]
     for op, pmax in ops:
         form = assemble_form(op, pmax)
-        elements = [v.element for v in pluriharmonic_basis(pmax)]
+        elements = pluriharmonic_basis(pmax)
         dense = tuple(tuple(inner(image, g) for g in elements)
                       for image in map(op, elements))
         assert form.entries == dense
@@ -424,9 +424,8 @@ def test_assemble_form_matches_dense_inner_oracle(rng):
 
 
 def test_assemble_form_rejects_non_monomial_basis(monkeypatch):
-    vectors = variation.pluriharmonic_basis(1)
-    mixed = variation.BasisVector(z1 + z2, 1, "holomorphic")
-    monkeypatch.setattr(variation, "pluriharmonic_basis", lambda pmax: (mixed,) + vectors)
+    elements = variation.pluriharmonic_basis(1)
+    monkeypatch.setattr(variation, "pluriharmonic_basis", lambda pmax: (z1 + z2,) + elements)
     with pytest.raises(IdentityCheckError):
         assemble_form(KOHN, 1)
 
