@@ -15,15 +15,32 @@ definiteness statement checked by this package is invariant under that
 positive rescaling.
 
 ``inner(x, y)`` is the L^2 pairing  integral of x * conj(y), conjugate
-linear in the second slot.
+linear in the second slot; ``inner(x, y, w)`` integrates w * x * conj(y).
+Every pairing, these and each row of a variation form, runs through one
+kernel, :func:`_pair_into`.  A product of terms integrates to zero unless
+the torus weights (a - c, b - d) of its factors balance, W(w) + W(x) =
+W(y), so only products that can survive are formed (never w * x as a
+polynomial), their numerators are summed per moment, and
+:func:`moment_total` divides once.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from math import comb, gcd
+from typing import Iterable, Mapping
 
 from .scalars import GaussianRational, _make
-from .spherepoly import SpherePoly
+from .spherepoly import Nums, SpherePoly
+
+Weight = tuple[int, int]
+#: A term (re + im*i)/den_j * z1^a z2^b conj(z1)^c conj(z2)^d of y_j, as (j, c, d, re, im).
+Target = tuple[int, int, int, int, int]
+#: Numerator pairs summed per moment (h, a), as :func:`moment_total` reads them.
+Sums = dict[tuple[int, int], tuple[int, int]]
+#: The terms (a, b, re, im) of a weight w, grouped by torus weight; _ONE is w = 1.
+Groups = list[tuple[Weight, list[tuple[int, int, int, int]]]]
+_ONE: Groups = [((0, 0), [(0, 0, 1, 0)])]
 
 #: Ratio between the contact volume form theta ^ dtheta and this measure.
 CONTACT_MASS_NOTE = (
@@ -34,7 +51,7 @@ CONTACT_MASS_NOTE = (
 )
 
 
-def moment_total(sums: dict[tuple[int, int], tuple[int, int]], den: int) -> GaussianRational:
+def moment_total(sums: Sums, den: int) -> GaussianRational:
     """(sum over keys (h, a) of (re + im*i) * M(h, a)) / den, for integer pairs.
 
     M(h, a), the integral of |z1|^(2h) |z2|^(2a), is h! a! / (h + a + 1)! =
@@ -61,30 +78,56 @@ def integrate(poly: SpherePoly) -> GaussianRational:
                          if a == c and b == d}, poly.den)
 
 
-def inner(x: SpherePoly, y: SpherePoly) -> GaussianRational:
-    """<x, y> = integral of x * conj(y).
+def targets_of(ys: Iterable[SpherePoly]) -> dict[Weight, list[Target]]:
+    """The terms of y_0, y_1, ... indexed by torus weight, as :func:`_pair_into` reads them."""
+    index: dict[Weight, list[Target]] = {}
+    for j, y in enumerate(ys):
+        for (a, b, c, d), (u, v) in y.nums.items():
+            index.setdefault((a - c, b - d), []).append((j, c, d, u, v))
+    return index
 
-    The product term of x-monomial (a,b,c,d) against y-monomial (a',b',c',d')
-    integrates to zero unless a-c == a'-c' and b-d == b'-d', so terms are
-    bucketed by that key and only matching pairs are combined.  Products of
-    numerators are summed per moment, and :func:`moment_total` divides by
-    ``x.den * y.den`` once.
+
+def _groups(nums: Nums) -> Groups:
+    """The terms of a weight w's numerator map, grouped by torus weight."""
+    groups: dict[Weight, list[tuple[int, int, int, int]]] = {}
+    for (a, b, c, d), (x, y) in nums.items():
+        groups.setdefault((a - c, b - d), []).append((a, b, x, y))
+    return list(groups.items())
+
+
+def _pair_into(sums: defaultdict[int, Sums], weight: Groups, x: Nums,
+               targets: Mapping[Weight, list[Target]]) -> None:
+    """Add the numerators of the integral of w * x * conj(y_j), per moment, into sums[j].
+
+    ``weight`` is w grouped by :func:`_groups`, and ``targets`` indexes the
+    y_j by :func:`targets_of`.  A term of x meets only the w groups and
+    y_j terms whose weights balance it; the result is over the product of
+    the three denominators.
     """
-    buckets: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
-    for (a, b, c, d), (u, v) in y.nums.items():
-        buckets.setdefault((a - c, b - d), []).append((c, d, u, v))
-    sums: dict[tuple[int, int], tuple[int, int]] = {}
-    get = sums.get
-    for (a, b, c, d), (s, t) in x.nums.items():
-        matches = buckets.get((a - c, b - d))
-        if not matches:
-            continue
-        for oc, od, u, v in matches:
-            # (s + t i) * conj(u + v i)
-            key = (a + oc, b + od)
-            acc = get(key)
-            if acc is None:
-                sums[key] = (s * u + t * v, t * u - s * v)
-            else:
-                sums[key] = (acc[0] + s * u + t * v, acc[1] + t * u - s * v)
-    return moment_total(sums, x.den * y.den)
+    for (a, b, c, d), (s, t) in x.items():
+        wa, wb = a - c, b - d
+        for (ga, gb), wterms in weight:
+            matches = targets.get((ga + wa, gb + wb))
+            if matches is None:
+                continue
+            for a1, b1, m, n in wterms:
+                # w * x, then times conj(u + v i) of each y_j term it meets
+                ka, kb, p, q = a + a1, b + b1, m * s - n * t, m * t + n * s
+                for j, oc, od, u, v in matches:
+                    entry = sums[j]
+                    key = (ka + oc, kb + od)
+                    acc = entry.get(key)
+                    if acc is None:
+                        entry[key] = (p * u + q * v, q * u - p * v)
+                    else:
+                        entry[key] = (acc[0] + p * u + q * v, acc[1] + q * u - p * v)
+
+
+def inner(x: SpherePoly, y: SpherePoly, weight: SpherePoly | None = None) -> GaussianRational:
+    """<x, y> = integral of x * conj(y), or of weight * x * conj(y): one :func:`_pair_into` call."""
+    sums: defaultdict[int, Sums] = defaultdict(dict)
+    groups, den = _ONE, x.den * y.den
+    if weight is not None:
+        groups, den = _groups(weight.nums), den * weight.den
+    _pair_into(sums, groups, x.nums, targets_of((y,)))
+    return moment_total(sums[0], den)

@@ -46,16 +46,14 @@ suffix image is passed on without a kernel call.  (``apply_Z1``,
 
 * ``A(f)`` adds each word's coefficient times its image of f with the
   polynomial product's kernel, into one term map with one gcd at the end.
-* ``A.moment_sums`` pairs A(f_i) against monomials f_j without building
-  A(f_i).  Each letter moves a monomial's torus weight (a - c, b - d) by a
-  fixed amount, so a word's image of a monomial lies at one weight and only
-  the coefficient terms of matching weight are multiplied; their products
-  go straight into the per-moment sums that
-  :func:`crlab.integration.moment_total` divides.
+* ``A.moment_sums`` pairs A(f_i) against functions f_j without building
+  A(f_i): each word's image of f_i goes, with the word's coefficient as
+  the weight, through the pairing kernel of :mod:`crlab.integration`.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from itertools import chain
 from math import lcm
@@ -63,15 +61,9 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .harmonics import basis
-from .integration import inner
+from .integration import Sums, Target, Weight, _groups, _pair_into, inner
 from .scalars import GaussianRational, ScalarLike
 from .spherepoly import Nums, SpherePoly, _mul_into, monomial_of
-
-
-Weight = tuple[int, int]
-#: A monomial f_j that products are paired against: (j, c, d, re, im) for
-#: f_j = (re + im*i)/den_j * z1^a z2^b conj(z1)^c conj(z2)^d.
-Target = tuple[int, int, int, int, int]
 
 
 # Field kernels: each maps a numerator map to the numerators of the field's
@@ -137,9 +129,6 @@ Word = tuple[str, ...]
 
 _KERNELS: dict[str, Callable[[Nums], Nums]] = {
     "Z1": _z1_nums, "Z1bar": _z1bar_nums, "T": _t_nums}
-# Each letter moves a monomial's torus weight (a - c, b - d) by (s, s):
-# Z1 lowers both parts by one, Z1bar raises them, T keeps them.
-_WEIGHT_SHIFT = {"Z1": -1, "Z1bar": 1, "T": 0}
 # T is a real vector field: conj . T . conj = T.
 _CONJ_LETTER = {"Z1": "Z1bar", "Z1bar": "Z1", "T": "T"}
 
@@ -149,9 +138,9 @@ class _Plan:
 
     ``suffixes`` holds (suffix, kernel of its first letter, rest) for every
     nonempty suffix of the words, shorter ones first, so each one's rest is
-    applied before it.  ``words`` holds (word, weight shift, coefficient
-    numerators) with every coefficient brought onto the one denominator
-    ``den``, the lcm of theirs.
+    applied before it.  ``words`` holds (word, coefficient numerators) with
+    every coefficient brought onto the one denominator ``den``, the lcm of
+    theirs.
     """
 
     __slots__ = ("suffixes", "words", "den")
@@ -161,12 +150,11 @@ class _Plan:
         self.suffixes: list[tuple[Word, Callable[[Nums], Nums], Word]] = [
             (word, _KERNELS[word[0]], word[1:]) for word in sorted(found, key=len)]
         self.den = den = lcm(*(coeff.den for coeff in terms.values()))
-        self.words: list[tuple[Word, int, Nums]] = []
+        self.words: list[tuple[Word, Nums]] = []
         for word, coeff in terms.items():
             factor = den // coeff.den
-            nums = coeff.nums if factor == 1 else {
-                mono: (x * factor, y * factor) for mono, (x, y) in coeff.nums.items()}
-            self.words.append((word, sum(_WEIGHT_SHIFT[letter] for letter in word), nums))
+            self.words.append((word, coeff.nums if factor == 1 else {
+                mono: (x * factor, y * factor) for mono, (x, y) in coeff.nums.items()}))
 
     def images(self, nums: Nums) -> dict[Word, Nums]:
         """Numerators of every word suffix applied to nums, over nums' denominator.
@@ -232,68 +220,35 @@ class LinOp:
         images = plan.images(poly.nums)
         out: Nums = {}
         count = 0
-        for word, _, coeff_nums in plan.words:
+        for word, coeff_nums in plan.words:
             image = images[word]
             if image:
                 count += _mul_into(out, coeff_nums, image)
         return SpherePoly._of(out, plan.den * poly.den, len(out) < count)
 
-    def moment_sums(self, monomials: Iterable[SpherePoly], targets: Mapping[Weight, list[Target]]
-                    ) -> Iterator[tuple[dict[int, dict[tuple[int, int], tuple[int, int]]], int]]:
-        """Per monomial f_i: the numerators of each pairing <self(f_i), f_j>, summed per moment.
+    def moment_sums(self, fs: Iterable[SpherePoly], targets: Mapping[Weight, list[Target]]
+                    ) -> Iterator[tuple[dict[int, Sums], int]]:
+        """Per f_i: the numerators of each pairing <self(f_i), f_j>, summed per moment.
 
-        ``targets`` maps a torus weight (a - c, b - d) to the monomials f_j
-        of that weight, each as (j, c, d, u, w) for the numerator u + w*i.
+        ``targets`` indexes the f_j by :func:`crlab.integration.targets_of`.
         Each f_i yields (sums, den): :func:`crlab.integration.moment_total`
         of sums[j] over den times f_j's denominator is the integral of
         self(f_i) * conj(f_j).
 
-        self(f_i) is never built.  A word's image of the monomial f_i lies
-        at one weight, W(f_i) moved by the word's shift, so only the
-        coefficient terms at weight W(f_j) - W(w(f_i)) can pair with f_j.
-        The coefficient terms of each word are grouped by weight once per
-        call, and each product of a coefficient numerator, an image
-        numerator and conj(u + w*i) goes straight into its (j, moment) sum;
-        no product that cannot pair is formed.
+        self(f_i) is never built.  Each word's image of f_i is paired by
+        :func:`crlab.integration._pair_into` with the word's coefficient,
+        on the plan's shared denominator, as the weight; the coefficients
+        are grouped by torus weight once per call.
         """
         plan = self._get_plan()
-        words = []
-        for word, shift, coeff_nums in plan.words:
-            groups: dict[Weight, list[tuple[int, int, int, int]]] = {}
-            for (a, b, c, d), (x, y) in coeff_nums.items():
-                groups.setdefault((a - c, b - d), []).append((a, b, x, y))
-            words.append((word, shift, groups.items()))
-        for f in monomials:
-            if len(f.nums) != 1:
-                raise ValueError("moment_sums pairs the images of monomials only")
-            (((fa, fb, fc, fd), _),) = f.nums.items()
+        words = [(word, _groups(coeff_nums)) for word, coeff_nums in plan.words]
+        for f in fs:
             images = plan.images(f.nums)
-            sums: dict[int, dict[tuple[int, int], tuple[int, int]]] = {}
-            for word, shift, groups in words:
+            sums: defaultdict[int, Sums] = defaultdict(dict)
+            for word, groups in words:
                 image = images[word]
-                if not image:
-                    continue
-                wa, wb = fa - fc + shift, fb - fd + shift
-                for (ga, gb), cterms in groups:
-                    matches = targets.get((ga + wa, gb + wb))
-                    if matches is None:
-                        continue
-                    for j, oc, od, s, t in matches:
-                        # image * conj(s + t i), keyed by its moment offsets against f_j
-                        scaled = [(a2 + oc, b2 + od, u * s + v * t, v * s - u * t)
-                                  for (a2, b2, _, _), (u, v) in image.items()]
-                        entry = sums.get(j)
-                        if entry is None:
-                            entry = sums[j] = {}
-                        get = entry.get
-                        for a2, b2, u, v in scaled:
-                            for a1, b1, x, y in cterms:
-                                key = (a1 + a2, b1 + b2)
-                                acc = get(key)
-                                if acc is None:
-                                    entry[key] = (x * u - y * v, x * v + y * u)
-                                else:
-                                    entry[key] = (acc[0] + x * u - y * v, acc[1] + x * v + y * u)
+                if image:
+                    _pair_into(sums, groups, image, targets)
             yield sums, plan.den * f.den
 
     def __call__(self, poly: SpherePoly) -> SpherePoly:

@@ -44,10 +44,10 @@ from typing import Iterable
 
 from .deformation import paneitz_family_jet
 from .harmonics import basis, canonicalize
-from .integration import inner, moment_total
+from .integration import inner, moment_total, targets_of
 from .operators import (CONJ_KOHN, KOHN, KOHN_SQUARES, LinOp, MulBy, PANEITZ,
-                        SUBLAP, Z1, Z1BAR, ZERO_OP, Target, _collect, apply_T,
-                        apply_Z1, apply_Z1bar, grad_op, kohn)
+                        SUBLAP, Z1, Z1BAR, ZERO_OP, _collect, apply_T, apply_Z1,
+                        apply_Z1bar, grad_op, kohn)
 from .scalars import ZERO, GaussianRational, I, ScalarLike
 from .spherepoly import SpherePoly
 
@@ -204,31 +204,23 @@ def pluriharmonic_basis(pmax: int) -> tuple[SpherePoly, ...]:
 def assemble_form(op: LinOp, pmax: int, expect_hermitian: bool = False) -> HermitianForm:
     """Matrix of <op f_i, f_j> over the pluriharmonic basis up to degree pmax.
 
-    Every basis element is a single monomial, and a term of ``op f_i``
-    pairs with f_j only when their torus weights (a - c, b - d) agree (see
-    :func:`crlab.integration.inner`).  So the basis is indexed once by
-    weight, and :meth:`LinOp.moment_sums` gives each row without building
-    ``op f_i``: it matches each word's coefficient terms by weight to the
-    f_j they can reach and sums the numerators of coefficient x image x
-    conj(f_j), all over the plan's one shared denominator, per (j, moment).
-    :func:`moment_total` then divides each entry by its denominator once,
-    and only the nonzero entries are kept.  Every entry is computed on its
-    own; none is filled in by symmetry.  ``expect_hermitian`` turns a failed
-    conjugate-symmetry check into an error, which is how the "the variation
-    operators are real" claims are asserted.
+    The basis is indexed once by torus weight (:func:`targets_of`), and
+    :meth:`LinOp.moment_sums` gives each row without building ``op f_i``:
+    each word's image of f_i is paired with the f_j, the word's coefficient
+    as the weight, by the kernel behind :func:`crlab.integration.inner`,
+    which multiplies only terms whose weights balance and sums their
+    numerators per (j, moment).  :func:`moment_total` then divides each
+    entry by its denominator once, and only the nonzero entries are kept.
+    Every entry is computed on its own; none is filled in by symmetry.
+    ``expect_hermitian`` turns a failed conjugate-symmetry check into an
+    error, which is how the "the variation operators are real" claims are
+    asserted.
     """
     if pmax < 1:
         raise PreconditionError("pmax must be >= 1")
     elements = pluriharmonic_basis(pmax)
-    by_weight: dict[tuple[int, int], list[Target]] = {}
-    for j, f in enumerate(elements):
-        if len(f) != 1:
-            raise IdentityCheckError(
-                f"pluriharmonic basis element {f.to_source()} is not a monomial")
-        (((a, b, c, d), (u, w)),) = f.nums.items()
-        by_weight.setdefault((a - c, b - d), []).append((j, c, d, u, w))
     rows = []
-    for sums, den in op.moment_sums(elements, by_weight):
+    for sums, den in op.moment_sums(elements, targets_of(elements)):
         row = {j: moment_total(entry, den * elements[j].den) for j, entry in sums.items()}
         rows.append({j: value for j, value in row.items() if value})
     form = HermitianForm(elements, tuple(rows))
@@ -354,7 +346,8 @@ def weighted_gradient_pairing(phi: SpherePoly, k: int, l: int, side: str,
     when k = l; both laws are checked before returning, on every call.
     Only the phi-only polynomials |phi|^2 and the weight are memoised (per
     exact phi and k, in a bounded cache); both integrals are computed anew
-    for each pair.
+    for each pair, each as a weighted :func:`inner` that never forms the
+    product of its weight and d f_k.
     """
     bidegree = phi.bidegree_if_uniform()
     if bidegree is None:
@@ -369,12 +362,12 @@ def weighted_gradient_pairing(phi: SpherePoly, k: int, l: int, side: str,
     norm, weight = _weights(phi, k)
     df_k = derivative(f_k)
     df_l = derivative(f_l)
-    value = inner(weight * df_k, df_l)
+    value = inner(df_k, df_l, weight)
     if k != l:
         if not value.is_zero():
             raise IdentityCheckError("cross-degree weighted pairing must vanish")
     else:
-        expected = inner(norm * df_k, df_l) * (k + p1 - q1 - 4)
+        expected = inner(df_k, df_l, norm) * (k + p1 - q1 - 4)
         if value != expected:
             raise IdentityCheckError("diagonal weighted pairing disagrees with closed form")
     return value
@@ -416,12 +409,12 @@ def second_variation_decomposition(phi: SpherePoly, f: SpherePoly) -> SecondVari
         weight = _weights(phi, k)[1]
         dfk = apply_Z1(fk)
         for fl in holo.values():
-            total = total + inner(weight * dfk, apply_Z1(fl))
+            total = total + inner(dfk, apply_Z1(fl), weight)
     for k, gk in anti.items():
         weight = _weights(phi, k)[1].conj()
         dgk = apply_Z1bar(gk)
         for gl in anti.values():
-            total = total + inner(weight * dgk, apply_Z1bar(gl))
+            total = total + inner(dgk, apply_Z1bar(gl), weight)
     lower = total * 2
 
     d_op = drift_operator(phi)

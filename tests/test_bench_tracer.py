@@ -4,8 +4,9 @@
 ``HermitianForm.entries``; a rename or deletion there would otherwise show
 only in a traced benchmark run.  It counts operator application through
 ``LinOp.__call__`` and polynomial products through ``SpherePoly.__mul__``,
-so those must stay the entry points of the product kernel.  Nothing under
-``bench/`` is written.
+so those must stay the entry points of the product kernel.  A weighted
+pairing goes through ``inner`` with its weight and forms no product.
+Nothing under ``bench/`` is written.
 """
 
 import crlab
@@ -30,3 +31,18 @@ def test_tracer_counts_calls_through_the_public_names():
     assert stats["variation.form_entries"] == 16
     assert stats["operators.apply.calls"] == 1
     assert stats["spherepoly.mul.calls"] == 1
+
+
+def test_weighted_pairing_forms_no_product():
+    from crlab.variation import _weights
+
+    _weights(crlab.z1, 1)  # |phi|^2 and the weight are memoised products
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        crlab.weighted_gradient_pairing(crlab.z1, 1, 1, "holomorphic", crlab.z1, crlab.z1)
+    finally:
+        tracer.uninstall()
+    stats = tracer.aggregate()
+    assert stats["integration.inner.calls"] == 2
+    assert stats["spherepoly.mul.calls"] == 0

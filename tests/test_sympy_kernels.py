@@ -1,7 +1,7 @@
 """The polynomial kernels against sympy, which shares no code with them.
 
 ``SpherePoly.__mul__``, ``scale``, ``conj``, sums, the field appliers,
-``inner``, ``LinOp.apply`` and ``assemble_form`` each work on integer
+``inner`` (plain and weighted), ``LinOp.apply`` and ``assemble_form`` each work on integer
 numerators over one shared denominator, accumulate products into one term
 map, and drop what cancels.  Here
 every result is recomputed in sympy's sparse polynomial ring over the
@@ -107,6 +107,12 @@ def test_inner_matches_sympy(rng):
         x, y = random_poly(rng, 3, 3, terms=5), random_poly(rng, 3, 3, terms=5)
         expected = sympy_integral(to_sympy(x) * sympy_conj(to_sympy(y)))
         value = inner(x, y)
+        assert (value.re, value.im) == (_fraction(expected.x), _fraction(expected.y))
+    for _ in range(30):
+        # The weighted pairing: the integral of w * x * conj(y).
+        w, x, y = (random_poly(rng, 2, 2, terms=4) for _ in range(3))
+        expected = sympy_integral(to_sympy(w) * to_sympy(x) * sympy_conj(to_sympy(y)))
+        value = inner(x, y, w)
         assert (value.re, value.im) == (_fraction(expected.x), _fraction(expected.y))
 
 

@@ -423,11 +423,17 @@ def test_assemble_form_matches_dense_inner_oracle(rng):
         assert not any(v.is_zero() for row in form.rows for v in row.values())
 
 
-def test_assemble_form_rejects_non_monomial_basis(monkeypatch):
-    elements = variation.pluriharmonic_basis(1)
-    monkeypatch.setattr(variation, "pluriharmonic_basis", lambda pmax: (z1 + z2,) + elements)
-    with pytest.raises(IdentityCheckError):
-        assemble_form(KOHN, 1)
+def test_assemble_form_pairs_a_non_monomial_basis(monkeypatch):
+    # Elements with terms at several torus weights pair like any other.
+    elements = (z1 + z2, 3 * z1c - z2c) + variation.pluriharmonic_basis(2)
+    monkeypatch.setattr(variation, "pluriharmonic_basis", lambda pmax: elements)
+    for op in (KOHN, second_variation(z1 ** 4 + z1c * z2)):
+        form = assemble_form(op, 2)
+        assert form.elements == elements
+        for i, f in enumerate(elements):
+            image = op(f)
+            for j, g in enumerate(elements):
+                assert form.rows[i].get(j, gr(0)) == inner(image, g)
 
 
 def test_assemble_form_flags_non_hermitian_operators():
