@@ -329,7 +329,7 @@ def kohn(x: SpherePoly) -> SpherePoly:
 
 
 def conj_kohn(x: SpherePoly) -> SpherePoly:
-    """Conjugate Kohn Laplacian; 2(q+1)p on H_{p,q}."""
+    """The conjugate Kohn Laplacian; 2(q+1)p on H_{p,q}."""
     return CONJ_KOHN.apply(x)
 
 

@@ -9,10 +9,11 @@ Grammar (whitespace-insensitive):
               | 'conj' '(' expr ')' | '(' expr ')'
     rational := uint ('/' uint)?
 
-A rational literal ``a/b`` is one base, except right after a term-level
-'/': there ``a`` is the whole divisor, so ``z1/3/4`` is ``(z1/3)/4``, as
-left-associative division reads it, while ``1/2*z1`` keeps ``1/2`` as one
-literal.
+A rational literal ``a/b`` is one base, except in two places.  Right after
+a term-level '/', ``a`` is the whole divisor, so ``z1/3/4`` is
+``(z1/3)/4``, as left-associative division reads it.  Before a '^', the
+power takes ``b`` alone, so ``2/3^2`` is ``2/(3^2)``, as ``z1/3^2`` is.
+Elsewhere ``1/2*z1`` keeps ``1/2`` as one literal.
 
 Only exact literals exist: rationals a/b and the imaginary unit i; no
 floating point is accepted.  Division is exact and only by a nonzero
@@ -26,20 +27,22 @@ structural problems are syntax errors, and a zero denominator, an exponent
 above ``MAX_EXPONENT`` or nesting deeper than ``MAX_NESTING`` is rejected
 at parse time.  An integer literal longer than ``MAX_LITERAL_DIGITS``
 digits is a lexical error.  Before evaluating, :func:`evaluate` bounds the
-number of terms of every subexpression from the tree and raises
+number of terms of every subexpression from the program and raises
 ``EvaluationError`` above ``MAX_TERMS``.
 
-A chain ``a + b - c`` or ``a * b / c`` of any length is parsed into a
-left-deep tree and walked along its left spine by a loop, so only nesting
-(which is bounded) costs stack depth.
+:func:`parse` returns a program: the expression in postfix order, as a
+tuple of instructions ``("num", Fraction)``, ``("i",)``, ``("var", name)``,
+``("neg",)``, ``("conj",)``, ``("pow", n)`` and the binary ``("+",)``,
+``("-",)``, ``("*",)`` and ``("/",)``.  Bounding and evaluating are each
+one loop over the program with a stack, so a chain ``a + b - c`` or
+``a * b / c`` of any length costs no recursion; only the parser recurses,
+on nesting, which is bounded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Union
 
 from .scalars import GaussianRational
 from .spherepoly import SpherePoly
@@ -50,8 +53,8 @@ from .spherepoly import SpherePoly
 MAX_EXPONENT = 32
 
 #: Most terms any subexpression may expand to.  The bound is taken from the
-#: parse tree before evaluation (see :func:`evaluate`); ``(z1+z2+z1c+z2c)^32``
-#: has 6545 terms.
+#: parsed program before evaluation (see :func:`evaluate`);
+#: ``(z1+z2+z1c+z2c)^32`` has 6545 terms.
 MAX_TERMS = 10000
 
 #: Deepest nesting of parentheses, ``conj(...)`` and unary minus; deeper input
@@ -61,6 +64,9 @@ MAX_NESTING = 100
 #: Most digits in one integer literal (numerator, denominator or exponent);
 #: longer literals are rejected before they are converted to ``int``.
 MAX_LITERAL_DIGITS = 100
+
+#: An expression in postfix order; see the module docstring.
+Program = tuple[tuple, ...]
 
 
 class ParseError(ValueError):
@@ -82,61 +88,19 @@ class EvaluationError(ValueError):
     (e.g. division by z1), or it may expand to more than ``MAX_TERMS`` terms."""
 
 
-# -- AST ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RationalLit:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class ImaginaryUnit:
-    pass
-
-
-@dataclass(frozen=True)
-class Variable:
-    name: str  # z1 | z2 | z1c | z2c
-
-
-@dataclass(frozen=True)
-class Negate:
-    operand: "ExprAst"
-
-
-@dataclass(frozen=True)
-class BinaryOp:
-    op: str  # '+' | '-' | '*' | '/'
-    left: "ExprAst"
-    right: "ExprAst"
-
-
-@dataclass(frozen=True)
-class Power:
-    base: "ExprAst"
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Conjugate:
-    operand: "ExprAst"
-
-
-ExprAst = Union[RationalLit, ImaginaryUnit, Variable, Negate, BinaryOp, Power, Conjugate]
-
-
 # -- lexer ----------------------------------------------------------------------
 
 _SYMBOLS = set("+-*/^()")
 _KNOWN_IDENTS = {"i", "z1", "z2", "z1c", "z2c", "conj"}
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # 'uint' | 'ident' | one of the symbols | 'end'
-    text: str
-    column: int
+    __slots__ = ("kind", "text", "column")
+
+    def __init__(self, kind: str, text: str, column: int):
+        self.kind = kind  # 'uint' | 'ident' | one of the symbols | 'end'
+        self.text = text
+        self.column = column
 
 
 def _tokenize(src: str) -> list[Token]:
@@ -180,10 +144,13 @@ def _tokenize(src: str) -> list[Token]:
 
 
 class _Parser:
+    """Appends each parsed expression's instructions to ``program``, operands first."""
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
+        self.program: list[tuple] = []
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -206,27 +173,28 @@ class _Parser:
         if self.depth > MAX_NESTING:
             raise SyntaxParseError(f"nesting deeper than the bound {MAX_NESTING}", tok.column)
 
-    def parse_expr(self) -> ExprAst:
-        node = self.parse_term()
+    def parse_expr(self):
+        self.parse_term()
         while self.peek().kind in ("+", "-"):
             op = self.advance().kind
-            node = BinaryOp(op, node, self.parse_term())
-        return node
+            self.parse_term()
+            self.program.append((op,))
 
-    def parse_term(self) -> ExprAst:
-        node = self.parse_factor()
+    def parse_term(self):
+        self.parse_factor()
         while self.peek().kind in ("*", "/"):
             op = self.advance().kind
-            node = BinaryOp(op, node, self.parse_factor(divisor=op == "/"))
-        return node
+            self.parse_factor(divisor=op == "/")
+            self.program.append((op,))
 
-    def parse_factor(self, divisor: bool = False) -> ExprAst:
+    def parse_factor(self, divisor: bool = False):
         if self.peek().kind == "-":
             self.enter(self.advance())
-            node = Negate(self.parse_factor(divisor))
+            self.parse_factor(divisor)
             self.depth -= 1
-            return node
-        node = self.parse_base(divisor)
+            self.program.append(("neg",))
+            return
+        self.parse_base(divisor)
         if self.peek().kind == "^":
             self.advance()
             tok = self.expect("uint")
@@ -234,118 +202,97 @@ class _Parser:
             if exponent > MAX_EXPONENT:
                 raise SyntaxParseError(f"exponent {exponent} exceeds the bound {MAX_EXPONENT}",
                                        tok.column)
-            return Power(node, exponent)
-        return node
+            self.program.append(("pow", exponent))
 
-    def parse_base(self, divisor: bool = False) -> ExprAst:
+    def parse_base(self, divisor: bool = False):
         """A base; after a term-level '/' (``divisor``) an integer is not a rational's numerator."""
         tok = self.peek()
         if tok.kind == "uint":
             self.advance()
-            numerator = int(tok.text)
-            # Consume a '/' here only for a rational literal, and not in a
-            # divisor, so z1/3/4 is (z1/3)/4; division by a non-literal
-            # stays a term-level operation.
-            if (not divisor and self.peek().kind == "/"
-                    and self.tokens[self.pos + 1].kind == "uint"):
+            value = Fraction(int(tok.text))
+            # Consume a '/' here only for a rational literal: not in a divisor,
+            # so z1/3/4 is (z1/3)/4, and not when '^' follows the denominator,
+            # so 2/3^2 is 2/(3^2); other division stays a term-level operation.
+            tokens, pos = self.tokens, self.pos
+            if (not divisor and tokens[pos].kind == "/" and tokens[pos + 1].kind == "uint"
+                    and tokens[pos + 2].kind != "^"):
                 self.advance()
-                den_tok = self.expect("uint")
+                den_tok = self.advance()
                 denominator = int(den_tok.text)
                 if denominator == 0:
                     raise SyntaxParseError("denominator must be nonzero", den_tok.column)
-                return RationalLit(Fraction(numerator, denominator))
-            return RationalLit(Fraction(numerator))
-        if tok.kind == "ident":
+                value /= denominator
+            self.program.append(("num", value))
+        elif tok.kind == "ident":
             self.advance()
-            if tok.text == "i":
-                return ImaginaryUnit()
             if tok.text == "conj":
                 self.enter(self.expect("("))
-                node = self.parse_expr()
+                self.parse_expr()
                 self.expect(")")
                 self.depth -= 1
-                return Conjugate(node)
-            return Variable(tok.text)
-        if tok.kind == "(":
+                self.program.append(("conj",))
+            else:
+                self.program.append(("i",) if tok.text == "i" else ("var", tok.text))
+        elif tok.kind == "(":
             self.enter(self.advance())
-            node = self.parse_expr()
+            self.parse_expr()
             self.expect(")")
             self.depth -= 1
-            return node
-        raise SyntaxParseError(f"unexpected {tok.text or 'end of input'!r}", tok.column)
+        else:
+            raise SyntaxParseError(f"unexpected {tok.text or 'end of input'!r}", tok.column)
 
 
-def parse(src: str) -> ExprAst:
-    """Parse source text to an AST; raises ParseError with a column on failure."""
+def parse(src: str) -> Program:
+    """Parse source text to a program; raises ParseError with a column on failure."""
     parser = _Parser(_tokenize(src))
-    node = parser.parse_expr()
+    parser.parse_expr()
     tok = parser.peek()
     if tok.kind != "end":
         raise SyntaxParseError(f"trailing input {tok.text!r}", tok.column)
-    return node
+    return tuple(parser.program)
 
 
-def _chain(ast: BinaryOp) -> tuple[ExprAst, list[tuple[str, ExprAst]]]:
-    """(first operand, [(op, right operand), ...]) along the left spine of ast.
-
-    Evaluating the first operand and then applying each (op, right) in
-    turn is the left-deep tree's own order.
-    """
-    rest = []
-    while isinstance(ast, BinaryOp):
-        rest.append((ast.op, ast.right))
-        ast = ast.left
-    rest.reverse()
-    return ast, rest
+_CONJ_NAME = {"z1": "z1c", "z2": "z2c", "z1c": "z1", "z2c": "z2"}
 
 
-def _expansion_bound(ast: ExprAst) -> tuple[int, int]:
-    """Upper bounds on the term count and total degree of ast's value.
+def _bounds(program: Program) -> tuple[int, int]:
+    """Upper bounds on the term count and total degree of program's value.
 
     Terms add under '+' and '-', multiply under '*', and a power of a t-term
     base has at most C(t+n-1, n) terms (the multisets of n of its terms);
     every count is capped by C(D+k, k), the number of monomials of degree at
     most D in the k variables that occur (``conj`` swaps z1 with z1c and z2
     with z2c).  Raises EvaluationError at the first subexpression above
-    ``MAX_TERMS``.
+    ``MAX_TERMS`` and TypeError on an unknown instruction.
     """
-    terms, degree, _ = _bounds(ast)
-    return terms, degree
-
-
-_CONJ_NAME = {"z1": "z1c", "z2": "z2c", "z1c": "z1", "z2c": "z2"}
-
-
-def _bounds(ast: ExprAst) -> tuple[int, int, frozenset[str]]:
-    """(term bound, degree bound, variables that occur) of ast's value."""
-    if isinstance(ast, (RationalLit, ImaginaryUnit)):
-        return 1, 0, frozenset()
-    if isinstance(ast, Variable):
-        return 1, 1, frozenset((ast.name,))
-    if isinstance(ast, Negate):
-        return _bounds(ast.operand)
-    if isinstance(ast, Conjugate):
-        terms, degree, names = _bounds(ast.operand)
-        return terms, degree, frozenset(_CONJ_NAME[name] for name in names)
-    if isinstance(ast, Power):
-        terms, degree, names = _bounds(ast.base)
-        n = ast.exponent
-        return _capped(comb(terms + n - 1, n), degree * n, names)
-    if isinstance(ast, BinaryOp):
-        first, rest = _chain(ast)
-        terms, degree, names = _bounds(first)
-        for op, right in rest:
-            right_terms, right_degree, right_names = _bounds(right)
-            if op in "+-":
-                terms, degree = terms + right_terms, max(degree, right_degree)
-                names |= right_names
-            elif op == "*":
+    stack: list[tuple[int, int, frozenset[str]]] = []  # (terms, degree, variables)
+    for ins in program:
+        op = ins[0]
+        if op in ("num", "i"):
+            stack.append((1, 0, frozenset()))
+        elif op == "var":
+            stack.append((1, 1, frozenset((ins[1],))))
+        elif op == "conj":
+            terms, degree, names = stack.pop()
+            stack.append((terms, degree, frozenset(_CONJ_NAME[name] for name in names)))
+        elif op == "pow":
+            terms, degree, names = stack.pop()
+            n = ins[1]
+            stack.append(_capped(comb(terms + n - 1, n), degree * n, names))
+        elif op in ("+", "-", "*"):
+            right_terms, right_degree, right_names = stack.pop()
+            terms, degree, names = stack.pop()
+            if op == "*":
                 terms, degree = terms * right_terms, degree + right_degree
-                names |= right_names
-            # '/' divides by a constant and keeps the left operand's bounds.
-            terms, degree, names = _capped(terms, degree, names)
-        return terms, degree, names
-    raise TypeError(f"not an expression node: {ast!r}")
+            else:
+                terms, degree = terms + right_terms, max(degree, right_degree)
+            stack.append(_capped(terms, degree, names | right_names))
+        elif op == "/":
+            stack.pop()  # a constant divisor keeps the left operand's bounds
+        elif op != "neg":
+            raise TypeError(f"not an instruction: {ins!r}")
+    terms, degree, _ = stack.pop()
+    return terms, degree
 
 
 def _capped(terms: int, degree: int,
@@ -358,32 +305,28 @@ def _capped(terms: int, degree: int,
     return terms, degree, names
 
 
-def evaluate(ast: ExprAst) -> SpherePoly:
-    """Evaluate an AST to an exact SpherePoly, bounding its size first."""
-    _expansion_bound(ast)
-    return _value(ast)
-
-
-def _value(ast: ExprAst) -> SpherePoly:
-    if isinstance(ast, RationalLit):
-        return SpherePoly.constant(ast.value)
-    if isinstance(ast, ImaginaryUnit):
-        return SpherePoly.constant(GaussianRational(0, 1))
-    if isinstance(ast, Variable):
-        return SpherePoly.variable(ast.name)
-    if isinstance(ast, Negate):
-        return -_value(ast.operand)
-    if isinstance(ast, Conjugate):
-        return _value(ast.operand).conj()
-    if isinstance(ast, Power):
-        return _value(ast.base) ** ast.exponent
-    if isinstance(ast, BinaryOp):
-        first, rest = _chain(ast)
-        value = _value(first)
-        for op, right in rest:
-            value = _combine(op, value, _value(right))
-        return value
-    raise TypeError(f"not an expression node: {ast!r}")
+def evaluate(program: Program) -> SpherePoly:
+    """Evaluate a program to an exact SpherePoly, bounding its size first."""
+    _bounds(program)
+    stack: list[SpherePoly] = []
+    for ins in program:
+        op = ins[0]
+        if op == "num":
+            stack.append(SpherePoly.constant(ins[1]))
+        elif op == "i":
+            stack.append(SpherePoly.constant(GaussianRational(0, 1)))
+        elif op == "var":
+            stack.append(SpherePoly.variable(ins[1]))
+        elif op == "neg":
+            stack[-1] = -stack[-1]
+        elif op == "conj":
+            stack[-1] = stack[-1].conj()
+        elif op == "pow":
+            stack[-1] = stack[-1] ** ins[1]
+        else:
+            right = stack.pop()
+            stack[-1] = _combine(op, stack[-1], right)
+    return stack.pop()
 
 
 def _combine(op: str, left: SpherePoly, right: SpherePoly) -> SpherePoly:

@@ -303,30 +303,7 @@ class SpherePoly:
             return next(iter(degrees))
         return None
 
-    # -- calculus ------------------------------------------------------------
-
-    def _partial(self, slot: int) -> "SpherePoly":
-        # Lowering one exponent is injective, so no two images meet.
-        out = {}
-        for mono, (x, y) in self.nums.items():
-            exp = mono[slot]
-            if exp:
-                lowered = list(mono)
-                lowered[slot] = exp - 1
-                out[monomial_of(lowered)] = (x * exp, y * exp)
-        return SpherePoly._of(out, self.den)
-
-    def d_dz1(self) -> "SpherePoly":
-        return self._partial(0)
-
-    def d_dz2(self) -> "SpherePoly":
-        return self._partial(1)
-
-    def d_dz1c(self) -> "SpherePoly":
-        return self._partial(2)
-
-    def d_dz2c(self) -> "SpherePoly":
-        return self._partial(3)
+    # -- evaluation ----------------------------------------------------------
 
     def eval_at(self, z1_value: GaussianRational, z2_value: GaussianRational) -> GaussianRational:
         """Exact evaluation at a point of C^2 with Gaussian-rational coordinates."""

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crlab import Monomial, SpherePoly, gr, one, parse_poly, sphere_equal, z1, z1c, z2, z2c
-from crlab.parsing import (MAX_NESTING, MAX_TERMS, BinaryOp, EvaluationError, LexicalError,
-                           ParseError, RationalLit, SyntaxParseError, Variable,
-                           _expansion_bound, evaluate, parse)
+from crlab.parsing import (MAX_NESTING, MAX_TERMS, EvaluationError, LexicalError, ParseError,
+                           SyntaxParseError, _bounds, evaluate, parse)
 
 
 def test_basic_expression():
@@ -46,8 +45,22 @@ def test_precedence_and_associativity():
     assert parse_poly("z1/3/4") == parse_poly("(z1/3)/4") == z1.scale(Fraction(1, 12))
     assert parse_poly("z1/-3/4") == z1.scale(Fraction(-1, 12))
     # Elsewhere a/b is still one rational literal, as to_source prints it.
-    assert parse("1/2*z1") == BinaryOp("*", RationalLit(Fraction(1, 2)), Variable("z1"))
     assert parse_poly("1/2*z1") == z1.scale(Fraction(1, 2))
+
+
+def test_program_is_postfix():
+    assert parse("-conj(z1 + i)^2/3 - 1/2*z2c") == (
+        ("var", "z1"), ("i",), ("+",), ("conj",), ("pow", 2), ("neg",),
+        ("num", Fraction(3)), ("/",), ("num", Fraction(1, 2)), ("var", "z2c"), ("*",), ("-",))
+
+
+def test_power_after_a_slash_takes_the_denominator_alone():
+    # 2/3^2 is 2/(3^2), as 2*1/3^2 and z1/3^2 are; a/b is one literal only without '^'.
+    assert parse_poly("2/3^2") == parse_poly("2*1/3^2") == SpherePoly.constant(Fraction(2, 9))
+    assert parse_poly("2/3^2*z1") == parse_poly("z1/3^2*2") == z1.scale(Fraction(2, 9))
+    assert parse("2/3^2") == (("num", Fraction(2)), ("num", Fraction(3)), ("pow", 2), ("/",))
+    with pytest.raises(EvaluationError, match="division by zero"):
+        parse_poly("1/0^2")
 
 
 def test_whitespace_insensitive():
@@ -119,7 +132,7 @@ def test_float_literals_are_rejected():
     ("(z1+1)^3*conj(z1+1)^3", 16, 6),       # conj turns z1 into z1c: two variables
 ])
 def test_expansion_bound(src, terms, degree):
-    assert _expansion_bound(parse(src)) == (terms, degree)
+    assert _bounds(parse(src)) == (terms, degree)
 
 
 def test_long_product_of_one_variable_is_evaluated():
@@ -132,7 +145,11 @@ def test_long_product_of_one_variable_is_evaluated():
     "(z1+z2+z1c+z2c)^32*(z1+z2+z1c+z2c)^32",
     "z1 + ((z1+z2+z1c+z2c)^32 + (z1+z2+z1c+z2c)^32)^0",  # every subexpression is bounded
 ])
-def test_expansion_above_term_bound_is_rejected_before_evaluation(src):
+def test_expansion_above_term_bound_is_rejected_before_evaluation(src, monkeypatch):
+    def no_arithmetic(name):
+        raise AssertionError("evaluated before the bound was checked")
+
+    monkeypatch.setattr(SpherePoly, "variable", staticmethod(no_arithmetic))
     with pytest.raises(EvaluationError, match=f"more than {MAX_TERMS} terms"):
         evaluate(parse(src))
 
@@ -204,3 +221,5 @@ def test_call_style_round_trip(poly):
 def test_evaluate_rejects_foreign_objects():
     with pytest.raises(TypeError):
         evaluate("not an ast")
+    with pytest.raises(TypeError, match="not an instruction"):
+        evaluate((("var", "z1"), ("sqrt",)))
