@@ -33,6 +33,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 
 from . import __version__
 from .deformation import DegenerateStructureError, rossi, torsion, torsion_factor
@@ -289,7 +290,9 @@ def _add_common(parser: argparse.ArgumentParser):
 _T_HELP = "exact rational [-]a[/b]; write a negative value as --t=-1/3"
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then shared: parse_args leaves it as it was."""
     parser = _Parser(
         prog="crlab",
         description="exact verification of CR-geometric identities on the 3-sphere",

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .spherepoly import Monomial, Nums, SpherePoly, monomial_of, radius_sq
+from .spherepoly import Monomial, Nums, SpherePoly, radius_sq
 
 
 def flat_laplacian(x: SpherePoly) -> SpherePoly:
@@ -42,9 +42,8 @@ def flat_laplacian(x: SpherePoly) -> SpherePoly:
     for (a, b, c, d), (u, v) in x.nums.items():
         for k, lowered in ((a * c, (a - 1, b, c - 1, d)), (b * d, (a, b - 1, c, d - 1))):
             if k:
-                mono = monomial_of(lowered)
-                s, t = out.get(mono, (0, 0))
-                out[mono] = (s + k * u, t + k * v)
+                s, t = out.get(lowered, (0, 0))
+                out[lowered] = (s + k * u, t + k * v)
     return SpherePoly._of(out, x.den, summed=True)
 
 
@@ -115,7 +114,7 @@ def _weight_string(p: int, q: int, w: int) -> SpherePoly:
     for c in range(hi - 1, lo - 1, -1):
         coeffs[c] = coeffs[c + 1] * Fraction(-(c + 1) * (c + 1 + w), (p - c - w) * (q - c))
     order = [hi, *range(lo, hi)]
-    return SpherePoly({Monomial(c + w, p - c - w, c, q - c): coeffs[c] for c in order})
+    return SpherePoly({(c + w, p - c - w, c, q - c): coeffs[c] for c in order})
 
 
 def solid_decomposition(f: SpherePoly, p: int, q: int) -> list[tuple[int, SpherePoly]]:

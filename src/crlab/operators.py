@@ -63,7 +63,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 from .harmonics import basis
 from .integration import Sums, Target, Weight, _groups, _pair_into, inner
 from .scalars import GaussianRational, ScalarLike
-from .spherepoly import Nums, SpherePoly, _mul_into, monomial_of
+from .spherepoly import Nums, SpherePoly, _mul_into
 
 
 # Field kernels: each maps a numerator map to the numerators of the field's
@@ -73,11 +73,11 @@ from .spherepoly import Nums, SpherePoly, _mul_into, monomial_of
 def _z1_nums(nums: Nums) -> Nums:
     items = nums.items()
     # The d/dz1 images of distinct monomials are distinct; only d/dz2 ones can meet them.
-    out = {monomial_of((a - 1, b, c, d + 1)): (x * a, y * a) for (a, b, c, d), (x, y) in items if a}
+    out = {(a - 1, b, c, d + 1): (x * a, y * a) for (a, b, c, d), (x, y) in items if a}
     get = out.get
     for (a, b, c, d), (x, y) in items:
         if b:
-            mono = monomial_of((a, b - 1, c + 1, d))
+            mono = (a, b - 1, c + 1, d)
             acc = get(mono)
             if acc is None:
                 out[mono] = (-x * b, -y * b)
@@ -90,11 +90,11 @@ def _z1_nums(nums: Nums) -> Nums:
 
 def _z1bar_nums(nums: Nums) -> Nums:
     items = nums.items()
-    out = {monomial_of((a, b + 1, c - 1, d)): (x * c, y * c) for (a, b, c, d), (x, y) in items if c}
+    out = {(a, b + 1, c - 1, d): (x * c, y * c) for (a, b, c, d), (x, y) in items if c}
     get = out.get
     for (a, b, c, d), (x, y) in items:
         if d:
-            mono = monomial_of((a + 1, b, c, d - 1))
+            mono = (a + 1, b, c, d - 1)
             acc = get(mono)
             if acc is None:
                 out[mono] = (-x * d, -y * d)

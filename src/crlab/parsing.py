@@ -306,9 +306,12 @@ def _capped(terms: int, degree: int,
 
 
 def evaluate(program: Program) -> SpherePoly:
-    """Evaluate a program to an exact SpherePoly, bounding its size first."""
+    """Evaluate a program to an exact SpherePoly, bounding its size first.
+
+    A '+'/'-' chain stacks its summands ('-' ones negated) and sums them once.
+    """
     _bounds(program)
-    stack: list[SpherePoly] = []
+    stack: list[SpherePoly | list[SpherePoly]] = []
     for ins in program:
         op = ins[0]
         if op == "num":
@@ -318,22 +321,28 @@ def evaluate(program: Program) -> SpherePoly:
         elif op == "var":
             stack.append(SpherePoly.variable(ins[1]))
         elif op == "neg":
-            stack[-1] = -stack[-1]
+            stack[-1] = -_total(stack[-1])
         elif op == "conj":
-            stack[-1] = stack[-1].conj()
+            stack[-1] = _total(stack[-1]).conj()
         elif op == "pow":
-            stack[-1] = stack[-1] ** ins[1]
+            stack[-1] = _total(stack[-1]) ** ins[1]
+        elif op in ("+", "-"):
+            right = _total(stack.pop())
+            if type(stack[-1]) is not list:
+                stack[-1] = [stack[-1]]
+            stack[-1].append(right if op == "+" else -right)
         else:
-            right = stack.pop()
-            stack[-1] = _combine(op, stack[-1], right)
-    return stack.pop()
+            right = _total(stack.pop())
+            stack[-1] = _combine(op, _total(stack[-1]), right)
+    return _total(stack.pop())
+
+
+def _total(entry: SpherePoly | list[SpherePoly]) -> SpherePoly:
+    """entry, or the sum of a pending list of summands."""
+    return SpherePoly.summed(entry) if type(entry) is list else entry
 
 
 def _combine(op: str, left: SpherePoly, right: SpherePoly) -> SpherePoly:
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
     if op == "/":
         if len(right) > 1 or (not right.is_zero()
                               and right.bidegree_if_uniform() != (0, 0)):

@@ -6,14 +6,16 @@ coefficients.  Restricted to ``|z1|^2 + |z2|^2 = 1`` these span the
 polynomial functions on S^3 (a dense subalgebra of the smooth functions).
 
 The coefficients are stored as Gaussian integers over one shared positive
-denominator: a sparse map ``{Monomial: (re, im)}`` of integer numerator
-pairs and one ``den``, the representation of FLINT's ``fmpq_poly``.  The
-form is canonical: no zero pair, and a single gcd over all numerators and
-the denominator is 1.  So a product term costs four integer multiplies and
-no object, sums first bring their operands onto the lcm of their
-denominators, and each result takes one gcd at the end instead of one per
-coefficient.  ``GaussianRational`` is the type of every scalar that leaves
-a polynomial (``coefficient``, ``terms``, integrals).
+denominator: a sparse map ``{(a, b, c, d): (re, im)}`` from plain exponent
+tuples to integer numerator pairs, and one ``den``, the representation of
+FLINT's ``fmpq_poly``.  The form is canonical: no zero pair, and a single
+gcd over all numerators and the denominator is 1.  So a product term costs
+four integer multiplies and one plain tuple, sums first bring their
+operands onto the lcm of their denominators, and each result takes one gcd
+at the end instead of one per coefficient.  ``Monomial`` is the named view
+of an exponent tuple that ``terms`` returns, and ``GaussianRational`` the
+type of every scalar that leaves a polynomial (``coefficient``, ``terms``,
+integrals).
 
 Gradings used throughout:
 
@@ -29,7 +31,6 @@ decided by :func:`crlab.harmonics.sphere_equal`.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from math import gcd
 from typing import Iterable, Mapping, NamedTuple
 
@@ -44,43 +45,40 @@ class Monomial(NamedTuple):
     c: int
     d: int
 
-    @property
-    def bidegree(self) -> tuple[int, int]:
-        return (self.a + self.b, self.c + self.d)
 
-
-#: Monomial from a tuple of four exponents, skipping the named tuple's
-#: Python-level ``__new__``; used where monomials are built per term.
-monomial_of = partial(tuple.__new__, Monomial)
+#: Exponents of z1, z2, conj(z1), conj(z2) as a plain tuple: a numerator map's key.
+Exponents = tuple[int, int, int, int]
 
 #: Numerators of a polynomial's coefficients over its shared denominator.
-Nums = dict[Monomial, tuple[int, int]]
+Nums = dict[Exponents, tuple[int, int]]
 
-_VAR_MONOS = {
-    "z1": Monomial(1, 0, 0, 0),
-    "z2": Monomial(0, 1, 0, 0),
-    "z1c": Monomial(0, 0, 1, 0),
-    "z2c": Monomial(0, 0, 0, 1),
-}
+_VAR_MONOS = {"z1": (1, 0, 0, 0), "z2": (0, 1, 0, 0), "z1c": (0, 0, 1, 0), "z2c": (0, 0, 0, 1)}
+
+
+def _key(mono: Monomial | Iterable[int]) -> Exponents:
+    """mono as a plain tuple of four exponents; TypeError for another length."""
+    return tuple(Monomial(*mono))
 
 
 class SpherePoly:
     """Immutable sparse polynomial in z1, z2 and their conjugates.
 
     The coefficients are stored as Gaussian integers over one shared
-    denominator: ``nums`` maps each monomial to the numerator pair
-    ``(re, im)`` of its coefficient ``(re + im*i) / den``, and ``den`` is a
-    positive integer.  The form is canonical: no pair is ``(0, 0)``, and
-    ``den`` and all numerators have gcd 1 (zero is ``{}`` over 1), so equal
-    polynomials have equal ``nums`` and ``den``.  Treat both as read-only.
+    denominator: ``nums`` maps each monomial's plain exponent tuple
+    ``(a, b, c, d)`` to the numerator pair ``(re, im)`` of its coefficient
+    ``(re + im*i) / den``, and ``den`` is a positive integer.  The form is
+    canonical: no pair is ``(0, 0)``, and ``den`` and all numerators have
+    gcd 1 (zero is ``{}`` over 1), so equal polynomials have equal ``nums``
+    and ``den``.  Treat both as read-only.
 
     ``terms`` is the same polynomial as a fresh ``{Monomial: GaussianRational}``
-    map, built on each access, for code outside the arithmetic loops.
+    map, built on each access, for code outside the arithmetic loops;
+    :class:`Monomial` is the named view of a ``nums`` key.
     """
 
     __slots__ = ("nums", "den")
 
-    def __init__(self, terms: Mapping[Monomial, ScalarLike] | None = None):
+    def __init__(self, terms: Mapping[Monomial | Exponents, ScalarLike] | None = None):
         # Reduced coefficients over the lcm of their denominators leave no common factor.
         nums: Nums = {}
         den = 1
@@ -94,7 +92,7 @@ class SpherePoly:
                     if den % d:
                         nums, den = _over_lcm(nums, den, d)
                     a, b = a * (den // d), b * (den // d)
-                nums[Monomial(*mono)] = (a, b)
+                nums[_key(mono)] = (a, b)
         self.nums = nums
         self.den = den
 
@@ -106,16 +104,15 @@ class SpherePoly:
 
     @classmethod
     def constant(cls, value: ScalarLike) -> "SpherePoly":
-        return cls({Monomial(0, 0, 0, 0): value})
+        return cls({(0, 0, 0, 0): value})
 
     @classmethod
     def variable(cls, name: str) -> "SpherePoly":
         return cls({_VAR_MONOS[name]: 1})
 
     @classmethod
-    def monomial(cls, mono: Monomial | tuple[int, int, int, int],
-                 coeff: ScalarLike = 1) -> "SpherePoly":
-        return cls({Monomial(*mono): coeff})
+    def monomial(cls, mono: Monomial | Exponents, coeff: ScalarLike = 1) -> "SpherePoly":
+        return cls({_key(mono): coeff})
 
     @classmethod
     def summed(cls, polys: Iterable["SpherePoly"]) -> "SpherePoly":
@@ -181,15 +178,15 @@ class SpherePoly:
     @property
     def terms(self) -> dict[Monomial, GaussianRational]:
         """``{Monomial: nonzero GaussianRational}``, built from the integer view."""
-        den = self.den
-        return {mono: _make(x, y, den) for mono, (x, y) in self.nums.items()}
+        den, named = self.den, Monomial._make
+        return {named(mono): _make(x, y, den) for mono, (x, y) in self.nums.items()}
 
     def sorted_terms(self) -> list[tuple[Monomial, GaussianRational]]:
         """Terms in lexicographic exponent order (the canonical iteration order)."""
         return sorted(self.terms.items(), key=lambda kv: kv[0])
 
-    def coefficient(self, mono: Monomial | tuple[int, int, int, int]) -> GaussianRational:
-        pair = self.nums.get(Monomial(*mono))
+    def coefficient(self, mono: Monomial | Exponents) -> GaussianRational:
+        pair = self.nums.get(_key(mono))
         return ZERO if pair is None else _make(pair[0], pair[1], self.den)
 
     def is_zero(self) -> bool:
@@ -275,7 +272,7 @@ class SpherePoly:
         return out
 
     def conj(self) -> "SpherePoly":
-        return _raw({monomial_of((c, d, a, b)): (x, -y)
+        return _raw({(c, d, a, b): (x, -y)
                      for (a, b, c, d), (x, y) in self.nums.items()}, self.den)
 
     def __eq__(self, other) -> bool:
@@ -293,12 +290,13 @@ class SpherePoly:
         """Split into canonical pieces of uniform bidegree (p, q).  Pieces sum to self."""
         buckets: dict[tuple[int, int], Nums] = {}
         for mono, pair in self.nums.items():
-            buckets.setdefault(mono.bidegree, {})[mono] = pair
+            a, b, c, d = mono
+            buckets.setdefault((a + b, c + d), {})[mono] = pair
         return {key: SpherePoly._of(nums, self.den) for key, nums in buckets.items()}
 
     def bidegree_if_uniform(self) -> tuple[int, int] | None:
         """The bidegree if every term shares one, else None."""
-        degrees = {mono.bidegree for mono in self.nums}
+        degrees = {(a + b, c + d) for a, b, c, d in self.nums}
         if len(degrees) == 1:
             return next(iter(degrees))
         return None
@@ -366,7 +364,7 @@ def _mul_into(out: Nums, left: Nums, right: Nums) -> int:
                     out[mono] = (acc[0] + x * u - y * v, acc[1] + x * v + y * u)
             continue
         for (a2, b2, c2, d2), (u, v) in right_items:
-            mono = monomial_of((a1 + a2, b1 + b2, c1 + c2, d1 + d2))
+            mono = (a1 + a2, b1 + b2, c1 + c2, d1 + d2)
             acc = get(mono)
             if acc is None:
                 out[mono] = (x * u - y * v, x * v + y * u)

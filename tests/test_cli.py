@@ -3,7 +3,10 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -75,15 +78,32 @@ def test_parse_errors_exit_2_verbatim(capsys):
     (IdentityCheckError("remainder pairing disagrees with its closed form"), 3),
 ])
 def test_library_errors_exit_with_one_line(capsys, monkeypatch, error, code):
-    def failing(args, report):
+    def failing(phi):
         raise error
-    monkeypatch.setattr(cli, "cmd_bochner", failing)
+    monkeypatch.setattr(cli, "bochner_residual", failing)
     status, out, err = run_cli(capsys, "bochner", "--phi", "z1")
     assert status == code
     assert out == ""
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and str(error) in lines[0]
+
+
+def _run_alone(*args):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    result = subprocess.run([sys.executable, "-m", "crlab.cli", *args], env=env,
+                            capture_output=True, text=True, timeout=120)
+    return result.returncode, result.stdout
+
+
+def test_parser_is_built_once_and_commands_run_back_to_back(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    runs = [("rossi", "--t", "1/2", "--format", "csv"),
+            ("spectrum", "--pmax", "1", "--qmax", "1", "--op", "sublap", "--format", "csv"),
+            ("integrate", "--expr", "z3")]
+    alone = {args: _run_alone(*args) for args in runs}
+    for order in (runs, runs[::-1]):
+        assert [run_cli(capsys, *args)[:2] for args in order] == [alone[args] for args in order]
 
 
 def test_rossi_witnesses_roundtrip(capsys):

@@ -20,7 +20,8 @@ def test_z1_on_coordinates():
 
 
 def _weight(mono):
-    return (mono.a - mono.c, mono.b - mono.d)
+    a, b, c, d = mono
+    return (a - c, b - d)
 
 
 def test_fields_shift_torus_weight_by_fixed_amounts(rng):

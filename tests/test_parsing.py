@@ -175,6 +175,19 @@ def test_long_chains_evaluate_without_recursion():
     assert parse_poly("1 - 2 - 3 + 4*5/2") == SpherePoly.constant(6)
 
 
+def test_a_sum_chain_is_summed_once(monkeypatch):
+    calls = []
+    summed = SpherePoly.summed
+
+    def counted(polys):
+        calls.append(polys)
+        return summed(polys)
+
+    monkeypatch.setattr(SpherePoly, "summed", staticmethod(counted))
+    assert parse_poly("z1 + z2 - z1c + z2c") == summed([z1, z2, -z1c, z2c])
+    assert len(calls) == 1
+
+
 def call_style(poly: SpherePoly) -> str:
     """poly's source with each conjugate written as a conj(...) call."""
     return poly.to_source().replace("z1c", "conj(z1)").replace("z2c", "conj(z2)")
@@ -210,6 +223,18 @@ def polys(draw):
 @given(polys())
 def test_print_parse_round_trip(poly):
     assert parse_poly(poly.to_source()) == poly
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("+-"), polys()), min_size=1, max_size=6))
+def test_chained_sum_agrees_with_pairwise_sums(operands):
+    # Parenthesized operands are chains themselves, so chains also meet chains.
+    src = "".join(f" {sign} ({poly.to_source()})" for sign, poly in operands)
+    pairwise = SpherePoly.zero()
+    for sign, poly in operands:
+        pairwise = pairwise + poly if sign == "+" else pairwise - poly
+    assert parse_poly("0" + src) == pairwise
+    assert parse_poly(src.lstrip(" +")) == pairwise
 
 
 @settings(max_examples=40)

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from crlab import (KOHN, Monomial, SpherePoly, apply_T, apply_Z1, apply_Z1bar, flat_laplacian,
@@ -161,6 +162,11 @@ def assert_canonical(poly: SpherePoly):
     assert gcd(poly.den, *(n for pair in poly.nums.values() for n in pair)) == 1
     assert all(not coeff.is_zero() for coeff in poly.terms.values())
     assert SpherePoly(dict(poly.terms)) == poly
+    # Numerator maps are keyed by plain exponent tuples; Monomial is the view in terms.
+    assert all(type(mono) is tuple and len(mono) == 4 and all(type(e) is int for e in mono)
+               for mono in poly.nums)
+    assert all(type(mono) is Monomial for mono in poly.terms)
+    assert all(type(mono) is Monomial for mono, _ in poly.sorted_terms())
 
 
 @settings(max_examples=80, deadline=None)
@@ -183,6 +189,20 @@ def test_equality_agrees_with_coefficient_maps(x, y, c):
     for a, b in pairs:
         assert (a == b) == (a.terms == b.terms)
         assert (a == b) == (a.nums == b.nums and a.den == b.den)
+
+
+def test_monomials_enter_as_any_four_sequence():
+    x = SpherePoly({Monomial(1, 0, 0, 0): 2, (0, 1, 0, 0): 3})
+    assert_canonical(x)
+    assert_canonical(SpherePoly.monomial([0, 0, 1, 0], gr(0, 1)))
+    assert x.coefficient([1, 0, 0, 0]) == 2 and x.coefficient(Monomial(0, 1, 0, 0)) == 3
+    for bad in ((1, 0, 0), (1, 0, 0, 0, 0)):
+        with pytest.raises(TypeError):
+            SpherePoly({bad: 1})
+        with pytest.raises(TypeError):
+            SpherePoly.monomial(bad)
+        with pytest.raises(TypeError):
+            x.coefficient(bad)
 
 
 def test_shared_denominator_is_the_lcm_of_the_coefficients():
