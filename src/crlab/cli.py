@@ -123,9 +123,9 @@ def cmd_spectrum(args, report: Report):
 
 def cmd_decompose(args, report: Report):
     phi = parse_poly(args.phi)
-    components = canonicalize(phi)
+    verdict = be_check(phi)
     total = SpherePoly.zero()
-    for (p, q), piece in sorted(components.items()):
+    for (p, q), piece in sorted(verdict.components.items()):
         total = total + piece
         report.add(
             f"component-p{p}-q{q}",
@@ -139,7 +139,6 @@ def cmd_decompose(args, report: Report):
         sphere_equal(total, phi),
         input=phi,
     )
-    verdict = be_check(phi)
     report.add(
         "be-verdict",
         "Burns-Epstein condition: all components have p >= q+4",

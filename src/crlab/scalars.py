@@ -70,91 +70,51 @@ class GaussianRational:
 
     # -- arithmetic ------------------------------------------------------
     #
-    # Operands are GaussianRational, int or Fraction; anything else gives
-    # NotImplemented.  Results over d == 1, and sums with an integer, are
-    # reduced already and skip the gcd.
+    # The other operand is a GaussianRational, int or Fraction, read with
+    # this one as six integers by _operands; anything else gives
+    # NotImplemented.
 
     def __add__(self, other):
-        a, b, d = self._a, self._b, self._d
-        if isinstance(other, GaussianRational):
-            od = other._d
-            if d == od:
-                if d == 1:
-                    return _raw(a + other._a, b + other._b, 1)
-                return _make(a + other._a, b + other._b, d)
-            return _make(a * od + other._a * d, b * od + other._b * d, d * od)
-        if isinstance(other, int):
-            return _raw(a + other * d, b, d)
-        if isinstance(other, Fraction):
-            p, q = other.numerator, other.denominator
-            return _make(a * q + p * d, b * q, d * q)
-        return NotImplemented
+        if (t := _operands(self, other)) is None:
+            return NotImplemented
+        a, b, d, oa, ob, od = t
+        return _make(a * od + oa * d, b * od + ob * d, d * od)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        a, b, d = self._a, self._b, self._d
-        if isinstance(other, GaussianRational):
-            od = other._d
-            if d == od:
-                if d == 1:
-                    return _raw(a - other._a, b - other._b, 1)
-                return _make(a - other._a, b - other._b, d)
-            return _make(a * od - other._a * d, b * od - other._b * d, d * od)
-        if isinstance(other, int):
-            return _raw(a - other * d, b, d)
-        if isinstance(other, Fraction):
-            p, q = other.numerator, other.denominator
-            return _make(a * q - p * d, b * q, d * q)
-        return NotImplemented
+        if (t := _operands(self, other)) is None:
+            return NotImplemented
+        a, b, d, oa, ob, od = t
+        return _make(a * od - oa * d, b * od - ob * d, d * od)
 
     def __rsub__(self, other):
-        a, b, d = self._a, self._b, self._d
-        if isinstance(other, int):
-            return _raw(other * d - a, -b, d)
-        if isinstance(other, Fraction):
-            p, q = other.numerator, other.denominator
-            return _make(p * d - a * q, -b * q, d * q)
-        return NotImplemented
+        if (t := _operands(self, other)) is None:
+            return NotImplemented
+        a, b, d, oa, ob, od = t
+        return _make(oa * d - a * od, ob * d - b * od, d * od)
 
     def __neg__(self):
         return _raw(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        a, b, d = self._a, self._b, self._d
-        if isinstance(other, GaussianRational):
-            oa, ob, od = other._a, other._b, other._d
-            if not b and not ob:
-                a = a * oa
-            else:
-                a, b = a * oa - b * ob, a * ob + b * oa
-            if d == 1 and od == 1:
-                return _raw(a, b, 1)
-            return _make(a, b, d * od)
-        if isinstance(other, int):
-            if d == 1:
-                return _raw(a * other, b * other, 1)
-            return _make(a * other, b * other, d)
-        if isinstance(other, Fraction):
-            p = other.numerator
-            return _make(a * p, b * p, d * other.denominator)
-        return NotImplemented
+        if (t := _operands(self, other)) is None:
+            return NotImplemented
+        a, b, d, oa, ob, od = t
+        return _make(a * oa - b * ob, a * ob + b * oa, d * od)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        try:
-            o = GaussianRational.coerce(other)
-        except TypeError:
+        if (t := _operands(self, other)) is None:
             return NotImplemented
-        return _quotient(self, o)
+        return _quotient(*t)
 
     def __rtruediv__(self, other):
-        try:
-            o = GaussianRational.coerce(other)
-        except TypeError:
+        if (t := _operands(self, other)) is None:
             return NotImplemented
-        return _quotient(o, self)
+        a, b, d, oa, ob, od = t
+        return _quotient(oa, ob, od, a, b, d)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
@@ -236,15 +196,21 @@ def _make(a: int, b: int, d: int) -> GaussianRational:
     return _raw(a, b, d)
 
 
-def _quotient(x: GaussianRational, y: GaussianRational) -> GaussianRational:
-    """x / y = x * conj(y) * d_y / (d_x * (a_y^2 + b_y^2))."""
-    a, b, d = x._a, x._b, x._d
-    ya, yb, yd = y._a, y._b, y._d
-    if not yb:
-        if not ya:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return _make(a * yd, b * yd, d * ya)
-    return _make((a * ya + b * yb) * yd, (b * ya - a * yb) * yd, d * (ya * ya + yb * yb))
+def _operands(x: GaussianRational, y) -> tuple[int, int, int, int, int, int] | None:
+    """The triples of x and y, where y is a GaussianRational, int or Fraction; else None."""
+    if isinstance(y, GaussianRational):
+        return x._a, x._b, x._d, y._a, y._b, y._d
+    if isinstance(y, (int, Fraction)):
+        return x._a, x._b, x._d, y.numerator, 0, y.denominator
+    return None
+
+
+def _quotient(a: int, b: int, d: int, ya: int, yb: int, yd: int) -> GaussianRational:
+    """((a + b*i)/d) / ((ya + yb*i)/yd) = (a + b*i)(ya - yb*i) yd / (d (ya^2 + yb^2))."""
+    norm = ya * ya + yb * yb
+    if not norm:
+        raise ZeroDivisionError("division by zero Gaussian rational")
+    return _make((a * ya + b * yb) * yd, (b * ya - a * yb) * yd, d * norm)
 
 
 ZERO = GaussianRational(0)

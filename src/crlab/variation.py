@@ -40,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable
 
 from .deformation import paneitz_family_jet
@@ -250,32 +251,41 @@ def _blocks(rows: tuple[dict[int, GaussianRational], ...]) -> list[list[int]]:
 def _block_inertia(matrix: list[list[GaussianRational]]) -> tuple[int, int, int] | None:
     """(positive, negative, zero) inertia of a dense Hermitian block, or None if indefinite.
 
-    Recursive pivoting with rational pivots: each nonzero diagonal entry
-    contributes its sign and is eliminated by a Schur complement; a state
-    with zero diagonal but a nonzero off-diagonal entry is indefinite (its
-    2x2 principal block has eigenvalues of both signs); remaining zero rows
-    only reduce the rank.
+    The block is scaled by the lcm of its denominators, which keeps its
+    inertia, and eliminated fraction-free over Gaussian integers (Bareiss):
+    with pivot d, the first nonzero diagonal entry, and prev the pivot
+    before it, every remaining entry becomes (d*a_ij - a_ip*a_pj) / prev.
+    The division is exact, since each entry is then a minor of the block.
+    The Schur complement's pivot is d / prev, so it contributes the sign
+    sign(d) * sign(prev).  A state with zero diagonal but a nonzero
+    off-diagonal entry is indefinite (its 2x2 principal block has
+    eigenvalues of both signs); remaining zero rows only reduce the rank.
     """
-    active = list(range(len(matrix)))
+    scale = lcm(*[v._d for row in matrix for v in row])
+    re = [[v._a * (scale // v._d) for v in row] for row in matrix]
+    im = [[v._b * (scale // v._d) for v in row] for row in matrix]
     pos = neg = 0
-    while active:
-        pivot = next((i for i in active if not matrix[i][i].is_zero()), None)
-        if pivot is None:
-            if all(matrix[i][j].is_zero() for i in active for j in active):
-                return pos, neg, len(active)
-            return None
-        d = matrix[pivot][pivot]
-        if d.real_sign() > 0:
+    prev = 1
+    while re:
+        for k, row in enumerate(re):
+            if row[k]:
+                break
+        else:
+            if any(map(any, re)) or any(map(any, im)):
+                return None
+            return pos, neg, len(re)
+        d = row[k]
+        if (d > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
-        active.remove(pivot)
-        for i in active:
-            factor = matrix[i][pivot] / d
-            if factor.is_zero():
-                continue
-            for j in active:
-                matrix[i][j] = matrix[i][j] - factor * matrix[pivot][j]
+        pr, pi = re.pop(k), im.pop(k)
+        del pr[k], pi[k]
+        for i, (ri, ii) in enumerate(zip(re, im)):
+            xr, xi = ri.pop(k), ii.pop(k)
+            re[i] = [(d * a - xr * c + xi * e) // prev for a, c, e in zip(ri, pr, pi)]
+            im[i] = [(d * b - xr * e - xi * c) // prev for b, c, e in zip(ii, pr, pi)]
+        prev = d
     return pos, neg, 0
 
 
@@ -285,8 +295,8 @@ def classify(form: HermitianForm) -> str:
     The basis splits into the connected blocks of the form's nonzero
     pattern; the matrix is block diagonal over them, so by Sylvester's law
     of inertia the inertia of the form is the sum of the blocks' inertias,
-    each found by exact rational pivoting (:func:`_block_inertia`).  The
-    outcome is basis-independent.
+    each found by fraction-free elimination over Gaussian integers
+    (:func:`_block_inertia`).  The outcome is basis-independent.
     """
     if not form.is_hermitian():
         raise PreconditionError("classification requires a Hermitian matrix")

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 import crlab.variation as variation
-from crlab import (KOHN, IdentityCheckError, PreconditionError, SpherePoly,
+from crlab import (KOHN, GaussianRational, IdentityCheckError, PreconditionError, SpherePoly,
                    assemble_form, basis, classify, drift_operator, drift_square_form,
                    first_variation, gr, inner, one, parse_poly, pluriharmonic_basis,
                    second_variation,
@@ -326,12 +326,16 @@ def _eigen_sign_counts(raw):
 
 
 def _random_hermitian_block(rng, n, zero_diagonal=False):
+    """Hermitian block whose real and imaginary parts carry their own small denominators."""
+    def part(bound):
+        return Fraction(rng.randint(-bound, bound), rng.randint(1, 6))
+
     raw = [[gr(0)] * n for _ in range(n)]
     for i in range(n):
         if not zero_diagonal:
-            raw[i][i] = gr(Fraction(rng.randint(-3, 3)))
+            raw[i][i] = gr(part(3))
         for j in range(i + 1, n):
-            value = gr(Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2)))
+            value = gr(part(2), part(2))
             raw[i][j] = value
             raw[j][i] = value.conj()
     return raw
@@ -372,6 +376,14 @@ def test_classify_against_charpoly_oracle(rng):
     verdicts = set()
     for raw in corpus:
         form = dense_form(raw)
+        for block in variation._blocks(form.rows):
+            sub = [[raw[i][j] for j in block] for i in block]
+            oracle = _eigen_sign_counts(sub)
+            inertia = variation._block_inertia(sub)
+            if inertia is None:  # undecided only where the block is indefinite
+                assert oracle[0] and oracle[1]
+            else:
+                assert inertia == oracle
         pos, neg, zero = _eigen_sign_counts(raw)
         verdict = classify(form)
         verdicts.add(verdict)
@@ -384,6 +396,38 @@ def test_classify_against_charpoly_oracle(rng):
         else:
             assert verdict == ZERO_FORM
     assert {INDEFINITE, POSITIVE_SEMIDEFINITE, NEGATIVE_SEMIDEFINITE} <= verdicts
+
+
+def test_block_inertia_makes_no_scalar_arithmetic(monkeypatch):
+    # The elimination runs on Gaussian-integer pairs, so a rational block needs
+    # no GaussianRational operation at all.
+    block = [[gr(Fraction(1, 2)), gr(Fraction(1, 3), Fraction(-1, 4)), gr(0, 1)],
+             [gr(Fraction(1, 3), Fraction(1, 4)), gr(Fraction(-2, 5)), gr(Fraction(3, 7))],
+             [gr(0, -1), gr(Fraction(3, 7)), gr(Fraction(5, 6))]]
+    oracle = _eigen_sign_counts(block)
+
+    def forbidden(*args):
+        raise AssertionError("GaussianRational arithmetic inside _block_inertia")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__"):
+        monkeypatch.setattr(GaussianRational, name, forbidden)
+    assert variation._block_inertia(block) == oracle == (2, 1, 0)
+
+
+def test_dense_phi_form_has_two_large_blocks():
+    # A non-monomial phi couples whole torus-weight classes: two blocks of
+    # 40 and 48 rows at pmax 8, which no benchmark workload assembles.
+    form = assemble_form(second_variation(parse_poly("(z1+z2+z1c+z2c)^2")), 8,
+                         expect_hermitian=True)
+    rows = form.rows
+    blocks = variation._blocks(rows)
+    assert form.dimension == 88
+    assert sorted(len(block) for block in blocks) == [40, 48]
+    inertias = [variation._block_inertia([[rows[i].get(j, gr(0)) for j in block]
+                                          for i in block]) for block in blocks]
+    assert [sum(counts) for counts in zip(*inertias)] == [80, 8, 0]
+    assert classify(form) == INDEFINITE
 
 
 def test_be_deformation_gives_positive_definite_form():
