@@ -10,7 +10,8 @@ weight w = a - c of a monomial z1^a z2^b conj(z1)^c conj(z2)^d.  P_{p,q}
 therefore splits into p+q+1 weight strings, w in -q..p, and on each string
 the kernel is one line whose coefficients solve a closed two-term
 recurrence (:func:`_weight_string`); :func:`basis` takes one element per
-string, with no elimination.
+string, with no elimination, its coefficients integer products of the
+recurrence's factors over one shared denominator.
 
 Every polynomial splits uniquely as
 
@@ -92,9 +93,6 @@ def basis(p: int, q: int) -> HarmonicBasis:
 
 def _kernel_basis(p: int, q: int) -> list[SpherePoly]:
     """One :func:`_weight_string` per torus weight, ordered by top monomial."""
-    if p == 0 or q == 0:
-        # The Laplacian target space is empty: all of P_{p,q} is harmonic.
-        return [SpherePoly.monomial(m) for m in bidegree_monomials(p, q)]
     strings = [_weight_string(p, q, w) for w in range(-q, p + 1)]
     return sorted(strings, key=lambda f: next(iter(f.nums)))
 
@@ -103,18 +101,24 @@ def _weight_string(p: int, q: int, w: int) -> SpherePoly:
     """The harmonic of bidegree (p, q) and torus weight w, top coefficient 1.
 
     The weight-w monomials are m_c = (c+w, p-c-w, c, q-c) for c in
-    max(0, -w)..min(q, p-w), and the Laplacian sends sum x_c m_c to zero
-    exactly when (c+1)(c+1+w) x_{c+1} + (p-c-w)(q-c) x_c = 0; every factor
-    is nonzero on that range, so the kernel is one-dimensional.  The top
+    lo..hi = max(0, -w)..min(q, p-w), and the Laplacian sends sum x_c m_c to
+    zero exactly when (c+1)(c+1+w) x_{c+1} + (p-c-w)(q-c) x_c = 0; every
+    factor is nonzero on that range, so the kernel is one-dimensional.  Over
+    D = prod_{lo<=k<hi} (p-k-w)(q-k), x_c has the integer numerator
+    prod_{lo<=k<c} (p-k-w)(q-k) * prod_{c<=k<hi} -(k+1)(k+1+w).  The top
     monomial (largest c, lex-largest) comes first in the term map, then the
     others with c ascending, as RREF lists its pivot columns.
     """
     lo, hi = max(0, -w), min(q, p - w)
-    coeffs = {hi: Fraction(1)}
+    downward = [1]  # downward[hi - c] = prod_{c<=k<hi} -(k+1)(k+1+w)
     for c in range(hi - 1, lo - 1, -1):
-        coeffs[c] = coeffs[c + 1] * Fraction(-(c + 1) * (c + 1 + w), (p - c - w) * (q - c))
-    order = [hi, *range(lo, hi)]
-    return SpherePoly({(c + w, p - c - w, c, q - c): coeffs[c] for c in order})
+        downward.append(downward[-1] * -(c + 1) * (c + 1 + w))
+    rest: Nums = {}
+    den = 1  # prod_{lo<=k<c} (p-k-w)(q-k), D once the loop ends
+    for c in range(lo, hi):
+        rest[(c + w, p - c - w, c, q - c)] = (den * downward[hi - c], 0)
+        den *= (p - c - w) * (q - c)
+    return SpherePoly._of({(hi + w, p - hi - w, hi, q - hi): (den, 0), **rest}, den)
 
 
 def solid_decomposition(f: SpherePoly, p: int, q: int) -> list[tuple[int, SpherePoly]]:
@@ -130,20 +134,12 @@ def solid_decomposition(f: SpherePoly, p: int, q: int) -> list[tuple[int, Sphere
         return [(0, f)] if not f.is_zero() else []
     higher: list[tuple[int, SpherePoly]] = []
     remainder = f
-    r2_powers: dict[int, SpherePoly] = {}
-    for j, u in solid_decomposition(lap, p - 1, q - 1):
+    for j, u in solid_decomposition(lap, p - 1, q - 1):  # each j once
         k = j + 1
         h = u.scale(Fraction(1, k * (p + q - j)))
         higher.append((k, h))
-        r2k = r2_powers.get(k)
-        if r2k is None:
-            r2k = radius_sq ** k
-            r2_powers[k] = r2k
-        remainder = remainder - r2k * h
-    out = higher
-    if not remainder.is_zero():
-        out = [(0, remainder)] + out
-    return out
+        remainder = remainder - radius_sq ** k * h
+    return higher if remainder.is_zero() else [(0, remainder)] + higher
 
 
 def canonicalize(x: SpherePoly) -> dict[tuple[int, int], SpherePoly]:

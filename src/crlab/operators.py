@@ -62,7 +62,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from .harmonics import basis
 from .integration import Sums, Target, Weight, _groups, _pair_into, inner
-from .scalars import GaussianRational, ScalarLike
+from .scalars import GaussianRational, ScalarLike, _make
 from .spherepoly import Nums, SpherePoly, _mul_into
 
 
@@ -388,20 +388,25 @@ def bochner_residual(phi: SpherePoly) -> SpherePoly:
 def common_eigenvalue(op: LinOp, p: int, q: int) -> GaussianRational:
     """The exact scalar by which op acts on H_{p,q}.
 
-    Applies op to every basis element and checks the result is an exact
-    scalar multiple, the same scalar across the basis; raises if op does
-    not act as a scalar there.
+    Applies op to every basis element f and checks, on Gaussian-integer
+    numerators, that the image is lam * f with one lam across the basis;
+    raises if op does not act as a scalar there.
     """
     value: GaussianRational | None = None
     for f in basis(p, q).elements:
         image = op(f)
-        if image.is_zero():
-            candidate = GaussianRational(0)
-        else:
-            mono = min(f.nums)
-            candidate = image.coefficient(mono) / f.coefficient(mono)
-            if image != f.scale(candidate):
-                raise ArithmeticError(f"operator is not scalar on H_({p},{q})")
+        nums, mono = image.nums, min(f.nums)
+        u, v = f.nums[mono]
+        s, t = nums.get(mono, (0, 0))
+        # A nonzero image has f's support and, on every monomial, numerators
+        # (x + y*i)(u + v*i) == (s + t*i)(a + b*i), cross-multiplied with f's first one.
+        if nums and (nums.keys() != f.nums.keys() or any(
+                x * u - y * v != s * a - t * b or x * v + y * u != s * b + t * a
+                for (a, b), (x, y) in zip(f.nums.values(), map(nums.get, f.nums)))):
+            raise ArithmeticError(f"operator is not scalar on H_({p},{q})")
+        # lam = ((s + t*i) / image.den) / ((u + v*i) / f.den)
+        candidate = _make((s * u + t * v) * f.den, (t * u - s * v) * f.den,
+                          (u * u + v * v) * image.den)
         if value is None:
             value = candidate
         elif value != candidate:

@@ -36,7 +36,9 @@ tuple of instructions ``("num", Fraction)``, ``("i",)``, ``("var", name)``,
 ``("-",)``, ``("*",)`` and ``("/",)``.  Bounding and evaluating are each
 one loop over the program with a stack, so a chain ``a + b - c`` or
 ``a * b / c`` of any length costs no recursion; only the parser recurses,
-on nesting, which is bounded.
+on nesting, which is bounded.  Evaluation works on the integers a
+``SpherePoly`` stores, numerator maps over a denominator, and makes only its
+result a ``SpherePoly``; a one-term power is raised in one step.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .scalars import GaussianRational
-from .spherepoly import SpherePoly
+from .spherepoly import (_VAR_MONOS, Nums, SpherePoly, _add_into, _canonical, _mul_into,
+                         _power)
 
 
 #: Largest exponent accepted after '^'; expansions grow combinatorially with it
@@ -308,50 +310,51 @@ def _capped(terms: int, degree: int,
 def evaluate(program: Program) -> SpherePoly:
     """Evaluate a program to an exact SpherePoly, bounding its size first.
 
-    A '+'/'-' chain stacks its summands ('-' ones negated) and sums them once.
+    A '+'/'-' chain adds each summand into its running numerator map on the
+    lcm of the denominators, which may leave zero pairs and a common factor;
+    '*', '/' and '^' divide out the gcd, keeping the integers bounded.
     """
     _bounds(program)
-    stack: list[SpherePoly | list[SpherePoly]] = []
+    stack: list[tuple[Nums, int]] = []
     for ins in program:
         op = ins[0]
         if op == "num":
-            stack.append(SpherePoly.constant(ins[1]))
+            stack.append(({(0, 0, 0, 0): (ins[1].numerator, 0)}, ins[1].denominator))
         elif op == "i":
-            stack.append(SpherePoly.constant(GaussianRational(0, 1)))
+            stack.append(({(0, 0, 0, 0): (0, 1)}, 1))
         elif op == "var":
-            stack.append(SpherePoly.variable(ins[1]))
+            stack.append(({_VAR_MONOS[ins[1]]: (1, 0)}, 1))
         elif op == "neg":
-            stack[-1] = -_total(stack[-1])
+            nums, den = stack[-1]
+            stack[-1] = ({mono: (-x, -y) for mono, (x, y) in nums.items()}, den)
         elif op == "conj":
-            stack[-1] = _total(stack[-1]).conj()
+            nums, den = stack[-1]
+            stack[-1] = ({(c, d, a, b): (x, -y) for (a, b, c, d), (x, y) in nums.items()}, den)
         elif op == "pow":
-            stack[-1] = _total(stack[-1]) ** ins[1]
+            stack[-1] = _power(*stack[-1], ins[1])
         elif op in ("+", "-"):
-            right = _total(stack.pop())
-            if type(stack[-1]) is not list:
-                stack[-1] = [stack[-1]]
-            stack[-1].append(right if op == "+" else -right)
+            nums, den = stack.pop()
+            if op == "-":
+                nums = {mono: (-x, -y) for mono, (x, y) in nums.items()}
+            stack[-1] = _add_into(*stack[-1], nums, den)
         else:
-            right = _total(stack.pop())
-            stack[-1] = _combine(op, _total(stack[-1]), right)
-    return _total(stack.pop())
+            right, right_den = stack.pop() if op == "*" else _reciprocal(*stack.pop())
+            nums, den = stack[-1]
+            out: Nums = {}
+            count = _mul_into(out, nums, right)
+            stack[-1] = _canonical(out, den * right_den, len(out) < count)
+    return SpherePoly._of(*stack.pop(), True)
 
 
-def _total(entry: SpherePoly | list[SpherePoly]) -> SpherePoly:
-    """entry, or the sum of a pending list of summands."""
-    return SpherePoly.summed(entry) if type(entry) is list else entry
-
-
-def _combine(op: str, left: SpherePoly, right: SpherePoly) -> SpherePoly:
-    if op == "/":
-        if len(right) > 1 or (not right.is_zero()
-                              and right.bidegree_if_uniform() != (0, 0)):
-            raise EvaluationError("division only by a nonzero constant")
-        scalar = right.coefficient((0, 0, 0, 0))
-        if scalar.is_zero():
-            raise EvaluationError("division by zero")
-        return left.scale(GaussianRational(1) / scalar)
-    return left * right
+def _reciprocal(nums: Nums, den: int) -> tuple[Nums, int]:
+    """den*(x - y*i) over x^2 + y^2: the reciprocal of a constant divisor (x + y*i)/den."""
+    terms = [(mono, pair) for mono, pair in nums.items() if pair[0] or pair[1]]
+    if not terms:
+        raise EvaluationError("division by zero")
+    if len(terms) > 1 or terms[0][0] != (0, 0, 0, 0):
+        raise EvaluationError("division only by a nonzero constant")
+    x, y = terms[0][1]
+    return {(0, 0, 0, 0): (x * den, -y * den)}, x * x + y * y
 
 
 def parse_poly(src: str) -> SpherePoly:

@@ -82,17 +82,10 @@ class SpherePoly:
         # Reduced coefficients over the lcm of their denominators leave no common factor.
         nums: Nums = {}
         den = 1
-        if terms:
-            for mono, coeff in terms.items():
-                val = GaussianRational.coerce(coeff)
-                a, b, d = val._a, val._b, val._d
-                if not (a or b):
-                    continue
-                if d != den:
-                    if den % d:
-                        nums, den = _over_lcm(nums, den, d)
-                    a, b = a * (den // d), b * (den // d)
-                nums[_key(mono)] = (a, b)
+        for mono, coeff in (terms or {}).items():
+            val = GaussianRational.coerce(coeff)
+            if val:
+                nums, den = _add_into(nums, den, {_key(mono): (val._a, val._b)}, val._d)
         self.nums = nums
         self.den = den
 
@@ -118,59 +111,25 @@ class SpherePoly:
     def summed(cls, polys: Iterable["SpherePoly"]) -> "SpherePoly":
         """The sum of polys, over the lcm of their denominators.
 
-        Numerators are added in one term map, which is rescaled whenever the
-        lcm grows; only when two polynomials share a monomial can a sum
-        cancel or a common factor appear, so only then are zeros dropped and
-        the gcd taken.
+        Numerators are added in one term map (:func:`_add_into`); only when
+        two polynomials share a monomial can a sum cancel or a common factor
+        appear, so only then are zeros dropped and the gcd taken.
         """
-        out: Nums | None = None
-        den = 1
-        collided = False
+        out: Nums = {}
+        den, count = 1, 0
         for poly in polys:
-            nums = poly.nums
-            if not nums:
-                continue
-            if out is None:  # the first summand is copied whole
-                out, den = dict(nums), poly.den
-                continue
-            d = poly.den
-            if den % d:
-                out, den = _over_lcm(out, den, d)
-            factor = den // d
-            get = out.get
-            for mono, (x, y) in nums.items():
-                if factor != 1:
-                    x, y = x * factor, y * factor
-                acc = get(mono)
-                if acc is None:
-                    out[mono] = (x, y)
-                else:
-                    out[mono] = (acc[0] + x, acc[1] + y)
-                    collided = True
-        if out is None:
-            return _ZERO
-        return cls._of(out, den, collided) if collided else _raw(out, den)
+            if not out:  # the first nonzero summand is copied whole
+                out, den = dict(poly.nums), poly.den
+            else:
+                out, den = _add_into(out, den, poly.nums, poly.den)
+            count += len(poly.nums)
+        return cls._of(out, den, True) if len(out) < count else _raw(out, den)
 
     @classmethod
     def _of(cls, nums: Nums, den: int, summed: bool = False) -> "SpherePoly":
-        """The canonical polynomial of a numerator map it takes over, over den > 0.
-
-        Pass ``summed`` when numerators were added in place: a sum may have
-        cancelled to ``(0, 0)``, so those pairs are dropped first.  Then the
-        gcd of den and every numerator is divided out, in one pass that
-        stops as soon as it reaches 1.
-        """
-        if summed:
-            nums = {mono: pair for mono, pair in nums.items() if pair[0] or pair[1]}
-        if den != 1:
-            g = den
-            for x, y in nums.values():
-                g = gcd(g, x, y)
-                if g == 1:
-                    break
-            else:
-                nums = {mono: (x // g, y // g) for mono, (x, y) in nums.items()}
-                den //= g
+        """The canonical polynomial of nums over den; see :func:`_canonical`."""
+        if summed or den != 1:
+            nums, den = _canonical(nums, den, summed)
         return _raw(nums, den)
 
     # -- term access ---------------------------------------------------------
@@ -255,21 +214,9 @@ class SpherePoly:
         return SpherePoly._of(nums, self.den * d)
 
     def __pow__(self, exponent: int) -> "SpherePoly":
-        """self multiplied by itself exponent - 1 times.
-
-        For sparse polynomials repeated multiplication by the base does less
-        work than repeated squaring, whose last squares multiply two large
-        powers (Fateman, *On the computation of powers of sparse
-        polynomials*, 1974).
-        """
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        if not exponent:
-            return SpherePoly.constant(1)
-        out = self
-        for _ in range(exponent - 1):
-            out = out * self
-        return out
+        return _raw(*_power(self.nums, self.den, exponent))
 
     def conj(self) -> "SpherePoly":
         return _raw({(c, d, a, b): (x, -y)
@@ -318,25 +265,30 @@ class SpherePoly:
     def to_source(self) -> str:
         """Render in the expression grammar accepted by :mod:`crlab.parsing`.
 
-        Conjugates print as z1c and z2c.  The output reparses to a
-        structurally identical polynomial.
+        Conjugates print as z1c and z2c.  Each coefficient is printed from
+        its numerators and ``den``, one gcd per nonzero part.  The output
+        reparses to a structurally identical polynomial.
         """
         if not self.nums:
             return "0"
-        pieces: list[tuple[int, str]] = []  # (sign, unsigned text)
-        for mono, coeff in self.sorted_terms():
-            factors = []
-            for name, exp in zip(("z1", "z2", "z1c", "z2c"), mono):
-                if exp:
-                    factors.append(name if exp == 1 else f"{name}^{exp}")
-            sign, coeff_text = _coefficient_text(coeff, bool(factors))
-            body = "*".join(([coeff_text] if coeff_text else []) + factors)
-            pieces.append((sign, body))
-        sign, body = pieces[0]
-        out = ("-" if sign < 0 else "") + body
-        for sign, body in pieces[1:]:
-            out += (" - " if sign < 0 else " + ") + body
-        return out
+        den = self.den
+        out = []
+        for mono in sorted(self.nums):
+            x, y = self.nums[mono]
+            factors = [name if exp == 1 else f"{name}^{exp}"
+                       for name, exp in zip(("z1", "z2", "z1c", "z2c"), mono) if exp]
+            if not y:
+                sign, coeff = x, "" if abs(x) == den and factors else _ratio(abs(x), den)
+            else:
+                sign, coeff = y, "i" if abs(y) == den else f"{_ratio(abs(y), den)}*i"
+                if x:  # a mixed coefficient is parenthesized, so it stays one factor
+                    sign, coeff = 1, f"({_ratio(x, den)} {'+' if y > 0 else '-'} {coeff})"
+            if out:
+                out.append(" - " if sign < 0 else " + ")
+            elif sign < 0:
+                out.append("-")
+            out.append("*".join([coeff, *factors] if coeff else factors))
+        return "".join(out)
 
     def __str__(self) -> str:
         return self.to_source()
@@ -381,39 +333,82 @@ def _raw(nums: Nums, den: int) -> SpherePoly:
     return poly
 
 
-def _over_lcm(nums: Nums, den: int, d: int) -> tuple[Nums, int]:
-    """Numerators over den rewritten over lcm(den, d), with that lcm."""
-    grow = d // gcd(den, d)
-    return {mono: (x * grow, y * grow) for mono, (x, y) in nums.items()}, den * grow
+def _canonical(nums: Nums, den: int, summed: bool = False) -> tuple[Nums, int]:
+    """nums over den > 0 in canonical form; takes over nums.
+
+    Pass ``summed`` when numerators were added in place: a sum may have
+    cancelled to ``(0, 0)``, so those pairs are dropped first.  Then the gcd
+    of den and every numerator is divided out, in one pass that stops as
+    soon as it reaches 1.
+    """
+    if summed:
+        nums = {mono: pair for mono, pair in nums.items() if pair[0] or pair[1]}
+    if den != 1:
+        g = den
+        for x, y in nums.values():
+            g = gcd(g, x, y)
+            if g == 1:
+                break
+        else:
+            nums = {mono: (x // g, y // g) for mono, (x, y) in nums.items()}
+            den //= g
+    return nums, den
+
+
+def _add_into(out: Nums, den: int, nums: Nums, d: int) -> tuple[Nums, int]:
+    """nums over d added into out over den, on the lcm of the denominators.
+
+    Returns the sum's map (out itself, or a rescaled copy when the lcm
+    grows) and that lcm.  Sums are not checked for zero.
+    """
+    if den % d:
+        grow = d // gcd(den, d)
+        out, den = {mono: (x * grow, y * grow) for mono, (x, y) in out.items()}, den * grow
+    factor = den // d
+    get = out.get
+    for mono, (x, y) in nums.items():
+        if factor != 1:
+            x, y = x * factor, y * factor
+        acc = get(mono)
+        out[mono] = (x, y) if acc is None else (acc[0] + x, acc[1] + y)
+    return out, den
+
+
+def _power(nums: Nums, den: int, n: int) -> tuple[Nums, int]:
+    """nums over den to the n-th power (n >= 0), the gcd divided out.
+
+    A one-term base is raised in one step: its exponents are multiplied by
+    n, its Gaussian-integer numerator is raised to the n-th power and den
+    becomes den**n.  A longer base is multiplied by itself n - 1 times:
+    for sparse polynomials that does less work than repeated squaring,
+    whose last squares multiply two large powers (Fateman, *On the
+    computation of powers of sparse polynomials*, 1974).  A canonical base
+    gives a canonical power.
+    """
+    if not n:
+        return {(0, 0, 0, 0): (1, 0)}, 1
+    if len(nums) == 1:
+        ((a, b, c, d), (x, y)), = nums.items()
+        u, v = x, y
+        for _ in range(n - 1):
+            u, v = u * x - v * y, u * y + v * x
+        return _canonical({(a * n, b * n, c * n, d * n): (u, v)}, den ** n)
+    out, out_den = nums, den
+    for _ in range(n - 1):
+        product: Nums = {}
+        count = _mul_into(product, out, nums)
+        out, out_den = _canonical(product, out_den * den, len(product) < count)
+    return out, out_den
+
+
+def _ratio(n: int, d: int) -> str:
+    """n/d in lowest terms, as ``str(Fraction(n, d))`` prints it."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 _new = object.__new__
 _ZERO = SpherePoly()
-
-
-def _rat_text(value: Fraction) -> str:
-    return str(value)
-
-
-def _coefficient_text(coeff: GaussianRational, has_monomial: bool) -> tuple[int, str]:
-    """Sign and unsigned source text for a coefficient; '' drops an implicit 1."""
-    if coeff.im == 0:
-        sign = 1 if coeff.re > 0 else -1
-        mag = abs(coeff.re)
-        if mag == 1 and has_monomial:
-            return sign, ""
-        return sign, _rat_text(mag)
-    if coeff.re == 0:
-        sign = 1 if coeff.im > 0 else -1
-        mag = abs(coeff.im)
-        if mag == 1:
-            return sign, "i"
-        return sign, f"{_rat_text(mag)}*i"
-    # Mixed real and imaginary part: parenthesize so it stays one factor.
-    im_sign = " + " if coeff.im > 0 else " - "
-    mag = abs(coeff.im)
-    imag = "i" if mag == 1 else f"{_rat_text(mag)}*i"
-    return 1, f"({_rat_text(coeff.re)}{im_sign}{imag})"
 
 
 z1 = SpherePoly.variable("z1")

@@ -315,3 +315,26 @@ def test_golden_spectrum_csv(capsys):
 def test_golden_decompose_text(capsys):
     code, out, _ = run_cli(capsys, "decompose", "--phi", "z1*z1c", "--format", "text")
     assert _normalized(out) == (GOLDEN / "decompose_z1z1c.txt").read_text()
+
+
+#: Every monomial of degree <= 3 with a mixed complex coefficient: unreduced
+#: fractions, negative real parts beside imaginary ones, pure i and plain integers.
+DENSE_PHI = (
+    "(-3/4 + 2/6*i) + (6/4)*z2c + (-i)*z2c^2 + (9/12 - 5/10*i)*z2c^3 + (-1)*z1c"
+    " + (-5/6 + 4/9*i)*z1c*z2c + (2*i)*z1c*z2c^2 + (7)*z1c^2 + (-10/15*i)*z1c^2*z2c"
+    " + (1/3 + i)*z1c^3 + (-8/12 - 14/21*i)*z2 + (4/2)*z2*z2c + (-2 + 3*i)*z2*z2c^2"
+    " + (15/25 - 6/8*i)*z2*z1c + (i)*z2*z1c*z2c + (-4/6)*z2*z1c^2 + (12/18*i)*z2^2"
+    " + (-1 - i)*z2^2*z2c + (5/3 + 10/9*i)*z2^2*z1c + (-21/14 + 1/7*i)*z2^3"
+    " + (3/9)*z1 + (-6/9*i)*z1*z2c + (1 - 2*i)*z1*z2c^2 + (-9/6 + 8/6*i)*z1*z1c"
+    " + (11/22)*z1*z1c*z2c + (-3*i)*z1*z1c^2 + (2/8 + 6/4*i)*z1*z2"
+    " + (-7/21 - i)*z1*z2*z2c + (16/24)*z1*z2*z1c + (-25/30 + 18/27*i)*z1*z2^2"
+    " + (-1/2*i)*z1^2 + (4/5 - 2/5*i)*z1^2*z2c + (-12/8)*z1^2*z1c + (20/16*i)*z1^2*z2"
+    " + (-3/9 + 15/45*i)*z1^3"
+)
+
+
+def test_golden_decompose_dense_json(capsys):
+    code, out, _ = run_cli(capsys, "decompose", "--phi", DENSE_PHI, "--format", "json")
+    assert code == 0
+    out = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out)
+    assert out == (GOLDEN / "decompose_dense.json").read_text()

@@ -6,7 +6,7 @@ from crlab import (CONJ_KOHN, KOHN, PANEITZ, SUBLAP, SpherePoly, apply_T,
                    apply_Z1, apply_Z1bar, basis, bochner_residual,
                    common_eigenvalue, conj_kohn, grad_op, gr, inner, kohn,
                    kohn_energy_identity, one, paneitz, radius_sq, sphere_equal,
-                   sublap, z1, z1c, z2, z2c)
+                   parse_poly, sublap, z1, z1c, z2, z2c)
 from crlab.operators import IDENTITY, T, Z1, Z1BAR, MulBy
 from conftest import random_poly, random_scalar, vanishes_on_sphere
 
@@ -96,6 +96,44 @@ def test_common_eigenvalue_rejects_non_scalar_action():
 
     with pytest.raises(ArithmeticError):
         common_eigenvalue(MulBy(z1), 1, 0)
+
+
+def test_common_eigenvalue_rejects_an_image_with_f_support_that_is_not_proportional():
+    # Twice the coefficient of f's first monomial, the rest unchanged: same support.
+    def skewed(f):
+        mono = min(f.nums)
+        return f + SpherePoly.monomial(mono, f.coefficient(mono))
+
+    with pytest.raises(ArithmeticError, match="not scalar"):
+        common_eigenvalue(skewed, 1, 1)
+
+
+def test_common_eigenvalue_rejects_distinct_scalars():
+    # H_(1,1) has basis elements of one and of two terms.
+    with pytest.raises(ArithmeticError, match="distinct eigenvalues"):
+        common_eigenvalue(lambda f: f.scale(len(f)), 1, 1)
+
+
+def test_exact_values_enter_and_leave_polynomials_without_scalar_arithmetic(monkeypatch):
+    # Parsing, printing, a cold basis and the eigenvalue check all run on
+    # integer numerators, so none needs a GaussianRational operation.
+    from crlab import harmonics
+    from crlab.parsing import evaluate, parse
+    from crlab.scalars import GaussianRational
+
+    src = "(-3/4 + 2/6*i)*z1^2*z2c - conj(z1 + i)^3/(z1 - z1 + 2) + (1 - i)^2*z2*z1c"
+    expected_source = parse_poly(src).to_source()
+
+    def forbidden(*args):
+        raise AssertionError("GaussianRational arithmetic")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__"):
+        monkeypatch.setattr(GaussianRational, name, forbidden)
+    monkeypatch.setattr(harmonics, "_basis_cache", {})
+    assert evaluate(parse(src)).to_source() == expected_source
+    assert len(basis(3, 2).elements) == 6
+    assert common_eigenvalue(KOHN, 2, 3) == gr(2 * (2 + 1) * 3)
 
 
 def test_kohn_minus_conj_kohn_is_2iT():

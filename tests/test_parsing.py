@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crlab import Monomial, SpherePoly, gr, one, parse_poly, sphere_equal, z1, z1c, z2, z2c
+from crlab import (Monomial, SpherePoly, gr, one, parse_poly, parsing, sphere_equal, z1, z1c, z2,
+                   z2c)
 from crlab.parsing import (MAX_NESTING, MAX_TERMS, EvaluationError, LexicalError, ParseError,
                            SyntaxParseError, _bounds, evaluate, parse)
 
@@ -146,10 +147,12 @@ def test_long_product_of_one_variable_is_evaluated():
     "z1 + ((z1+z2+z1c+z2c)^32 + (z1+z2+z1c+z2c)^32)^0",  # every subexpression is bounded
 ])
 def test_expansion_above_term_bound_is_rejected_before_evaluation(src, monkeypatch):
-    def no_arithmetic(name):
+    def no_arithmetic(*args):
         raise AssertionError("evaluated before the bound was checked")
 
-    monkeypatch.setattr(SpherePoly, "variable", staticmethod(no_arithmetic))
+    # Every sum, product, quotient and power of the evaluator goes through these.
+    for name in ("_add_into", "_mul_into", "_power"):
+        monkeypatch.setattr(parsing, name, no_arithmetic)
     with pytest.raises(EvaluationError, match=f"more than {MAX_TERMS} terms"):
         evaluate(parse(src))
 
@@ -175,17 +178,112 @@ def test_long_chains_evaluate_without_recursion():
     assert parse_poly("1 - 2 - 3 + 4*5/2") == SpherePoly.constant(6)
 
 
-def test_a_sum_chain_is_summed_once(monkeypatch):
+def test_evaluation_makes_one_polynomial(monkeypatch):
+    # Values stay numerator maps until the end: one canonical SpherePoly is
+    # made per parse, and no SpherePoly arithmetic runs.
+    sources = ["z1 + z2 - z1c + z2c",
+               "-conj(z1 + i)^2/3 - 1/2*z2c*(z1 - z1 + 2) + (2/4 - 3*i)^3"]
+    expected = [parse_poly(src) for src in sources]
     calls = []
-    summed = SpherePoly.summed
+    of = SpherePoly._of
 
-    def counted(polys):
-        calls.append(polys)
-        return summed(polys)
+    def counted(*args):
+        calls.append(args)
+        return of(*args)
 
-    monkeypatch.setattr(SpherePoly, "summed", staticmethod(counted))
-    assert parse_poly("z1 + z2 - z1c + z2c") == summed([z1, z2, -z1c, z2c])
-    assert len(calls) == 1
+    def forbidden(*args):
+        raise AssertionError("SpherePoly arithmetic inside evaluate")
+
+    monkeypatch.setattr(SpherePoly, "_of", staticmethod(counted))
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
+                 "__rmul__", "__pow__", "conj", "scale", "summed"):
+        monkeypatch.setattr(SpherePoly, name, forbidden)
+    for src, poly in zip(sources, expected):
+        calls.clear()
+        assert parse_poly(src) == poly
+        assert len(calls) == 1
+
+
+def test_integer_growth_stays_bounded(monkeypatch):
+    # z1*2*1/2*2*1/2... : each product divides out the common factor, so no
+    # numerator or denominator grows along the chain.
+    widths = []
+    canonical = parsing._canonical
+
+    def recorded(nums, den, summed=False):
+        widths.append(max(abs(n).bit_length() for pair in nums.values() for n in (*pair, den)))
+        return canonical(nums, den, summed)
+
+    monkeypatch.setattr(parsing, "_canonical", recorded)
+    assert parse_poly("z1" + "*2*1/2" * 2000) == z1
+    assert len(widths) == 4000  # one per product
+    assert max(widths) <= 2
+
+
+# -- a random-expression oracle -------------------------------------------------
+
+
+@st.composite
+def gaussian_rationals(draw, nonzero=False):
+    re = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9)))
+    im = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9)))
+    if nonzero and not (re or im):
+        re = Fraction(1)
+    return gr(re, im)
+
+
+def rational_source(value: Fraction) -> str:
+    return f"({value.numerator}/{value.denominator})"
+
+
+@st.composite
+def divisors(draw):
+    """A nonzero constant as source, written plainly or through a cancelling variable."""
+    value = draw(gaussian_rationals(nonzero=True))
+    text = f"({rational_source(value.re)} + {rational_source(value.im)}*i)"
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(["z1", "z2", "z1c", "z2c"]))
+        text = f"({name} - {name} + {text})"
+    return text, value
+
+
+@st.composite
+def expressions(draw, depth=3):
+    """(source, value built with SpherePoly arithmetic) of a random expression tree."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        kind = draw(st.sampled_from(["int", "ratio", "i", "var"]))
+        if kind == "int":
+            k = draw(st.integers(0, 12))
+            return str(k), SpherePoly.constant(k)
+        if kind == "ratio":
+            a, b = draw(st.integers(0, 12)), draw(st.integers(1, 12))
+            return f"{a}/{b}", SpherePoly.constant(Fraction(a, b))
+        if kind == "i":
+            return "i", SpherePoly.constant(gr(0, 1))
+        name = draw(st.sampled_from(["z1", "z2", "z1c", "z2c"]))
+        return name, SpherePoly.variable(name)
+    op = draw(st.sampled_from(["neg", "conj", "+", "-", "*", "^", "/"]))
+    text, value = draw(expressions(depth=depth - 1))
+    if op == "neg":
+        return f"(-{text})", -value
+    if op == "conj":
+        return f"conj({text})", value.conj()
+    if op == "^":
+        n = draw(st.integers(0, 4))
+        return f"({text})^{n}", value ** n
+    if op == "/":
+        divisor, scalar = draw(divisors())
+        return f"({text}/{divisor})", value.scale(gr(1) / scalar)
+    right_text, right = draw(expressions(depth=depth - 1))
+    built = {"+": value + right, "-": value - right, "*": value * right}[op]
+    return f"({text} {op} {right_text})", built
+
+
+@settings(max_examples=150, deadline=None)
+@given(expressions())
+def test_evaluation_agrees_with_polynomial_arithmetic(case):
+    text, built = case
+    assert parse_poly(text) == built
 
 
 def call_style(poly: SpherePoly) -> str:

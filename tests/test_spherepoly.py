@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crlab import (KOHN, Monomial, SpherePoly, apply_T, apply_Z1, apply_Z1bar, flat_laplacian,
-                   gr, one, radius_sq, z1, z1c, z2, z2c)
+                   gr, one, radius_sq, spherepoly, z1, z1c, z2, z2c)
 from conftest import SPHERE_POINTS, random_poly
 
 
@@ -134,6 +134,30 @@ def test_power_equals_repeated_product_and_repeated_squares(rng):
         assert x ** 8 == (square * square) * (square * square)
     base = z1 + z2 + z1c + z2c
     assert len(base ** 12) == 455  # C(15, 3) monomials of degree 12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(*[st.integers(0, 3)] * 4), st.integers(-9, 9), st.integers(-9, 9),
+       st.integers(1, 12), st.integers(0, 9))
+def test_one_term_power_equals_repeated_product(exps, re, im, den, n):
+    term = SpherePoly.monomial(exps, gr(Fraction(re, den), Fraction(im, den)))
+    product = one
+    for _ in range(n):
+        product = product * term
+    assert term ** n == product
+
+
+def test_one_term_power_makes_no_product(monkeypatch):
+    def no_product(*args):
+        raise AssertionError("a one-term power multiplied polynomials")
+
+    term = SpherePoly.monomial((1, 0, 2, 1), gr(Fraction(1, 2), Fraction(-3, 4)))
+    expected = term * term * term * term * term
+    monkeypatch.setattr(spherepoly, "_mul_into", no_product)
+    assert term ** 5 == expected
+    assert (z1 + z2) ** 1 == z1 + z2
+    with pytest.raises(AssertionError, match="multiplied"):
+        (z1 + z2) ** 2
 
 
 # -- the integer view: numerators over one shared denominator -----------------
