@@ -60,10 +60,6 @@ MAX_BIDEGREE = 8
 MAX_VARIATION_PMAX = 24
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """Argument errors print one line, like every other usage error."""
 
@@ -105,7 +101,7 @@ def _jet_text(jet) -> str:
 
 def cmd_spectrum(args, report: Report):
     if not (0 <= args.pmax <= MAX_BIDEGREE and 0 <= args.qmax <= MAX_BIDEGREE):
-        raise UsageError(f"--pmax/--qmax must lie in 0..{MAX_BIDEGREE}")
+        raise PreconditionError(f"--pmax/--qmax must lie in 0..{MAX_BIDEGREE}")
     op, expected_fn, formula = _OPERATORS[args.op]
     for p in range(args.pmax + 1):
         for q in range(args.qmax + 1):
@@ -220,7 +216,7 @@ def cmd_bochner(args, report: Report):
 
 def cmd_variation(args, report: Report):
     if not 1 <= args.pmax <= MAX_VARIATION_PMAX:
-        raise UsageError(f"--pmax must lie in 1..{MAX_VARIATION_PMAX}")
+        raise PreconditionError(f"--pmax must lie in 1..{MAX_VARIATION_PMAX}")
     phi = parse_poly(args.phi)
     if args.order == 1:
         form = assemble_form(first_variation(phi), args.pmax, expect_hermitian=True)
@@ -351,8 +347,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         args.run(args, report)
-    except (ParseError, EvaluationError, UsageError, DegenerateStructureError,
-            PreconditionError) as exc:
+    except (ParseError, EvaluationError, DegenerateStructureError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except IdentityCheckError as exc:

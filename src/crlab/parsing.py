@@ -22,6 +22,15 @@ Conjugates may be written z1c/z2c or conj(z1)/conj(z2).
 ``SpherePoly.to_source`` emits this grammar, and print-then-parse returns
 a structurally identical polynomial.
 
+Tokens are matched by one pattern, ``\\d+|\\w+|\\S``, over the Unicode classes
+that ``str`` predicates define: ``\\d`` is ``str.isdecimal`` (what ``int``
+reads, so ``'\\u0663'`` is 3 and ``'²'`` is no digit), ``\\w`` is
+``str.isalnum`` or ``'_'``, and the ``str.isspace`` characters between
+tokens are skipped.  A word must be one of the identifiers above, so one
+that starts with a letter is reported whole and any other by its first
+character; any other character is a token of its own and must be one of
+``+-*/^()``.
+
 Errors carry 1-based column positions: unknown tokens are lexical errors,
 structural problems are syntax errors, and a zero denominator, an exponent
 above ``MAX_EXPONENT`` or nesting deeper than ``MAX_NESTING`` is rejected
@@ -43,6 +52,7 @@ result a ``SpherePoly``; a one-term power is raised in one step.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import comb
 
@@ -92,53 +102,27 @@ class EvaluationError(ValueError):
 
 # -- lexer ----------------------------------------------------------------------
 
-_SYMBOLS = set("+-*/^()")
-_KNOWN_IDENTS = {"i", "z1", "z2", "z1c", "z2c", "conj"}
+#: An integer literal, a word, or any other single character; whitespace between.
+_TOKEN = re.compile(r"\d+|\w+|\S")
+
+#: Every valid token but an integer literal: the six identifiers and seven symbols.
+_WORDS = {*_VAR_MONOS, "i", "conj", *"+-*/^()"}
 
 
-class Token:
-    __slots__ = ("kind", "text", "column")
-
-    def __init__(self, kind: str, text: str, column: int):
-        self.kind = kind  # 'uint' | 'ident' | one of the symbols | 'end'
-        self.text = text
-        self.column = column
-
-
-def _tokenize(src: str) -> list[Token]:
-    tokens: list[Token] = []
-    pos = 0
-    n = len(src)
-    while pos < n:
-        ch = src[pos]
-        if ch.isspace():
-            pos += 1
+def _tokenize(src: str) -> list[tuple[str, int]]:
+    """src as (text, column) pairs, ending in ``("", len(src) + 1)``."""
+    tokens = [(match[0], match.start() + 1) for match in _TOKEN.finditer(src)]
+    for text, column in tokens:
+        if text in _WORDS:
             continue
-        col = pos + 1
-        if ch in _SYMBOLS:
-            tokens.append(Token(ch, ch, col))
-            pos += 1
-        elif ch.isdecimal():  # what int() reads; isdigit() would also admit '²'
-            end = pos
-            while end < n and src[end].isdecimal():
-                end += 1
-            if end - pos > MAX_LITERAL_DIGITS:
-                raise LexicalError(f"integer literal of {end - pos} digits exceeds the bound "
-                                   f"{MAX_LITERAL_DIGITS}", col)
-            tokens.append(Token("uint", src[pos:end], col))
-            pos = end
-        elif ch.isalpha():
-            end = pos
-            while end < n and (src[end].isalnum() or src[end] == "_"):
-                end += 1
-            word = src[pos:end]
-            if word not in _KNOWN_IDENTS:
-                raise LexicalError(f"unknown token {word!r}", col)
-            tokens.append(Token("ident", word, col))
-            pos = end
-        else:
-            raise LexicalError(f"unknown token {ch!r}", col)
-    tokens.append(Token("end", "", n + 1))
+        if not text.isdecimal():
+            # A word that starts with no letter is reported by its first character.
+            raise LexicalError(f"unknown token {text if text[0].isalpha() else text[0]!r}",
+                               column)
+        if len(text) > MAX_LITERAL_DIGITS:
+            raise LexicalError(f"integer literal of {len(text)} digits exceeds the bound "
+                               f"{MAX_LITERAL_DIGITS}", column)
+    tokens.append(("", len(src) + 1))
     return tokens
 
 
@@ -146,115 +130,119 @@ def _tokenize(src: str) -> list[Token]:
 
 
 class _Parser:
-    """Appends each parsed expression's instructions to ``program``, operands first."""
+    """Appends each parsed expression's instructions to ``program``, operands first.
 
-    def __init__(self, tokens: list[Token]):
+    ``text`` and ``column`` are the current token's; ``""`` is the end.
+    """
+
+    def __init__(self, tokens: list[tuple[str, int]]):
         self.tokens = tokens
         self.pos = 0
+        self.text, self.column = tokens[0]
         self.depth = 0
         self.program: list[tuple] = []
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
+    def advance(self) -> str:
+        """Move past the current token; returns its text."""
+        text = self.text
         self.pos += 1
-        return tok
+        self.text, self.column = self.tokens[self.pos]
+        return text
 
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise SyntaxParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                                   tok.column)
-        return self.advance()
+    def expect(self, kind: str):
+        """Raise unless the current token is kind: 'uint' or a symbol."""
+        if not (self.text.isdecimal() if kind == "uint" else self.text == kind):
+            raise SyntaxParseError(f"expected {kind!r}, found {self.text or 'end of input'!r}",
+                                   self.column)
 
-    def enter(self, tok: Token):
-        """Open one nesting level at tok; close it with ``depth -= 1``."""
+    def enter(self):
+        """Open one nesting level at the current token and move past it; close
+        it with ``depth -= 1``."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise SyntaxParseError(f"nesting deeper than the bound {MAX_NESTING}", tok.column)
+            raise SyntaxParseError(f"nesting deeper than the bound {MAX_NESTING}", self.column)
+        self.advance()
 
     def parse_expr(self):
         self.parse_term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
+        while self.text in ("+", "-"):
+            op = self.advance()
             self.parse_term()
             self.program.append((op,))
 
     def parse_term(self):
         self.parse_factor()
-        while self.peek().kind in ("*", "/"):
-            op = self.advance().kind
+        while self.text in ("*", "/"):
+            op = self.advance()
             self.parse_factor(divisor=op == "/")
             self.program.append((op,))
 
     def parse_factor(self, divisor: bool = False):
-        if self.peek().kind == "-":
-            self.enter(self.advance())
+        if self.text == "-":
+            self.enter()
             self.parse_factor(divisor)
             self.depth -= 1
             self.program.append(("neg",))
             return
         self.parse_base(divisor)
-        if self.peek().kind == "^":
+        if self.text == "^":
             self.advance()
-            tok = self.expect("uint")
-            exponent = int(tok.text)
+            self.expect("uint")
+            column = self.column
+            exponent = int(self.advance())
             if exponent > MAX_EXPONENT:
                 raise SyntaxParseError(f"exponent {exponent} exceeds the bound {MAX_EXPONENT}",
-                                       tok.column)
+                                       column)
             self.program.append(("pow", exponent))
 
     def parse_base(self, divisor: bool = False):
         """A base; after a term-level '/' (``divisor``) an integer is not a rational's numerator."""
-        tok = self.peek()
-        if tok.kind == "uint":
+        text = self.text
+        if text.isdecimal():
             self.advance()
-            value = Fraction(int(tok.text))
+            value = Fraction(int(text))
             # Consume a '/' here only for a rational literal: not in a divisor,
             # so z1/3/4 is (z1/3)/4, and not when '^' follows the denominator,
             # so 2/3^2 is 2/(3^2); other division stays a term-level operation.
             tokens, pos = self.tokens, self.pos
-            if (not divisor and tokens[pos].kind == "/" and tokens[pos + 1].kind == "uint"
-                    and tokens[pos + 2].kind != "^"):
+            if (not divisor and self.text == "/" and tokens[pos + 1][0].isdecimal()
+                    and tokens[pos + 2][0] != "^"):
                 self.advance()
-                den_tok = self.advance()
-                denominator = int(den_tok.text)
+                column = self.column
+                denominator = int(self.advance())
                 if denominator == 0:
-                    raise SyntaxParseError("denominator must be nonzero", den_tok.column)
+                    raise SyntaxParseError("denominator must be nonzero", column)
                 value /= denominator
             self.program.append(("num", value))
-        elif tok.kind == "ident":
+        elif text == "conj":
             self.advance()
-            if tok.text == "conj":
-                self.enter(self.expect("("))
-                self.parse_expr()
-                self.expect(")")
-                self.depth -= 1
-                self.program.append(("conj",))
-            else:
-                self.program.append(("i",) if tok.text == "i" else ("var", tok.text))
-        elif tok.kind == "(":
-            self.enter(self.advance())
-            self.parse_expr()
-            self.expect(")")
-            self.depth -= 1
+            self.parse_group()
+            self.program.append(("conj",))
+        elif text == "(":
+            self.parse_group()
+        elif text == "i" or text in _VAR_MONOS:
+            self.advance()
+            self.program.append(("i",) if text == "i" else ("var", text))
         else:
-            raise SyntaxParseError(f"unexpected {tok.text or 'end of input'!r}", tok.column)
+            raise SyntaxParseError(f"unexpected {text or 'end of input'!r}", self.column)
+
+    def parse_group(self):
+        """'(' expr ')' at the current token, one nesting level deeper."""
+        self.expect("(")
+        self.enter()
+        self.parse_expr()
+        self.expect(")")
+        self.advance()
+        self.depth -= 1
 
 
 def parse(src: str) -> Program:
     """Parse source text to a program; raises ParseError with a column on failure."""
     parser = _Parser(_tokenize(src))
     parser.parse_expr()
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise SyntaxParseError(f"trailing input {tok.text!r}", tok.column)
+    if parser.text:
+        raise SyntaxParseError(f"trailing input {parser.text!r}", parser.column)
     return tuple(parser.program)
-
-
-_CONJ_NAME = {"z1": "z1c", "z2": "z2c", "z1c": "z1", "z2c": "z2"}
 
 
 def _bounds(program: Program) -> tuple[int, int]:
@@ -263,32 +251,33 @@ def _bounds(program: Program) -> tuple[int, int]:
     Terms add under '+' and '-', multiply under '*', and a power of a t-term
     base has at most C(t+n-1, n) terms (the multisets of n of its terms);
     every count is capped by C(D+k, k), the number of monomials of degree at
-    most D in the k variables that occur (``conj`` swaps z1 with z1c and z2
-    with z2c).  Raises EvaluationError at the first subexpression above
+    most D in the k variables that occur.  The variables are a 4-bit mask in
+    exponent order (z1, z2, z1c, z2c), so ``conj`` swaps its two halves as it
+    swaps a monomial's.  Raises EvaluationError at the first subexpression above
     ``MAX_TERMS`` and TypeError on an unknown instruction.
     """
-    stack: list[tuple[int, int, frozenset[str]]] = []  # (terms, degree, variables)
+    stack: list[tuple[int, int, int]] = []  # (terms, degree, variable mask)
     for ins in program:
         op = ins[0]
         if op in ("num", "i"):
-            stack.append((1, 0, frozenset()))
+            stack.append((1, 0, 0))
         elif op == "var":
-            stack.append((1, 1, frozenset((ins[1],))))
+            stack.append((1, 1, 1 << _VAR_MONOS[ins[1]].index(1)))
         elif op == "conj":
-            terms, degree, names = stack.pop()
-            stack.append((terms, degree, frozenset(_CONJ_NAME[name] for name in names)))
+            terms, degree, mask = stack.pop()
+            stack.append((terms, degree, mask >> 2 | (mask & 3) << 2))
         elif op == "pow":
-            terms, degree, names = stack.pop()
+            terms, degree, mask = stack.pop()
             n = ins[1]
-            stack.append(_capped(comb(terms + n - 1, n), degree * n, names))
+            stack.append(_capped(comb(terms + n - 1, n), degree * n, mask))
         elif op in ("+", "-", "*"):
-            right_terms, right_degree, right_names = stack.pop()
-            terms, degree, names = stack.pop()
+            right_terms, right_degree, right_mask = stack.pop()
+            terms, degree, mask = stack.pop()
             if op == "*":
                 terms, degree = terms * right_terms, degree + right_degree
             else:
                 terms, degree = terms + right_terms, max(degree, right_degree)
-            stack.append(_capped(terms, degree, names | right_names))
+            stack.append(_capped(terms, degree, mask | right_mask))
         elif op == "/":
             stack.pop()  # a constant divisor keeps the left operand's bounds
         elif op != "neg":
@@ -297,14 +286,14 @@ def _bounds(program: Program) -> tuple[int, int]:
     return terms, degree
 
 
-def _capped(terms: int, degree: int,
-            names: frozenset[str]) -> tuple[int, int, frozenset[str]]:
-    """terms capped by the monomials in names of degree at most degree, checked
-    against MAX_TERMS."""
-    terms = min(terms, comb(degree + len(names), len(names)))
+def _capped(terms: int, degree: int, mask: int) -> tuple[int, int, int]:
+    """terms capped by the monomials in mask's variables of degree at most
+    degree, checked against MAX_TERMS."""
+    k = mask.bit_count()
+    terms = min(terms, comb(degree + k, k))
     if terms > MAX_TERMS:
         raise EvaluationError(f"expression may expand to more than {MAX_TERMS} terms")
-    return terms, degree, names
+    return terms, degree, mask
 
 
 def evaluate(program: Program) -> SpherePoly:

@@ -1,10 +1,11 @@
 """Verification reports: exact witnesses, lossless serialization, three formats.
 
 Every CLI command produces a :class:`Report`: a command echo, the measure
-normalization note, and a list of records.  Each record names the claim it
-checks, carries a pass/fail status and exact witness values.  Witnesses
-serialize losslessly: rationals as strings like ``"-8/3"``, complex values
-as ``{"re": "0", "im": "8/3"}``, polynomials in the parser grammar.  The
+normalization note, and a list of records.  Each record is a plain dict:
+it names the claim it checks, carries a pass/fail status and exact witness
+values, encoded once when the record is added.  Witnesses serialize
+losslessly: rationals as strings like ``"-8/3"``, complex values as
+``{"re": "0", "im": "8/3"}``, polynomials in the parser grammar.  The
 text, json and csv renderings contain the same records; ``schema`` is
 versioned so golden outputs stay comparable.
 """
@@ -14,7 +15,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .integration import CONTACT_MASS_NOTE
@@ -64,44 +64,34 @@ def _approximate(encoded):
     return encoded
 
 
-@dataclass(frozen=True)
-class Record:
-    id: str
-    claim: str
-    passed: bool
-    witness: dict
-
-    def as_dict(self, approx: bool = False) -> dict:
-        out = {
-            "id": self.id,
-            "claim": self.claim,
-            "status": "pass" if self.passed else "fail",
-            "witness": encode_witness(self.witness),
-        }
-        if approx:
-            out["witness_approx"] = _approximate(out["witness"])
-        return out
-
-
-@dataclass
 class Report:
-    command: str
-    records: list[Record] = field(default_factory=list)
-    normalization: str = CONTACT_MASS_NOTE
-    elapsed_ms: int = 0
+    """A command's records, each stored as the plain dict that ``as_dict``
+    emits: ``id``, ``claim``, ``status`` and the encoded ``witness``."""
+
+    def __init__(self, command: str):
+        self.command = command
+        self.records: list[dict] = []
+        self.normalization = CONTACT_MASS_NOTE
+        self.elapsed_ms = 0
 
     def add(self, id: str, claim: str, passed: bool, **witness):
-        self.records.append(Record(id, claim, passed, witness))
+        self.records.append({"id": id, "claim": claim, "status": "pass" if passed else "fail",
+                             "witness": encode_witness(witness)})
 
     def sort(self):
-        self.records.sort(key=lambda r: r.id)
+        self.records.sort(key=lambda r: r["id"])
 
     @property
     def all_pass(self) -> bool:
-        return all(r.passed for r in self.records)
+        return all(r["status"] == "pass" for r in self.records)
 
     def failures(self) -> list[str]:
-        return [r.id for r in self.records if not r.passed]
+        return [r["id"] for r in self.records if r["status"] == "fail"]
+
+    def _records(self, approx: bool) -> list[dict]:
+        if not approx:
+            return self.records
+        return [{**r, "witness_approx": _approximate(r["witness"])} for r in self.records]
 
     def as_dict(self, approx: bool = False) -> dict:
         out = {
@@ -110,7 +100,7 @@ class Report:
             "normalization": self.normalization,
             "all_pass": self.all_pass,
             "elapsed_ms": self.elapsed_ms,
-            "records": [r.as_dict(approx) for r in self.records],
+            "records": self._records(approx),
         }
         if approx:
             out["approx_note"] = APPROX_NOTE
@@ -128,12 +118,11 @@ class Report:
         if approx:
             header.append("witness_approx")
         writer.writerow(header)
-        for record in self.records:
-            data = record.as_dict(approx)
-            row = [data["id"], data["claim"], data["status"],
-                   json.dumps(data["witness"], sort_keys=True)]
+        for record in self._records(approx):
+            row = [record["id"], record["claim"], record["status"],
+                   json.dumps(record["witness"], sort_keys=True)]
             if approx:
-                row.append(json.dumps(data["witness_approx"], sort_keys=True))
+                row.append(json.dumps(record["witness_approx"], sort_keys=True))
             writer.writerow(row)
         return buf.getvalue()
 
@@ -144,20 +133,18 @@ class Report:
             f"normalization: {self.normalization}",
             "",
         ]
-        for record in self.records:
-            status = "PASS" if record.passed else "FAIL"
-            encoded = encode_witness(record.witness)
-            witness = ", ".join(f"{k}={json.dumps(v, sort_keys=True)}" for k, v in encoded.items())
-            lines.append(f"[{status}] {record.id}: {record.claim}")
+        for record in self._records(approx):
+            witness = ", ".join(f"{k}={json.dumps(v, sort_keys=True)}"
+                                for k, v in record["witness"].items())
+            lines.append(f"[{record['status'].upper()}] {record['id']}: {record['claim']}")
             if witness:
                 lines.append(f"       {witness}")
             if approx:
-                approximate = _approximate(encoded)
                 values = ", ".join(f"{k}~{json.dumps(v, sort_keys=True)}"
-                                   for k, v in approximate.items())
+                                   for k, v in record["witness_approx"].items())
                 lines.append(f"       approx ({APPROX_NOTE}): {values}")
         lines.append("")
-        passed = sum(1 for r in self.records if r.passed)
+        passed = sum(r["status"] == "pass" for r in self.records)
         lines.append(f"{passed}/{len(self.records)} checks passed "
                      f"({self.elapsed_ms} ms)")
         return "\n".join(lines) + "\n"

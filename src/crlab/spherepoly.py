@@ -140,10 +140,6 @@ class SpherePoly:
         den, named = self.den, Monomial._make
         return {named(mono): _make(x, y, den) for mono, (x, y) in self.nums.items()}
 
-    def sorted_terms(self) -> list[tuple[Monomial, GaussianRational]]:
-        """Terms in lexicographic exponent order (the canonical iteration order)."""
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
-
     def coefficient(self, mono: Monomial | Exponents) -> GaussianRational:
         pair = self.nums.get(_key(mono))
         return ZERO if pair is None else _make(pair[0], pair[1], self.den)

@@ -23,8 +23,12 @@ LEAVES = st.sampled_from(["z1", "z2", "z1c", "z2c", "conj(z1)", "i", "0", "1", "
                           "((z1+z2+z1c+z2c)^32*(z1+z2+z1c+z2c)^32)"])
 # Exponents above the bound of 32 are parse errors; (...)^0 is the constant 1.
 EXPONENTS = st.sampled_from(["0", "1", "2", "3", "33"])
-# Fragments that are not in the grammar, spliced in to reach every error path.
-JUNK = st.one_of(st.just(""), st.sampled_from([")", "(", "^", "*", "/0", "z3", "1.5", "$", "/z1"]))
+# Fragments that are not in the grammar, spliced in to reach every error path,
+# and Unicode ones for each token class: a superscript digit, a no-break space,
+# an Arabic-Indic digit, a non-ASCII letter, an underscore and a zero-width space.
+JUNK = st.one_of(st.just(""), st.sampled_from([")", "(", "^", "*", "/0", "z3", "1.5", "$", "/z1",
+                                               "\u00b2", "\u00a0", "\u0663", "\u00e9", "_",
+                                               "\u200b"]))
 
 
 @st.composite

@@ -1,6 +1,9 @@
 """Expression grammar: parsing, evaluation, errors, and print round-trips."""
 
+import re
+import sys
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -87,6 +90,40 @@ def test_superscript_digit_is_lexical_error():
 def test_unknown_character_is_lexical_error():
     with pytest.raises(LexicalError):
         parse("z1 @ z2")
+
+
+def test_pattern_classes_are_the_str_predicates():
+    # The tokenizer's \d, \w and \s must agree with these predicates on every
+    # code point outside the surrogates; each code point occurs once in chars.
+    chars = "".join(map(chr, chain(range(0xD800), range(0xE000, sys.maxunicode + 1))))
+    assert "".join(re.findall(r"\d", chars)) == "".join(filter(str.isdecimal, chars))
+    assert "".join(re.findall(r"\w", chars)) == "".join(c for c in chars
+                                                        if c.isalnum() or c == "_")
+    assert "".join(re.findall(r"\s", chars)) == "".join(filter(str.isspace, chars))
+
+
+@pytest.mark.parametrize("src, value", [
+    ("z1\u00a0+\u3000z2", z1 + z2),                   # no-break and ideographic spaces
+    ("\u0663*z1", z1.scale(3)),                        # an Arabic-Indic digit three
+    ("1/\u0663", SpherePoly.constant(Fraction(1, 3))),
+])
+def test_unicode_spaces_and_decimal_digits_are_read(src, value):
+    assert parse_poly(src) == value
+
+
+@pytest.mark.parametrize("src, error, message, column", [
+    ("\u00e91", LexicalError, "unknown token '\u00e91'", 1),
+    ("_x", LexicalError, "unknown token '_'", 1),       # a word must start with a letter
+    ("z1\u00b2", LexicalError, "unknown token 'z1\u00b2'", 1),
+    ("\u00bd", LexicalError, "unknown token '\u00bd'", 1),
+    ("z1 + \u200b", LexicalError, "unknown token '\\u200b'", 6),  # zero-width, not a space
+    ("(" * 100 + "conj z1", SyntaxParseError, "expected '(', found 'z1'", 106),
+])
+def test_token_errors_are_pinned(src, error, message, column):
+    with pytest.raises(error) as err:
+        parse(src)
+    assert str(err.value) == f"{message} (column {column})"
+    assert err.value.column == column
 
 
 @pytest.mark.parametrize("src, column", [("7" * 101, 1), ("z1^" + "9" * 5000, 4),

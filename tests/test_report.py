@@ -29,7 +29,7 @@ def test_failing_records_flip_all_pass_and_list_failures():
     report.add("b-check", "always true", True, value=gr(1))
     report.add("a-check", "always false", False, value=gr(0))
     report.sort()
-    assert [r.id for r in report.records] == ["a-check", "b-check"]
+    assert [r["id"] for r in report.records] == ["a-check", "b-check"]
     assert not report.all_pass
     assert report.failures() == ["a-check"]
     data = json.loads(report.to_json())
