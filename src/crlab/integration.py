@@ -16,17 +16,19 @@ positive rescaling.
 
 ``inner(x, y)`` is the L^2 pairing  integral of x * conj(y), conjugate
 linear in the second slot; ``inner(x, y, w)`` integrates w * x * conj(y).
-Every pairing, these and each row of a variation form, runs through one
-kernel, :func:`_pair_into`.  A product of terms integrates to zero unless
-the torus weights (a - c, b - d) of its factors balance, W(w) + W(x) =
-W(y), so only products that can survive are formed (never w * x as a
-polynomial), their numerators are summed per moment, and
-:func:`moment_total` divides once.
+Every pairing, these, each integral of a weighted gradient pairing and
+each row of a variation form, runs through one kernel, :func:`_pair_into`.
+A product of terms integrates to zero unless the torus weights
+(a - c, b - d) of its factors balance, W(w) + W(x) = W(y), so only
+products that can survive are formed (never w * x as a polynomial), their
+numerators are summed per moment, and :func:`moment_total` divides once.
+A single integral, :func:`_integral`, reads bare numerator maps, so a
+caller that holds numerators (field images, a weight grouped once by
+:func:`_groups`) pays for no polynomial and no gcd before the division.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from math import comb, gcd
 from typing import Iterable, Mapping
 
@@ -78,11 +80,11 @@ def integrate(poly: SpherePoly) -> GaussianRational:
                          if a == c and b == d}, poly.den)
 
 
-def targets_of(ys: Iterable[SpherePoly]) -> dict[Weight, list[Target]]:
-    """The terms of y_0, y_1, ... indexed by torus weight, as :func:`_pair_into` reads them."""
+def targets_of(ys: Iterable[Nums]) -> dict[Weight, list[Target]]:
+    """The terms of numerator maps y_0, y_1, ... indexed by torus weight for :func:`_pair_into`."""
     index: dict[Weight, list[Target]] = {}
-    for j, y in enumerate(ys):
-        for (a, b, c, d), (u, v) in y.nums.items():
+    for j, nums in enumerate(ys):
+        for (a, b, c, d), (u, v) in nums.items():
             index.setdefault((a - c, b - d), []).append((j, c, d, u, v))
     return index
 
@@ -95,7 +97,7 @@ def _groups(nums: Nums) -> Groups:
     return list(groups.items())
 
 
-def _pair_into(sums: defaultdict[int, Sums], weight: Groups, x: Nums,
+def _pair_into(sums: Mapping[int, Sums] | list[Sums], weight: Groups, x: Nums,
                targets: Mapping[Weight, list[Target]]) -> None:
     """Add the numerators of the integral of w * x * conj(y_j), per moment, into sums[j].
 
@@ -123,11 +125,22 @@ def _pair_into(sums: defaultdict[int, Sums], weight: Groups, x: Nums,
                         entry[key] = (acc[0] + p * u + q * v, acc[1] + q * u - p * v)
 
 
+def _integral(weight: Groups, x: Nums, y: Nums, den: int) -> GaussianRational:
+    """The integral of w * x * conj(y) over den, for numerator maps x and y.
+
+    ``weight`` is w's numerators grouped by :func:`_groups` (``_ONE`` for
+    w = 1), and den is the product of the three denominators: one
+    :func:`_pair_into` pass into a single accumulator, then one
+    :func:`moment_total`.
+    """
+    sums: list[Sums] = [{}]
+    _pair_into(sums, weight, x, targets_of((y,)))
+    return moment_total(sums[0], den)
+
+
 def inner(x: SpherePoly, y: SpherePoly, weight: SpherePoly | None = None) -> GaussianRational:
-    """<x, y> = integral of x * conj(y), or of weight * x * conj(y): one :func:`_pair_into` call."""
-    sums: defaultdict[int, Sums] = defaultdict(dict)
+    """<x, y> = integral of x * conj(y), or of weight * x * conj(y): one :func:`_integral` call."""
     groups, den = _ONE, x.den * y.den
     if weight is not None:
         groups, den = _groups(weight.nums), den * weight.den
-    _pair_into(sums, groups, x.nums, targets_of((y,)))
-    return moment_total(sums[0], den)
+    return _integral(groups, x.nums, y.nums, den)

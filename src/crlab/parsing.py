@@ -253,47 +253,49 @@ def _bounds(program: Program) -> tuple[int, int]:
     every count is capped by C(D+k, k), the number of monomials of degree at
     most D in the k variables that occur.  The variables are a 4-bit mask in
     exponent order (z1, z2, z1c, z2c), so ``conj`` swaps its two halves as it
-    swaps a monomial's.  Raises EvaluationError at the first subexpression above
-    ``MAX_TERMS`` and TypeError on an unknown instruction.
+    swaps a monomial's.  Each stack entry carries its cap, and a result
+    keeps its left operand's (or base's) unless its degree or mask differs.
+    Raises EvaluationError at the first subexpression above ``MAX_TERMS``
+    and TypeError on an unknown instruction.
     """
-    stack: list[tuple[int, int, int]] = []  # (terms, degree, variable mask)
+    stack: list[tuple[int, int, int, int]] = []  # (terms, degree, variable mask, cap)
     for ins in program:
         op = ins[0]
-        if op in ("num", "i"):
-            stack.append((1, 0, 0))
-        elif op == "var":
-            stack.append((1, 1, 1 << _VAR_MONOS[ins[1]].index(1)))
-        elif op == "conj":
-            terms, degree, mask = stack.pop()
-            stack.append((terms, degree, mask >> 2 | (mask & 3) << 2))
-        elif op == "pow":
-            terms, degree, mask = stack.pop()
-            n = ins[1]
-            stack.append(_capped(comb(terms + n - 1, n), degree * n, mask))
-        elif op in ("+", "-", "*"):
-            right_terms, right_degree, right_mask = stack.pop()
-            terms, degree, mask = stack.pop()
+        if op in ("+", "-", "*"):
+            right_terms, right_degree, right_mask, _ = stack.pop()
+            left_terms, left_degree, left_mask, cap = stack[-1]
             if op == "*":
-                terms, degree = terms * right_terms, degree + right_degree
+                terms, degree = left_terms * right_terms, left_degree + right_degree
             else:
-                terms, degree = terms + right_terms, max(degree, right_degree)
-            stack.append(_capped(terms, degree, mask | right_mask))
-        elif op == "/":
-            stack.pop()  # a constant divisor keeps the left operand's bounds
-        elif op != "neg":
-            raise TypeError(f"not an instruction: {ins!r}")
-    terms, degree, _ = stack.pop()
+                terms, degree = left_terms + right_terms, max(left_degree, right_degree)
+            mask = left_mask | right_mask
+        elif op == "pow":
+            left_terms, left_degree, mask, cap = stack[-1]
+            left_mask, n = mask, ins[1]
+            terms, degree = comb(left_terms + n - 1, n), left_degree * n
+        else:
+            if op == "var":
+                stack.append((1, 1, 1 << _VAR_MONOS[ins[1]].index(1), 2))
+            elif op in ("num", "i"):
+                stack.append((1, 0, 0, 1))
+            elif op == "conj":
+                terms, degree, mask, cap = stack[-1]
+                stack[-1] = (terms, degree, mask >> 2 | (mask & 3) << 2, cap)
+            elif op == "/":
+                stack.pop()  # a constant divisor keeps the left operand's bounds
+            elif op != "neg":
+                raise TypeError(f"not an instruction: {ins!r}")
+            continue
+        if degree != left_degree or mask != left_mask:
+            k = mask.bit_count()
+            cap = comb(degree + k, k)
+        if terms > cap:
+            terms = cap
+        if terms > MAX_TERMS:
+            raise EvaluationError(f"expression may expand to more than {MAX_TERMS} terms")
+        stack[-1] = (terms, degree, mask, cap)
+    terms, degree, _, _ = stack.pop()
     return terms, degree
-
-
-def _capped(terms: int, degree: int, mask: int) -> tuple[int, int, int]:
-    """terms capped by the monomials in mask's variables of degree at most
-    degree, checked against MAX_TERMS."""
-    k = mask.bit_count()
-    terms = min(terms, comb(degree + k, k))
-    if terms > MAX_TERMS:
-        raise EvaluationError(f"expression may expand to more than {MAX_TERMS} terms")
-    return terms, degree, mask
 
 
 def evaluate(program: Program) -> SpherePoly:

@@ -39,16 +39,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import lcm
-from typing import Iterable
+from operator import matmul
+from typing import Iterable, NamedTuple
 
 from .deformation import paneitz_family_jet
 from .harmonics import basis, canonicalize
-from .integration import inner, moment_total, targets_of
+from .integration import Groups, _groups, _integral, inner, moment_total, targets_of
 from .operators import (CONJ_KOHN, KOHN, KOHN_SQUARES, LinOp, MulBy, PANEITZ,
-                        SUBLAP, Z1, Z1BAR, ZERO_OP, _collect, apply_T, apply_Z1,
-                        apply_Z1bar, grad_op, kohn)
+                        SUBLAP, Z1, Z1BAR, ZERO_OP, _collect, _z1_nums, _z1bar_nums,
+                        apply_T, apply_Z1, apply_Z1bar, grad_op, kohn)
 from .scalars import ZERO, GaussianRational, I, ScalarLike
 from .spherepoly import SpherePoly
 
@@ -74,20 +75,37 @@ def torsion_potential(phi: SpherePoly) -> SpherePoly:
     return phi.scale(4) + apply_T(phi).scale(I)
 
 
+class _Weights(NamedTuple):
+    """phi's bidegree, and |phi|^2, w_k and conj(w_k) grouped by torus weight for the kernel."""
+
+    bidegree: tuple[int, int] | None  # phi's, if uniform
+    norm: Groups
+    norm_den: int
+    weight: Groups
+    weight_conj: Groups
+    weight_den: int
+
+
 @lru_cache(maxsize=128)
-def _weights_of(nums: frozenset, den: int, k: int) -> tuple[SpherePoly, SpherePoly]:
+def _weights_of(nums: frozenset, den: int, k: int) -> _Weights:
     phi = SpherePoly._of(dict(nums), den)
     phibar = phi.conj()
     norm = phi * phibar
-    return norm, norm.scale(k) - torsion_potential(phi) * phibar
+    weight = norm.scale(k) - torsion_potential(phi) * phibar
+    return _Weights(phi.bidegree_if_uniform(), _groups(norm.nums), norm.den,
+                    _groups(weight.nums), _groups(weight.conj().nums), weight.den)
 
 
-def _weights(phi: SpherePoly, k: int) -> tuple[SpherePoly, SpherePoly]:
-    """(|phi|^2, w_k) with w_k = k|phi|^2 - E conj(phi), memoised per exact phi and k.
+def _weights(phi: SpherePoly, k: int) -> _Weights:
+    """|phi|^2 and w_k = k|phi|^2 - E conj(phi), memoised per exact phi and k.
 
     The bounded cache is keyed on phi's canonical numerators and
     denominator, so equal polynomials share an entry however they were
-    built; the returned polynomials are immutable and shared between callers.
+    built.  It holds phi's bidegree if uniform, and what
+    :func:`crlab.integration._integral` reads: the numerators of |phi|^2,
+    w_k and conj(w_k) grouped by torus weight, and their denominators
+    (conj(w_k) has w_k's).  The groups are shared between callers and
+    treated as read-only.
     """
     return _weights_of(frozenset(phi.nums.items()), phi.den, k)
 
@@ -123,26 +141,34 @@ def first_variation(phi: SpherePoly) -> LinOp:
     ))
 
 
-def second_variation(phi: SpherePoly) -> LinOp:
-    """d^2/dt^2 of the deformed Paneitz operator at t = 0."""
+def _second_variation_parts(phi: SpherePoly) -> list[tuple[ScalarLike, tuple[LinOp, ...]]]:
+    """The second variation as (c, chain) pairs: the sum of c times each chain's composition.
+
+    The module docstring's four-times form, each coefficient divided by 4;
+    a chain's last operator is applied first.
+    """
     d_op = drift_operator(phi)
     e = torsion_potential(phi)
     phibar = phi.conj()
     norm = phi * phibar
     e_pb = e * phibar
     grad_norm = grad_op(norm)
-    # The module docstring's four-times form, each coefficient divided by 4.
-    return _combination((
-        (4, MulBy(norm) @ PANEITZ),
-        (Fraction(1, 2), MulBy(norm) @ KOHN_SQUARES),
-        (2, d_op @ d_op),
-        (-2, MulBy(e_pb) @ SUBLAP),
-        (2, grad_op(e_pb)),
-        (1, MulBy(kohn(norm)) @ SUBLAP),
-        (-2, grad_norm @ SUBLAP),
-        (-1, grad_norm @ CONJ_KOHN),
-        (-1, KOHN @ grad_norm),
-    ))
+    return [
+        (4, (MulBy(norm), PANEITZ)),
+        (Fraction(1, 2), (MulBy(norm), KOHN_SQUARES)),
+        (2, (d_op, d_op)),
+        (-2, (MulBy(e_pb), SUBLAP)),
+        (2, (grad_op(e_pb),)),
+        (1, (MulBy(kohn(norm)), SUBLAP)),
+        (-2, (grad_norm, SUBLAP)),
+        (-1, (grad_norm, CONJ_KOHN)),
+        (-1, (KOHN, grad_norm)),
+    ]
+
+
+def second_variation(phi: SpherePoly) -> LinOp:
+    """d^2/dt^2 of the deformed Paneitz operator at t = 0."""
+    return _combination((c, reduce(matmul, chain)) for c, chain in _second_variation_parts(phi))
 
 
 def variations_from_jets(phi: SpherePoly) -> tuple[LinOp, LinOp]:
@@ -221,7 +247,7 @@ def assemble_form(op: LinOp, pmax: int, expect_hermitian: bool = False) -> Hermi
         raise PreconditionError("pmax must be >= 1")
     elements = pluriharmonic_basis(pmax)
     rows = []
-    for sums, den in op.moment_sums(elements, targets_of(elements)):
+    for sums, den in op.moment_sums(elements, targets_of(f.nums for f in elements)):
         row = {j: moment_total(entry, den * elements[j].den) for j, entry in sums.items()}
         rows.append({j: value for j, value in row.items() if value})
     form = HermitianForm(elements, tuple(rows))
@@ -354,30 +380,33 @@ def weighted_gradient_pairing(phi: SpherePoly, k: int, l: int, side: str,
         (k + p1 - q1 - 4) * integral |phi|^2 |d f_k|^2
 
     when k = l; both laws are checked before returning, on every call.
-    Only the phi-only polynomials |phi|^2 and the weight are memoised (per
-    exact phi and k, in a bounded cache); both integrals are computed anew
-    for each pair, each as a weighted :func:`inner` that never forms the
-    product of its weight and d f_k.
+    Only the phi-only weights are memoised (per exact phi and k, in a
+    bounded cache, grouped by torus weight).  Both integrals are computed
+    anew for each pair on numerators alone: d f_k and d f_l are the field
+    kernels' numerator maps over each f's own denominator, never wrapped
+    as polynomials or reduced, and each integral is one
+    :func:`crlab.integration._integral` pass that never forms the product
+    of its weight and d f_k.
     """
-    bidegree = phi.bidegree_if_uniform()
-    if bidegree is None:
+    weights = _weights(phi, k)
+    if weights.bidegree is None:
         raise PreconditionError("phi must be bihomogeneous (uniform bidegree)")
     if side == "holomorphic":
-        derivative = apply_Z1
+        derivative = _z1_nums
     elif side == "antiholomorphic":
-        derivative = apply_Z1bar
+        derivative = _z1bar_nums
     else:
         raise PreconditionError(f"side must be holomorphic|antiholomorphic, got {side!r}")
-    p1, q1 = bidegree
-    norm, weight = _weights(phi, k)
-    df_k = derivative(f_k)
-    df_l = derivative(f_l)
-    value = inner(df_k, df_l, weight)
+    p1, q1 = weights.bidegree
+    df_k = derivative(f_k.nums)
+    df_l = derivative(f_l.nums)
+    den = f_k.den * f_l.den
+    value = _integral(weights.weight, df_k, df_l, den * weights.weight_den)
     if k != l:
         if not value.is_zero():
             raise IdentityCheckError("cross-degree weighted pairing must vanish")
     else:
-        expected = inner(df_k, df_l, norm) * (k + p1 - q1 - 4)
+        expected = _integral(weights.norm, df_k, df_l, den * weights.norm_den) * (k + p1 - q1 - 4)
         if value != expected:
             raise IdentityCheckError("diagonal weighted pairing disagrees with closed form")
     return value
@@ -407,6 +436,13 @@ def second_variation_decomposition(phi: SpherePoly, f: SpherePoly) -> SecondVari
     sum is an exact lower bound for the quadratic form.  The antiholomorphic side
     carries the conjugate weight (for bihomogeneous phi the weight is real,
     so both sides then share w_k).
+
+    Each double-sum integral is one :func:`crlab.integration._integral`
+    pass on the field kernels' numerators, with w_k and conj(w_k) grouped
+    once per (phi, k) by the cache behind :func:`weighted_gradient_pairing`.
+    The left side applies each (c, chain) of :func:`_second_variation_parts`
+    to f, last operator first, and pairs the sum of c times the images with
+    f once; the operator ``second_variation(phi)`` itself is never built.
     """
     parts = canonicalize(f)
     if any((p > 0 and q > 0) or (p == 0 and q == 0) for (p, q) in parts):
@@ -416,20 +452,23 @@ def second_variation_decomposition(phi: SpherePoly, f: SpherePoly) -> SecondVari
     rep = sum(parts.values(), SpherePoly.zero())
 
     total = GaussianRational(0)
-    for k, fk in holo.items():
-        weight = _weights(phi, k)[1]
-        dfk = apply_Z1(fk)
-        for fl in holo.values():
-            total = total + inner(dfk, apply_Z1(fl), weight)
-    for k, gk in anti.items():
-        weight = _weights(phi, k)[1].conj()
-        dgk = apply_Z1bar(gk)
-        for gl in anti.values():
-            total = total + inner(dgk, apply_Z1bar(gl), weight)
+    for pieces, derivative, conj in ((holo, _z1_nums, False), (anti, _z1bar_nums, True)):
+        derivatives = {k: (derivative(piece.nums), piece.den) for k, piece in pieces.items()}
+        for k, (dk, den_k) in derivatives.items():
+            weights = _weights(phi, k)
+            groups = weights.weight_conj if conj else weights.weight
+            for dl, den_l in derivatives.values():
+                total = total + _integral(groups, dk, dl, den_k * den_l * weights.weight_den)
     lower = total * 2
 
     drift_part = drift_square_form(phi, rep) * 2
-    value = inner(second_variation(phi)(rep), rep)
+    images = []
+    for c, chain in _second_variation_parts(phi):
+        image = rep
+        for op in reversed(chain):
+            image = op(image)
+        images.append(image.scale(c))
+    value = inner(SpherePoly.summed(images), rep)
     if value != lower + drift_part:
         raise IdentityCheckError("second-variation decomposition failed to balance")
     return SecondVariationSplit(value=value, lower_bound=lower, drift_part=drift_part)

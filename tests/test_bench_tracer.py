@@ -5,7 +5,8 @@
 only in a traced benchmark run.  It counts operator application through
 ``LinOp.__call__`` and polynomial products through ``SpherePoly.__mul__``,
 so those must stay the entry points of the product kernel.  A weighted
-pairing goes through ``inner`` with its weight and forms no product.
+gradient pairing calls neither ``inner`` nor the product: each of its
+integrals is one pass of the pairing kernel over numerator maps.
 Nothing under ``bench/`` is written.
 """
 
@@ -33,16 +34,30 @@ def test_tracer_counts_calls_through_the_public_names():
     assert stats["spherepoly.mul.calls"] == 1
 
 
-def test_weighted_pairing_forms_no_product():
+def test_weighted_pairing_forms_no_product(monkeypatch):
+    from crlab import integration
     from crlab.variation import _weights
 
     _weights(crlab.z1, 1)  # |phi|^2 and the weight are memoised products
+    f2 = crlab.basis(2, 0).elements[2]
+    kernel = integration._pair_into
+    passes = []
+
+    def counted(*args):
+        passes.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(integration, "_pair_into", counted)
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
         crlab.weighted_gradient_pairing(crlab.z1, 1, 1, "holomorphic", crlab.z1, crlab.z1)
+        diagonal = len(passes)
+        crlab.weighted_gradient_pairing(crlab.z1, 1, 2, "holomorphic", crlab.z1, f2)
     finally:
         tracer.uninstall()
     stats = tracer.aggregate()
-    assert stats["integration.inner.calls"] == 2
+    assert stats["integration.inner.calls"] == 0
     assert stats["spherepoly.mul.calls"] == 0
+    # Both integrals on the diagonal, the weighted one alone off it.
+    assert (diagonal, len(passes) - diagonal) == (2, 1)

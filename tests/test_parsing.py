@@ -1,9 +1,11 @@
 """Expression grammar: parsing, evaluation, errors, and print round-trips."""
 
+import random
 import re
 import sys
 from fractions import Fraction
 from itertools import chain
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -158,7 +160,7 @@ def test_float_literals_are_rejected():
         parse("0.5*z1")
 
 
-@pytest.mark.parametrize("src, terms, degree", [
+BOUND_CASES = [
     ("(z1+z2+z1c+z2c)^32", 6545, 32),       # C(35, 32) multisets of the four terms
     ("(z1*z1c)^32", 1, 64),                 # degree 64 alone is no reason to reject
     ("(z1+z2)^32*(z1c+z2c)^32", 33 * 33, 64),
@@ -168,9 +170,87 @@ def test_float_literals_are_rejected():
     # capped by the monomials in the variables that occur: here z1 alone
     ("*".join(["(z1+1)"] * 20), 21, 20),
     ("(z1+1)^3*conj(z1+1)^3", 16, 6),       # conj turns z1 into z1c: two variables
-])
+]
+
+
+@pytest.mark.parametrize("src, terms, degree", BOUND_CASES)
 def test_expansion_bound(src, terms, degree):
     assert _bounds(parse(src)) == (terms, degree)
+
+
+def _reference_bounds(program):
+    """The bound with C(D+k, k) computed afresh at every '+', '-', '*' and '^'."""
+    def capped(terms, degree, mask):
+        k = mask.bit_count()
+        terms = min(terms, comb(degree + k, k))
+        if terms > MAX_TERMS:
+            raise EvaluationError(f"expression may expand to more than {MAX_TERMS} terms")
+        return terms, degree, mask
+
+    stack = []
+    for ins in program:
+        op = ins[0]
+        if op in ("num", "i"):
+            stack.append((1, 0, 0))
+        elif op == "var":
+            stack.append((1, 1, {"z1": 1, "z2": 2, "z1c": 4, "z2c": 8}[ins[1]]))
+        elif op == "conj":
+            terms, degree, mask = stack.pop()
+            stack.append((terms, degree, mask >> 2 | (mask & 3) << 2))
+        elif op == "pow":
+            terms, degree, mask = stack.pop()
+            n = ins[1]
+            stack.append(capped(comb(terms + n - 1, n), degree * n, mask))
+        elif op in ("+", "-", "*"):
+            right_terms, right_degree, right_mask = stack.pop()
+            terms, degree, mask = stack.pop()
+            if op == "*":
+                terms, degree = terms * right_terms, degree + right_degree
+            else:
+                terms, degree = terms + right_terms, max(degree, right_degree)
+            stack.append(capped(terms, degree, mask | right_mask))
+        elif op == "/":
+            stack.pop()
+        elif op != "neg":
+            raise TypeError(f"not an instruction: {ins!r}")
+    terms, degree, _ = stack.pop()
+    return terms, degree
+
+
+def _random_source(rng, depth):
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice(["z1", "z2", "z1c", "z2c", "1", "i", "2/5",
+                           "(z1+z2+z1c+z2c)", "(z1+1)", "(z1c+z2-i)"])
+    form = rng.randrange(7)
+    if form == 0:
+        return f"({_random_source(rng, depth - 1)})^{rng.choice([0, 1, 2, 3, 5, 8, 13, 21, 32])}"
+    if form == 1:
+        return f"conj({_random_source(rng, depth - 1)})"
+    if form == 2:
+        return f"-({_random_source(rng, depth - 1)})"
+    if form == 3:
+        return f"({_random_source(rng, depth - 1)})/(2+i)"
+    op = rng.choice("+-*")
+    return f"({_random_source(rng, depth - 1)}) {op} ({_random_source(rng, depth - 1)})"
+
+
+def _outcome(bounds, program):
+    try:
+        return bounds(program)
+    except (EvaluationError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def test_bounds_agree_with_a_fresh_cap_at_every_step():
+    # The cap a result shares with its left operand is the one a fresh
+    # C(D+k, k) would give: same bounds, same first rejection, same message.
+    rng = random.Random(19)
+    programs = [parse(src) for src, _, _ in BOUND_CASES]
+    programs += [parse(_random_source(rng, rng.randint(1, 7))) for _ in range(3000)]
+    programs += [(("var", "z1"), ("sqrt",)), (("num", Fraction(1)), ("var", "z2"), ("+",))]
+    outcomes = [_outcome(_bounds, program) for program in programs]
+    assert outcomes == [_outcome(_reference_bounds, program) for program in programs]
+    assert sum(isinstance(o[0], type) for o in outcomes) > 50  # rejections are covered
 
 
 def test_long_product_of_one_variable_is_evaluated():

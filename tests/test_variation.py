@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 import crlab.variation as variation
 from crlab import (KOHN, GaussianRational, IdentityCheckError, PreconditionError, SpherePoly,
-                   assemble_form, basis, classify, drift_operator, drift_square_form,
-                   first_variation, gr, inner, one, parse_poly, pluriharmonic_basis,
-                   second_variation,
+                   apply_Z1, apply_Z1bar, assemble_form, basis, canonicalize, classify,
+                   drift_operator, drift_square_form, first_variation, gr, inner, one,
+                   parse_poly, pluriharmonic_basis, second_variation,
                    second_variation_decomposition, sphere_equal,
                    torsion_potential, variations_from_jets,
                    weighted_gradient_pairing, z1, z1c, z2, z2c)
@@ -166,6 +166,32 @@ def test_weighted_pairing_scales_with_the_modulus_of_phi():
         assert _pairings(z1.scale(c)) == [v * c * c.conj() for v in base]
 
 
+def test_weighted_pairing_equals_a_weighted_inner_of_the_derivatives(rng):
+    # The pairing reads the field kernels' numerators and the cached weight
+    # groups; the reference builds d f_k, d f_l and w_k = k|phi|^2 - E conj(phi)
+    # as polynomials from public pieces and takes one weighted inner.
+    # Complex coefficients over denominators in phi, and basis elements
+    # scaled by rationals, keep every denominator of the integral off 1.
+    sides = (("holomorphic", lambda d: basis(d, 0).elements, apply_Z1),
+             ("antiholomorphic", lambda d: basis(0, d).elements, apply_Z1bar))
+    nonzero = 0
+    for p1, q1 in ((0, 0), (1, 0), (0, 1), (2, 1), (1, 2), (3, 0), (0, 3), (2, 2)):
+        phi = random_bidegree_poly(rng, p1, q1).scale(gr(Fraction(1, 3), Fraction(2, 5)))
+        assert phi.den != 1 and any(y for _, y in phi.nums.values())
+        phibar = phi.conj()
+        for k in (1, 2, 3):
+            weight = (phi * phibar).scale(k) - torsion_potential(phi) * phibar
+            for l in (1, 2, 3):
+                for side, elements, field in sides:
+                    for _ in range(2):
+                        fk = rng.choice(elements(k)).scale(Fraction(rng.randint(1, 9), 6))
+                        fl = rng.choice(elements(l)).scale(Fraction(rng.randint(1, 9), 4))
+                        value = weighted_gradient_pairing(phi, k, l, side, fk, fl)
+                        assert value == inner(field(fk), field(fl), weight)
+                        nonzero += bool(value)
+    assert nonzero > 20
+
+
 def test_weighted_pairing_checks_both_laws_with_a_wrong_potential(monkeypatch):
     f2 = basis(2, 0).elements[2]  # z1^2
     variation._weights_of.cache_clear()
@@ -216,6 +242,13 @@ def test_decomposition_random_corpus(rng):
         f = random_pluriharmonic(rng, kmax=3)
         split = second_variation_decomposition(phi, f)
         assert split.value == split.lower_bound + split.drift_part
+        assert split.value == _second_variation_value(phi, f)
+
+
+def _second_variation_value(phi, f):
+    """<second_variation(phi) f, f> by the whole operator: the reference route."""
+    rep = sum(canonicalize(f).values(), ZERO)
+    return inner(second_variation(phi)(rep), rep)
 
 
 def test_decomposition_at_high_degree():
@@ -237,6 +270,7 @@ def test_decomposition_exact_for_non_bihomogeneous_phi(rng):
         split = second_variation_decomposition(phi, f)
         assert split.value == split.lower_bound + split.drift_part
         assert split.value.is_real()
+        assert split.value == _second_variation_value(phi, f)
 
 
 # -- form assembly and classification ------------------------------------------------------
