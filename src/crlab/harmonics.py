@@ -31,8 +31,9 @@ terminates after min(p, q) steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from typing import NamedTuple
 
 from .spherepoly import Monomial, Nums, SpherePoly, radius_sq
 
@@ -55,8 +56,7 @@ def bidegree_monomials(p: int, q: int) -> list[Monomial]:
     return monos
 
 
-@dataclass(frozen=True)
-class HarmonicBasis:
+class HarmonicBasis(NamedTuple):
     p: int
     q: int
     elements: tuple[SpherePoly, ...]
@@ -66,9 +66,7 @@ class HarmonicBasis:
         return len(self.elements)
 
 
-_basis_cache: dict[tuple[int, int], HarmonicBasis] = {}
-
-
+@cache
 def basis(p: int, q: int) -> HarmonicBasis:
     """Basis of H_{p,q} over the Gaussian rationals; dimension p+q+1.
 
@@ -77,18 +75,16 @@ def basis(p: int, q: int) -> HarmonicBasis:
     monomial (see :func:`_weight_string`), ordered by that monomial.  This
     is the reduced-row-echelon kernel basis of the flat Laplacian
     P_{p,q} -> P_{p-1,q-1} under the lexicographic monomial order, term
-    order included, so the output is deterministic.
+    order included, so the output is deterministic.  Each basis is built
+    once per process and shared (``functools.cache``); a rejected bidegree
+    or a failed rank check raises and caches nothing.
     """
     if p < 0 or q < 0:
         raise ValueError("bidegrees must be nonnegative")
-    key = (p, q)
-    cached = _basis_cache.get(key)
-    if cached is not None:
-        return cached
     result = HarmonicBasis(p, q, tuple(_kernel_basis(p, q)))
     if len(result.elements) != p + q + 1:
         raise ArithmeticError(f"H_({p},{q}) kernel rank {len(result.elements)} != {p + q + 1}")
-    return _basis_cache.setdefault(key, result)
+    return result
 
 
 def _kernel_basis(p: int, q: int) -> list[SpherePoly]:
@@ -165,7 +161,7 @@ def canonicalize(x: SpherePoly) -> dict[tuple[int, int], SpherePoly]:
 
 def canonical_form(x: SpherePoly) -> SpherePoly:
     """The sum of the harmonic components: the unique harmonic representative."""
-    return sum(canonicalize(x).values(), SpherePoly.zero())
+    return SpherePoly.summed(canonicalize(x).values())
 
 
 def sphere_equal(x: SpherePoly, y: SpherePoly) -> bool:
@@ -175,8 +171,7 @@ def sphere_equal(x: SpherePoly, y: SpherePoly) -> bool:
     return not canonicalize(x - y)
 
 
-@dataclass(frozen=True)
-class BEVerdict:
+class BEVerdict(NamedTuple):
     """Result of the Burns-Epstein sign condition on a deformation function."""
 
     satisfies_be: bool

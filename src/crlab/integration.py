@@ -22,9 +22,10 @@ A product of terms integrates to zero unless the torus weights
 (a - c, b - d) of its factors balance, W(w) + W(x) = W(y), so only
 products that can survive are formed (never w * x as a polynomial), their
 numerators are summed per moment, and :func:`moment_total` divides once.
-A single integral, :func:`_integral`, reads bare numerator maps, so a
-caller that holds numerators (field images, a weight grouped once by
-:func:`_groups`) pays for no polynomial and no gcd before the division.
+A single integral, :func:`_integral`, reads a bare numerator map x and
+y indexed once by :func:`targets_of`, so a caller that holds numerators
+(field images, a weight grouped once by :func:`_groups`) pays for no
+polynomial and no gcd before the division.
 """
 
 from __future__ import annotations
@@ -125,16 +126,17 @@ def _pair_into(sums: Mapping[int, Sums] | list[Sums], weight: Groups, x: Nums,
                         entry[key] = (acc[0] + p * u + q * v, acc[1] + q * u - p * v)
 
 
-def _integral(weight: Groups, x: Nums, y: Nums, den: int) -> GaussianRational:
+def _integral(weight: Groups, x: Nums, targets: Mapping[Weight, list[Target]],
+              den: int) -> GaussianRational:
     """The integral of w * x * conj(y) over den, for numerator maps x and y.
 
     ``weight`` is w's numerators grouped by :func:`_groups` (``_ONE`` for
-    w = 1), and den is the product of the three denominators: one
-    :func:`_pair_into` pass into a single accumulator, then one
-    :func:`moment_total`.
+    w = 1), ``targets`` is y indexed by ``targets_of((y,))``, and den is
+    the product of the three denominators: one :func:`_pair_into` pass
+    into a single accumulator, then one :func:`moment_total`.
     """
     sums: list[Sums] = [{}]
-    _pair_into(sums, weight, x, targets_of((y,)))
+    _pair_into(sums, weight, x, targets)
     return moment_total(sums[0], den)
 
 
@@ -143,4 +145,4 @@ def inner(x: SpherePoly, y: SpherePoly, weight: SpherePoly | None = None) -> Gau
     groups, den = _ONE, x.den * y.den
     if weight is not None:
         groups, den = _groups(weight.nums), den * weight.den
-    return _integral(groups, x.nums, y.nums, den)
+    return _integral(groups, x.nums, targets_of((y.nums,)), den)

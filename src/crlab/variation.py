@@ -37,7 +37,6 @@ independent truncated-expansion route in :mod:`crlab.deformation`
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import lcm
@@ -81,8 +80,7 @@ class _Weights(NamedTuple):
     bidegree: tuple[int, int] | None  # phi's, if uniform
     norm: Groups
     norm_den: int
-    weight: Groups
-    weight_conj: Groups
+    weight: tuple[Groups, Groups]  # w_k, conj(w_k): indexed by a side's conj flag
     weight_den: int
 
 
@@ -93,7 +91,7 @@ def _weights_of(nums: frozenset, den: int, k: int) -> _Weights:
     norm = phi * phibar
     weight = norm.scale(k) - torsion_potential(phi) * phibar
     return _Weights(phi.bidegree_if_uniform(), _groups(norm.nums), norm.den,
-                    _groups(weight.nums), _groups(weight.conj().nums), weight.den)
+                    (_groups(weight.nums), _groups(weight.conj().nums)), weight.den)
 
 
 def _weights(phi: SpherePoly, k: int) -> _Weights:
@@ -142,12 +140,11 @@ def first_variation(phi: SpherePoly) -> LinOp:
 
 
 def _second_variation_parts(phi: SpherePoly) -> list[tuple[ScalarLike, tuple[LinOp, ...]]]:
-    """The second variation as (c, chain) pairs: the sum of c times each chain's composition.
+    """The second variation minus 2 D^2 as (c, chain) pairs: the sum of c times each composition.
 
-    The module docstring's four-times form, each coefficient divided by 4;
-    a chain's last operator is applied first.
+    The module docstring's four-times form without its 8 D^2 term, each
+    coefficient divided by 4; a chain's last operator is applied first.
     """
-    d_op = drift_operator(phi)
     e = torsion_potential(phi)
     phibar = phi.conj()
     norm = phi * phibar
@@ -156,7 +153,6 @@ def _second_variation_parts(phi: SpherePoly) -> list[tuple[ScalarLike, tuple[Lin
     return [
         (4, (MulBy(norm), PANEITZ)),
         (Fraction(1, 2), (MulBy(norm), KOHN_SQUARES)),
-        (2, (d_op, d_op)),
         (-2, (MulBy(e_pb), SUBLAP)),
         (2, (grad_op(e_pb),)),
         (1, (MulBy(kohn(norm)), SUBLAP)),
@@ -168,7 +164,10 @@ def _second_variation_parts(phi: SpherePoly) -> list[tuple[ScalarLike, tuple[Lin
 
 def second_variation(phi: SpherePoly) -> LinOp:
     """d^2/dt^2 of the deformed Paneitz operator at t = 0."""
-    return _combination((c, reduce(matmul, chain)) for c, chain in _second_variation_parts(phi))
+    d_op = drift_operator(phi)
+    parts = _second_variation_parts(phi)
+    parts.insert(2, (2, (d_op, d_op)))
+    return _combination((c, reduce(matmul, chain)) for c, chain in parts)
 
 
 def variations_from_jets(phi: SpherePoly) -> tuple[LinOp, LinOp]:
@@ -189,8 +188,7 @@ def variations_from_jets(phi: SpherePoly) -> tuple[LinOp, LinOp]:
 # -- quadratic forms ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HermitianForm:
+class HermitianForm(NamedTuple):
     """Exact matrix <A f_i, f_j> of a sesquilinear form over a fixed basis.
 
     Stored sparsely: ``rows[i]`` maps each column j to the entry (i, j)
@@ -357,7 +355,7 @@ def drift_square_form(phi: SpherePoly, f: SpherePoly) -> GaussianRational:
     parts = canonicalize(f)
     if any(p > 0 and q > 0 for (p, q) in parts):
         raise PreconditionError("f must lie in the kernel of the Paneitz operator")
-    rep = sum(parts.values(), SpherePoly.zero())
+    rep = SpherePoly.summed(parts.values())
     d_op = drift_operator(phi)
     image = d_op(rep)
     value = inner(d_op(image), rep)
@@ -367,6 +365,10 @@ def drift_square_form(phi: SpherePoly, f: SpherePoly) -> GaussianRational:
     if not value.is_real() or value.real_sign() < 0:
         raise IdentityCheckError("<D^2 f, f> must be real and nonnegative")
     return value
+
+
+#: Each side of H: its field kernel d, and whether it pairs with conj(w_k) (w_k if uniform phi).
+_SIDES = {"holomorphic": (_z1_nums, False), "antiholomorphic": (_z1bar_nums, True)}
 
 
 def weighted_gradient_pairing(phi: SpherePoly, k: int, l: int, side: str,
@@ -384,24 +386,21 @@ def weighted_gradient_pairing(phi: SpherePoly, k: int, l: int, side: str,
     bounded cache, grouped by torus weight).  Both integrals are computed
     anew for each pair on numerators alone: d f_k and d f_l are the field
     kernels' numerator maps over each f's own denominator, never wrapped
-    as polynomials or reduced, and each integral is one
-    :func:`crlab.integration._integral` pass that never forms the product
-    of its weight and d f_k.
+    as polynomials or reduced; d f_l is indexed by torus weight once, and
+    each integral is one :func:`crlab.integration._integral` pass that
+    never forms the product of its weight and d f_k.
     """
     weights = _weights(phi, k)
     if weights.bidegree is None:
         raise PreconditionError("phi must be bihomogeneous (uniform bidegree)")
-    if side == "holomorphic":
-        derivative = _z1_nums
-    elif side == "antiholomorphic":
-        derivative = _z1bar_nums
-    else:
+    if side not in _SIDES:
         raise PreconditionError(f"side must be holomorphic|antiholomorphic, got {side!r}")
+    derivative, conj = _SIDES[side]
     p1, q1 = weights.bidegree
     df_k = derivative(f_k.nums)
-    df_l = derivative(f_l.nums)
+    df_l = targets_of((derivative(f_l.nums),))
     den = f_k.den * f_l.den
-    value = _integral(weights.weight, df_k, df_l, den * weights.weight_den)
+    value = _integral(weights.weight[conj], df_k, df_l, den * weights.weight_den)
     if k != l:
         if not value.is_zero():
             raise IdentityCheckError("cross-degree weighted pairing must vanish")
@@ -412,8 +411,7 @@ def weighted_gradient_pairing(phi: SpherePoly, k: int, l: int, side: str,
     return value
 
 
-@dataclass(frozen=True)
-class SecondVariationSplit:
+class SecondVariationSplit(NamedTuple):
     """Exact decomposition <paneitz_ddot f, f> = lower_bound + drift_part."""
 
     value: GaussianRational        # <paneitz_ddot f, f>
@@ -437,28 +435,31 @@ def second_variation_decomposition(phi: SpherePoly, f: SpherePoly) -> SecondVari
     carries the conjugate weight (for bihomogeneous phi the weight is real,
     so both sides then share w_k).
 
-    Each double-sum integral is one :func:`crlab.integration._integral`
-    pass on the field kernels' numerators, with w_k and conj(w_k) grouped
-    once per (phi, k) by the cache behind :func:`weighted_gradient_pairing`.
-    The left side applies each (c, chain) of :func:`_second_variation_parts`
-    to f, last operator first, and pairs the sum of c times the images with
-    f once; the operator ``second_variation(phi)`` itself is never built.
+    Each double sum is a single sum: with F the sum of a side's components,
+    it is sum_k integral w_k (d f^k) conj(d F), so d F is indexed once per
+    side and each k is one :func:`crlab.integration._integral` pass on the
+    field kernels' numerators, with w_k and conj(w_k) grouped once per
+    (phi, k) by the cache behind :func:`weighted_gradient_pairing`.  The
+    left side is 2<D^2 f, f> from :func:`drift_square_form` (D built once,
+    applied twice) plus the other (c, chain) parts of
+    :func:`_second_variation_parts` applied to f, last operator first, and
+    paired with f once; ``second_variation(phi)`` itself is never built.
     """
     parts = canonicalize(f)
     if any((p > 0 and q > 0) or (p == 0 and q == 0) for (p, q) in parts):
         raise PreconditionError("f must lie in H: components H_{k,0}, H_{0,k}, k >= 1")
     holo = {p: piece for (p, q), piece in parts.items() if q == 0}
     anti = {q: piece for (p, q), piece in parts.items() if p == 0}
-    rep = sum(parts.values(), SpherePoly.zero())
+    rep = SpherePoly.summed(parts.values())
 
-    total = GaussianRational(0)
-    for pieces, derivative, conj in ((holo, _z1_nums, False), (anti, _z1bar_nums, True)):
-        derivatives = {k: (derivative(piece.nums), piece.den) for k, piece in pieces.items()}
-        for k, (dk, den_k) in derivatives.items():
+    total = ZERO
+    for pieces, (derivative, conj) in zip((holo, anti), _SIDES.values()):
+        whole = SpherePoly.summed(pieces.values())
+        targets = targets_of((derivative(whole.nums),))
+        for k, piece in pieces.items():
             weights = _weights(phi, k)
-            groups = weights.weight_conj if conj else weights.weight
-            for dl, den_l in derivatives.values():
-                total = total + _integral(groups, dk, dl, den_k * den_l * weights.weight_den)
+            total += _integral(weights.weight[conj], derivative(piece.nums), targets,
+                               piece.den * whole.den * weights.weight_den)
     lower = total * 2
 
     drift_part = drift_square_form(phi, rep) * 2
@@ -468,7 +469,7 @@ def second_variation_decomposition(phi: SpherePoly, f: SpherePoly) -> SecondVari
         for op in reversed(chain):
             image = op(image)
         images.append(image.scale(c))
-    value = inner(SpherePoly.summed(images), rep)
+    value = inner(SpherePoly.summed(images), rep) + drift_part
     if value != lower + drift_part:
         raise IdentityCheckError("second-variation decomposition failed to balance")
     return SecondVariationSplit(value=value, lower_bound=lower, drift_part=drift_part)

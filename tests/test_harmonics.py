@@ -180,9 +180,7 @@ def test_negative_bidegree_rejected():
 def test_basis_cache_is_safe_for_concurrent_readers():
     import threading
 
-    from crlab.harmonics import _basis_cache
-
-    _basis_cache.pop((3, 2), None)
+    basis.cache_clear()
     results = []
 
     def worker():

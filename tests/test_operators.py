@@ -117,7 +117,6 @@ def test_common_eigenvalue_rejects_distinct_scalars():
 def test_exact_values_enter_and_leave_polynomials_without_scalar_arithmetic(monkeypatch):
     # Parsing, printing, a cold basis and the eigenvalue check all run on
     # integer numerators, so none needs a GaussianRational operation.
-    from crlab import harmonics
     from crlab.parsing import evaluate, parse
     from crlab.scalars import GaussianRational
 
@@ -130,7 +129,7 @@ def test_exact_values_enter_and_leave_polynomials_without_scalar_arithmetic(monk
     for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                  "__truediv__", "__rtruediv__"):
         monkeypatch.setattr(GaussianRational, name, forbidden)
-    monkeypatch.setattr(harmonics, "_basis_cache", {})
+    basis.cache_clear()
     assert evaluate(parse(src)).to_source() == expected_source
     assert len(basis(3, 2).elements) == 6
     assert common_eigenvalue(KOHN, 2, 3) == gr(2 * (2 + 1) * 3)

@@ -11,7 +11,7 @@ from crlab import (KOHN, GaussianRational, IdentityCheckError, PreconditionError
                    second_variation_decomposition, sphere_equal,
                    torsion_potential, variations_from_jets,
                    weighted_gradient_pairing, z1, z1c, z2, z2c)
-from crlab.operators import PANEITZ
+from crlab.operators import PANEITZ, LinOp
 from crlab.variation import (INDEFINITE, NEGATIVE_DEFINITE, NEGATIVE_SEMIDEFINITE,
                              POSITIVE_DEFINITE, POSITIVE_SEMIDEFINITE, ZERO_FORM)
 from conftest import (dense_form, random_bidegree_poly, random_pluriharmonic,
@@ -206,6 +206,27 @@ def test_weighted_pairing_checks_both_laws_with_a_wrong_potential(monkeypatch):
         variation._weights_of.cache_clear()
 
 
+def test_weighted_pairing_indexes_d_f_l_once(monkeypatch):
+    # Both integrals on the diagonal read one torus-weight index of d f_l.
+    from crlab import integration
+
+    f2 = basis(2, 0).elements[2]
+    original = integration.targets_of
+    calls = []
+
+    def counted(ys):
+        calls.append(ys)
+        return original(ys)
+
+    monkeypatch.setattr(integration, "targets_of", counted)
+    monkeypatch.setattr(variation, "targets_of", counted)
+    for k, l, side, fk, fl in ((1, 1, "holomorphic", z1, z1), (1, 2, "holomorphic", z1, f2),
+                               (2, 2, "antiholomorphic", f2.conj(), f2.conj())):
+        calls.clear()
+        weighted_gradient_pairing(z1, k, l, side, fk, fl)
+        assert len(calls) == 1
+
+
 # -- second-variation decomposition ------------------------------------------------------
 
 
@@ -227,6 +248,30 @@ def test_decomposition_zero_deformation():
     assert split.value.is_zero() and split.lower_bound.is_zero() and split.drift_part.is_zero()
 
 
+def test_decomposition_builds_and_applies_the_drift_once(monkeypatch):
+    # 2<D^2 f, f> comes from drift_square_form alone: one D, applied to f and to D f.
+    built, applied = [], []
+
+    class CountedOp(LinOp):
+        __slots__ = ()
+
+        def __call__(self, poly):
+            applied.append(poly)
+            return super().__call__(poly)
+
+    original = variation.drift_operator
+
+    def counted(phi):
+        built.append(phi)
+        return CountedOp(original(phi).terms)
+
+    monkeypatch.setattr(variation, "drift_operator", counted)
+    split = second_variation_decomposition(z1 ** 4 + z1c * z2, z1 + z2c + z1 ** 2)
+    assert (len(built), len(applied)) == (1, 2)
+    assert split.value == split.lower_bound + split.drift_part
+    assert not split.drift_part.is_zero()
+
+
 def test_decomposition_rejects_functions_outside_h():
     with pytest.raises(PreconditionError):
         second_variation_decomposition(z1, one + z1)
@@ -243,12 +288,34 @@ def test_decomposition_random_corpus(rng):
         split = second_variation_decomposition(phi, f)
         assert split.value == split.lower_bound + split.drift_part
         assert split.value == _second_variation_value(phi, f)
+        assert split.lower_bound == _double_sum(phi, f) * 2
 
 
 def _second_variation_value(phi, f):
     """<second_variation(phi) f, f> by the whole operator: the reference route."""
     rep = sum(canonicalize(f).values(), ZERO)
     return inner(second_variation(phi)(rep), rep)
+
+
+def _double_sum(phi, f):
+    """Both weighted-gradient double sums over f's components, one weighted inner per (k, l).
+
+    w_k and its conjugate are built as polynomials from public pieces, and
+    each pair takes the derivatives d f^k and d f^l as polynomials.
+    """
+    phibar = phi.conj()
+    parts = canonicalize(f)
+    holo = {p: piece for (p, q), piece in parts.items() if q == 0}
+    anti = {q: piece for (p, q), piece in parts.items() if p == 0}
+    total = gr(0)
+    for pieces, field, conj in ((holo, apply_Z1, False), (anti, apply_Z1bar, True)):
+        for k, fk in pieces.items():
+            weight = (phi * phibar).scale(k) - torsion_potential(phi) * phibar
+            if conj:
+                weight = weight.conj()
+            for fl in pieces.values():
+                total = total + inner(field(fk), field(fl), weight)
+    return total
 
 
 def test_decomposition_at_high_degree():
@@ -271,6 +338,7 @@ def test_decomposition_exact_for_non_bihomogeneous_phi(rng):
         assert split.value == split.lower_bound + split.drift_part
         assert split.value.is_real()
         assert split.value == _second_variation_value(phi, f)
+        assert split.lower_bound == _double_sum(phi, f) * 2
 
 
 # -- form assembly and classification ------------------------------------------------------
