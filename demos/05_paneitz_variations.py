@@ -26,14 +26,14 @@ print()
 
 print("First variation: the quadratic form is identically zero (pmax = 4):")
 for text in ["1", "z1", "z1*z2c", "z1^4"]:
-    form = assemble_form(first_variation(parse_poly(text)), 4, expect_hermitian=True)
+    form = assemble_form(first_variation(parse_poly(text)), 4)
     print(f"  phi = {text:8} zero matrix: {form.is_zero()}")
 print()
 
 print("Second variation, classified exactly over H up to degree 4:")
 for text in ["z1^4", "z1^3*z2", "z1^5*z1c", "1", "z1^3", "z1*z2c"]:
     phi = parse_poly(text)
-    form = assemble_form(second_variation(phi), 4, expect_hermitian=True)
+    form = assemble_form(second_variation(phi), 4)
     verdict = classify(form)
     negatives = [f.to_source() for f, d in zip(pluriharmonic_basis(4), form.diagonal())
                  if d.real_sign() < 0]

@@ -219,7 +219,7 @@ def cmd_variation(args, report: Report):
         raise PreconditionError(f"--pmax must lie in 1..{MAX_VARIATION_PMAX}")
     phi = parse_poly(args.phi)
     if args.order == 1:
-        form = assemble_form(first_variation(phi), args.pmax, expect_hermitian=True)
+        form = assemble_form(first_variation(phi), args.pmax)
         report.add(
             "first-variation-zero-form",
             "the first-variation quadratic form vanishes on the pluriharmonic space",
@@ -227,7 +227,7 @@ def cmd_variation(args, report: Report):
             dimension=form.dimension,
         )
         return
-    form = assemble_form(second_variation(phi), args.pmax, expect_hermitian=True)
+    form = assemble_form(second_variation(phi), args.pmax)
     verdict = classify(form)
     diag = form.diagonal()
     negatives = [i for i, value in enumerate(diag) if value.real_sign() < 0]

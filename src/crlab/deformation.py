@@ -40,7 +40,7 @@ ORDER = 2
 
 
 class DegenerateStructureError(ValueError):
-    """The deformed structure degenerates (|t| = 1 in the constant family)."""
+    """The deformed structure degenerates: 1 - t^2 |phi|^2 is identically 0 on S^3."""
 
 
 class TJet:
@@ -112,7 +112,8 @@ def torsion(phi: SpherePoly, t=None):
 
     With ``t=None`` both sides are returned as t-polynomials (TJets,
     truncated beyond t^2, which is exact here); with a rational ``t`` they
-    are polynomials.
+    are polynomials.  A denominator identically 0 on S^3 raises
+    :class:`DegenerateStructureError`; one that is 0 only somewhere is not detected.
     """
     factor = torsion_factor(phi)
     if t is None:
@@ -120,7 +121,10 @@ def torsion(phi: SpherePoly, t=None):
         den = TJet([SpherePoly.constant(1), None, -(phi * phi.conj())])
         return num, den
     t = GaussianRational.coerce(t)
-    return factor.scale(-t), SpherePoly.constant(1) - (phi * phi.conj()).scale(t * t)
+    den = SpherePoly.constant(1) - (phi * phi.conj()).scale(t * t)
+    if sphere_equal(den, SpherePoly.zero()):
+        raise DegenerateStructureError(f"t = {t}: 1 - t^2|phi|^2 is 0 on S^3, not a CR structure")
+    return factor.scale(-t), den
 
 
 def zero_torsion_classify(pmax: int = 8, qmax: int = 8) -> list[tuple[int, int]]:
@@ -177,31 +181,28 @@ class ConnectionJets(NamedTuple):
     """t-jets of the deformed connection-form coefficients.
 
     The connection correction is  -(1/F) (B_h theta^1 + B_a theta^1bar + B_r theta),
-    with components along the holomorphic coframe leg, the antiholomorphic
-    leg and the Reeb leg.
+    along the holomorphic coframe leg, the antiholomorphic leg and the Reeb
+    leg.  The Kohn Laplacian does not read the Reeb leg: only B_h, B_a are kept.
     """
 
     along_holo: TJet
     along_antiholo: TJet
-    along_reeb: TJet
 
 
 def connection_coefficient_jets(phi: SpherePoly) -> ConnectionJets:
-    """Second-order t-expansions of the deformed connection coefficients.
+    """Second-order t-expansions of the deformed connection coefficients B_h, B_a.
 
     Substituting phi -> t*phi and the F-jet into the closed coefficient
     formulas for the sphere background:
 
         B_h = F^2 (-2 F_1 - t F pb_b - t^2 pb F p_1 - 2 t pb F_b)
         B_a = F^2 (2 t^2 |phi|^2 F_b + t F p_1 + t^2 F phi pb_b + 2 t phi F_1)
-        B_r = -t^2 pb F^3 (T(phi) - 4i phi)
 
     where p_1 = Z1 phi, pb = conj(phi), pb_b = Z1bar conj(phi), and F_1, F_b
     are the Z1, Z1bar derivatives of F.
     """
     fj = levi_normalizer_jet(phi)
     f2 = fj * fj
-    f3 = f2 * fj
     f_1 = fj.map(apply_Z1)
     f_b = fj.map(apply_Z1bar)
     phibar = phi.conj()
@@ -221,8 +222,7 @@ def connection_coefficient_jets(phi: SpherePoly) -> ConnectionJets:
         + fj.map(lambda g: g * (phi * pb_b)).shift(2)
         + f_1.map(lambda g: phi * g).scale(2).shift(1)
     )
-    along_reeb = f3.map(lambda g: (phibar * torsion_factor(phi)) * g).scale(-1).shift(2)
-    return ConnectionJets(along_holo, along_antiholo, along_reeb)
+    return ConnectionJets(along_holo, along_antiholo)
 
 
 def deformed_frame_jets(phi: SpherePoly) -> tuple[TJet, TJet]:

@@ -15,9 +15,9 @@ definiteness statement checked by this package is invariant under that
 positive rescaling.
 
 ``inner(x, y)`` is the L^2 pairing  integral of x * conj(y), conjugate
-linear in the second slot; ``inner(x, y, w)`` integrates w * x * conj(y).
-Every pairing, these, each integral of a weighted gradient pairing and
-each row of a variation form, runs through one kernel, :func:`_pair_into`.
+linear in the second slot.  Every pairing, this one, each integral of a
+weighted gradient pairing and each row of a variation form, runs through
+one kernel, :func:`_pair_into`.
 A product of terms integrates to zero unless the torus weights
 (a - c, b - d) of its factors balance, W(w) + W(x) = W(y), so only
 products that can survive are formed (never w * x as a polynomial), their
@@ -140,9 +140,6 @@ def _integral(weight: Groups, x: Nums, targets: Mapping[Weight, list[Target]],
     return moment_total(sums[0], den)
 
 
-def inner(x: SpherePoly, y: SpherePoly, weight: SpherePoly | None = None) -> GaussianRational:
-    """<x, y> = integral of x * conj(y), or of weight * x * conj(y): one :func:`_integral` call."""
-    groups, den = _ONE, x.den * y.den
-    if weight is not None:
-        groups, den = _groups(weight.nums), den * weight.den
-    return _integral(groups, x.nums, targets_of((y.nums,)), den)
+def inner(x: SpherePoly, y: SpherePoly) -> GaussianRational:
+    """<x, y> = integral of x * conj(y): one :func:`_integral` call with w = 1."""
+    return _integral(_ONE, x.nums, targets_of((y.nums,)), x.den * y.den)

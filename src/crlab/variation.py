@@ -226,7 +226,7 @@ def pluriharmonic_basis(pmax: int) -> tuple[SpherePoly, ...]:
                  for f in basis(k, 0).elements + basis(0, k).elements)
 
 
-def assemble_form(op: LinOp, pmax: int, expect_hermitian: bool = False) -> HermitianForm:
+def assemble_form(op: LinOp, pmax: int) -> HermitianForm:
     """Matrix of <op f_i, f_j> over the pluriharmonic basis up to degree pmax.
 
     The basis is indexed once by torus weight (:func:`targets_of`), and
@@ -236,10 +236,10 @@ def assemble_form(op: LinOp, pmax: int, expect_hermitian: bool = False) -> Hermi
     which multiplies only terms whose weights balance and sums their
     numerators per (j, moment).  :func:`moment_total` then divides each
     entry by its denominator once, and only the nonzero entries are kept.
-    Every entry is computed on its own; none is filled in by symmetry.
-    ``expect_hermitian`` turns a failed conjugate-symmetry check into an
-    error, which is how the "the variation operators are real" claims are
-    asserted.
+    Every entry is computed on its own; none is filled in by symmetry, and
+    every assembled form is checked to be Hermitian: a failed
+    conjugate-symmetry check is an error, which is how the "the variation
+    operators are real" claims are asserted.
     """
     if pmax < 1:
         raise PreconditionError("pmax must be >= 1")
@@ -249,7 +249,7 @@ def assemble_form(op: LinOp, pmax: int, expect_hermitian: bool = False) -> Hermi
         row = {j: moment_total(entry, den * elements[j].den) for j, entry in sums.items()}
         rows.append({j: value for j, value in row.items() if value})
     form = HermitianForm(elements, tuple(rows))
-    if expect_hermitian and not form.is_hermitian():
+    if not form.is_hermitian():
         raise IdentityCheckError("assembled form is not Hermitian")
     return form
 

@@ -108,7 +108,7 @@ def _variation_corpus():
 def test_criterion_06_first_variation_vanishes():
     ok = True
     for phi in _variation_corpus():
-        form = assemble_form(first_variation(phi), 4, expect_hermitian=True)
+        form = assemble_form(first_variation(phi), 4)
         ok &= form.is_zero()
     report(6, ok, "first-variation quadratic form is the zero matrix at pmax=4 "
                   "for the six-deformation corpus")
@@ -178,7 +178,7 @@ def test_criterion_09_weighted_pairing_laws_and_decomposition():
 def test_criterion_10_be_positivity():
     ok = True
     for phi in [z1 ** 4, z1 ** 3 * z2, z1 ** 5 * z1c]:
-        form = assemble_form(second_variation(phi), 5, expect_hermitian=True)
+        form = assemble_form(second_variation(phi), 5)
         ok &= classify(form) == POSITIVE_DEFINITE
     report(10, ok, "second-variation form is positive-definite at pmax=5 for the "
                    "three Burns-Epstein deformations")
@@ -202,13 +202,13 @@ def test_criterion_11_negative_directions():
     ok = all(inner(ddot(f), f).real_sign() < 0 for f in (z1, z2, z1c, z2c))
     # The negative space is exactly four-dimensional, however far the basis reaches.
     for pmax in (4, 12):
-        ok &= negative_index(assemble_form(ddot, pmax, expect_hermitian=True)) == 4
+        ok &= negative_index(assemble_form(ddot, pmax)) == 4
     # Confinement: negative diagonal directions obey p < q1 + 4 - p1.
     corpus = [(one, 0, 0), (z1c, 0, 1), (z1 * z2c, 1, 1), (z1 ** 3, 3, 0),
               (z1 ** 2 * z1c, 2, 1)]
     for phi, p1, q1 in corpus:
         bound = q1 + 4 - p1
-        form = assemble_form(second_variation(phi), 4, expect_hermitian=True)
+        form = assemble_form(second_variation(phi), 4)
         diag = form.diagonal()
         for f, value in zip(pluriharmonic_basis(4), diag):
             if value.real_sign() < 0:

@@ -122,6 +122,15 @@ def test_rossi_degenerate_t_exits_2(capsys):
     assert "not a CR structure" in err
 
 
+@pytest.mark.parametrize("args", [("--phi", "1", "--t=-1"),
+                                  ("--phi", "2*z1*z1c + 2*z2*z2c", "--t", "1/2")])
+def test_torsion_degenerate_t_exits_2(capsys, args):
+    code, out, err = run_cli(capsys, "torsion", *args)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "not a CR structure" in err
+
+
 def test_torsion_symbolic_and_at_value(capsys):
     code, data, _ = run_json(capsys, "torsion", "--phi", "1")
     by_id = {r["id"]: r for r in data["records"]}

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from crlab import (DegenerateStructureError, SpherePoly, TJet, apply_Z1, apply_Z1bar,
-                   connection_coefficient_jets, gr, one, rossi, sphere_equal, torsion,
+                   connection_coefficient_jets, gr, one, radius_sq, rossi, sphere_equal, torsion,
                    torsion_factor, zero_torsion_classify, z1, z1c, z2, z2c)
 from crlab.deformation import levi_normalizer_jet
 from conftest import random_bidegree_poly
@@ -66,9 +66,6 @@ def test_connection_jets_match_displayed_expansions(rng):
         assert jets.along_holo.poly_coefficient(2) == \
             -(phibar * apply_Z1(phi) + apply_Z1(norm))
         assert jets.along_antiholo.poly_coefficient(2) == phi * apply_Z1bar(phibar)
-        assert jets.along_reeb.poly_coefficient(1).is_zero()
-        assert jets.along_reeb.poly_coefficient(2) == \
-            -(phibar * torsion_factor(phi))
 
 
 def test_constant_deformation_jets_vanish():
@@ -91,6 +88,13 @@ def test_torsion_vanishes_exactly_on_the_be_diagonal():
     assert sphere_equal(num, ZERO)
     num, _ = torsion(z1 ** 3, Fraction(1, 3))
     assert not sphere_equal(num, ZERO)
+
+
+@pytest.mark.parametrize("phi, t", [(one, 1), (one, -1), (2 * radius_sq, Fraction(1, 2))])
+def test_torsion_rejects_a_denominator_that_vanishes_on_the_sphere(phi, t):
+    # 1 - t^2 |phi|^2 is identically 0 on S^3: |phi|^2 = 4 there for 2 * radius_sq.
+    with pytest.raises(DegenerateStructureError):
+        torsion(phi, t)
 
 
 def test_torsion_of_antiholomorphic_coordinate():

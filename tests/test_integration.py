@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import crlab.integration as integration
 from crlab import (MulBy, SpherePoly, canonicalize, gr, inner, integrate, one,
                    sphere_equal, z1, z1c, z2, z2c)
 from conftest import beta_moment, oracle_inner, oracle_integral, random_poly
@@ -42,7 +43,7 @@ def test_inner_agrees_with_oracle_and_is_conjugate_symmetric(rng):
 
 
 def test_weighted_inner_agrees_with_oracle(rng):
-    # inner(x, y, w) integrates w * x * conj(y) without forming w * x; the
+    # _integral integrates w * x * conj(y) without forming w * x; the
     # weights include a non-real one and ones with terms at several torus
     # weights (z1 has weight (1, 0), z1c (-1, 0), z2 * z1c (-1, 1)).
     weights = [gr(2, -3) * z1 * z2c + z2 * z1c, 3 * z1 - z1c + gr(0, 1) * z2 * z1c,
@@ -50,8 +51,10 @@ def test_weighted_inner_agrees_with_oracle(rng):
     weights += [random_poly(rng, 2, 2, terms=4) for _ in range(8)]
     for w in weights:
         x, y = random_poly(rng), random_poly(rng)
-        assert inner(x, y, w) == oracle_integral(w * x * y.conj())
-        assert inner(x, y, w) == inner(w * x, y)
+        value = integration._integral(integration._groups(w.nums), x.nums,
+                                      integration.targets_of((y.nums,)), x.den * y.den * w.den)
+        assert value == oracle_integral(w * x * y.conj())
+        assert value == inner(w * x, y)
 
 
 def test_norm_positive_definite_on_sphere_functions(rng):

@@ -1,9 +1,10 @@
 """The polynomial kernels against sympy, which shares no code with them.
 
 ``SpherePoly.__mul__``, ``scale``, ``conj``, sums, the field appliers,
-``inner`` (plain and weighted), ``LinOp.apply`` and ``assemble_form`` each work on integer
-numerators over one shared denominator, accumulate products into one term
-map, and drop what cancels.  Here
+``inner``, the weighted ``integration._integral``, ``LinOp.apply`` and
+``assemble_form`` each work on integer numerators over one shared
+denominator, accumulate products into one term map, and drop what
+cancels.  Here
 every result is recomputed in sympy's sparse polynomial ring over the
 Gaussian rationals, in z1, z2 and independent variables w1, w2 standing
 for conj(z1), conj(z2), and compared term by term: the same monomials with
@@ -16,6 +17,7 @@ from math import factorial
 import sympy
 from sympy import QQ, QQ_I
 
+import crlab.integration as integration
 from crlab import (SpherePoly, apply_T, apply_Z1, apply_Z1bar, assemble_form, gr, inner,
                    pluriharmonic_basis, radius_sq, second_variation, z1, z1c, z2, z2c)
 from crlab.operators import T, Z1, Z1BAR
@@ -112,7 +114,8 @@ def test_inner_matches_sympy(rng):
         # The weighted pairing: the integral of w * x * conj(y).
         w, x, y = (random_poly(rng, 2, 2, terms=4) for _ in range(3))
         expected = sympy_integral(to_sympy(w) * to_sympy(x) * sympy_conj(to_sympy(y)))
-        value = inner(x, y, w)
+        value = integration._integral(integration._groups(w.nums), x.nums,
+                                      integration.targets_of((y.nums,)), x.den * y.den * w.den)
         assert (value.re, value.im) == (_fraction(expected.x), _fraction(expected.y))
 
 

@@ -187,7 +187,7 @@ def test_weighted_pairing_equals_a_weighted_inner_of_the_derivatives(rng):
                         fk = rng.choice(elements(k)).scale(Fraction(rng.randint(1, 9), 6))
                         fl = rng.choice(elements(l)).scale(Fraction(rng.randint(1, 9), 4))
                         value = weighted_gradient_pairing(phi, k, l, side, fk, fl)
-                        assert value == inner(field(fk), field(fl), weight)
+                        assert value == inner(weight * field(fk), field(fl))
                         nonzero += bool(value)
     assert nonzero > 20
 
@@ -314,7 +314,7 @@ def _double_sum(phi, f):
             if conj:
                 weight = weight.conj()
             for fl in pieces.values():
-                total = total + inner(field(fk), field(fl), weight)
+                total = total + inner(weight * field(fk), field(fl))
     return total
 
 
@@ -350,7 +350,7 @@ def test_assemble_paneitz_form_is_zero():
 
 def test_assemble_first_variation_form_is_zero(rng):
     for phi in [one, z1, random_bidegree_poly(rng, 2, 1)]:
-        form = assemble_form(first_variation(phi), 3, expect_hermitian=True)
+        form = assemble_form(first_variation(phi), 3)
         assert form.is_zero()
         assert classify(form) == ZERO_FORM
 
@@ -520,8 +520,7 @@ def test_block_inertia_makes_no_scalar_arithmetic(monkeypatch):
 def test_dense_phi_form_has_two_large_blocks():
     # A non-monomial phi couples whole torus-weight classes: two blocks of
     # 40 and 48 rows at pmax 8, which no benchmark workload assembles.
-    form = assemble_form(second_variation(parse_poly("(z1+z2+z1c+z2c)^2")), 8,
-                         expect_hermitian=True)
+    form = assemble_form(second_variation(parse_poly("(z1+z2+z1c+z2c)^2")), 8)
     rows = form.rows
     blocks = variation._blocks(rows)
     assert form.dimension == 88
@@ -533,12 +532,12 @@ def test_dense_phi_form_has_two_large_blocks():
 
 
 def test_be_deformation_gives_positive_definite_form():
-    form = assemble_form(second_variation(z1 ** 4), 3, expect_hermitian=True)
+    form = assemble_form(second_variation(z1 ** 4), 3)
     assert classify(form) == POSITIVE_DEFINITE
 
 
 def test_constant_family_form_is_negative_at_low_degree():
-    form = assemble_form(second_variation(one), 1, expect_hermitian=True)
+    form = assemble_form(second_variation(one), 1)
     assert classify(form) == NEGATIVE_DEFINITE
     assert [str(v) for v in form.diagonal()] == ["-3", "-3", "-3", "-3"]
 
@@ -557,7 +556,7 @@ def test_assemble_form_matches_dense_inner_oracle(rng):
     # denominator is exercised.
     phis = [one, z1 ** 4, z1 * z2c, random_poly(rng, 2, 2, terms=4),
             random_bidegree_poly(rng, 2, 1), parse_poly("1/3*z1^2*z2c + 2/5*i*z1*z2*z1c")]
-    ops = [(KOHN, 3), (MulBy(z1), 3)]
+    ops = [(KOHN, 3), (MulBy(z1 + z1c), 3)]
     for phi in phis:
         ops += [(first_variation(phi), 3), (second_variation(phi), 3)]
     for op, pmax in ops:
@@ -586,4 +585,4 @@ def test_assemble_form_flags_non_hermitian_operators():
     from crlab import MulBy
 
     with pytest.raises(IdentityCheckError):
-        assemble_form(MulBy(z1), 2, expect_hermitian=True)
+        assemble_form(MulBy(z1), 2)
