@@ -74,7 +74,7 @@ _RATIONAL = re.compile(r"-?([0-9]+)(?:/([0-9]+))?")
 
 
 def _parse_rational(text: str) -> Fraction:
-    """The grammar's rational [-]a[/b], each integer at most MAX_LITERAL_DIGITS digits."""
+    """A rational [-]a[/b], each integer at most MAX_LITERAL_DIGITS digits."""
     match = _RATIONAL.fullmatch(text)
     if match is None or any(len(part) > MAX_LITERAL_DIGITS for part in match.groups("")):
         raise argparse.ArgumentTypeError(

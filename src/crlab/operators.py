@@ -192,8 +192,8 @@ class LinOp:
 
     ``terms`` is a read-only mapping from each word (a tuple of the letters
     "Z1", "Z1bar", "T", the last applied first) to its coefficient; zero
-    coefficients are dropped.  The plan that :meth:`apply` and
-    :meth:`moment_sums` share is built from it on first use.
+    coefficients are dropped.  The plan that application, ``op(poly)``,
+    and :meth:`moment_sums` share is built from it on first use.
     """
 
     __slots__ = ("terms", "_plan")
@@ -208,7 +208,7 @@ class LinOp:
             plan = self._plan = _Plan(self.terms)
         return plan
 
-    def apply(self, poly: SpherePoly) -> SpherePoly:
+    def __call__(self, poly: SpherePoly) -> SpherePoly:
         """The sum over words w of coeff_w * w(poly).
 
         Each word's coefficient numerators (on the plan's shared
@@ -250,9 +250,6 @@ class LinOp:
                 if image:
                     _pair_into(sums, groups, image, targets)
             yield sums, plan.den * f.den
-
-    def __call__(self, poly: SpherePoly) -> SpherePoly:
-        return self.apply(poly)
 
     def conj_op(self) -> "LinOp":
         """The conjugate operator f -> conj(self(conj(f)))."""
@@ -325,22 +322,22 @@ KOHN_SQUARES = KOHN @ KOHN + CONJ_KOHN @ CONJ_KOHN
 
 def kohn(x: SpherePoly) -> SpherePoly:
     """Kohn Laplacian; 2(p+1)q on H_{p,q}."""
-    return KOHN.apply(x)
+    return KOHN(x)
 
 
 def conj_kohn(x: SpherePoly) -> SpherePoly:
     """The conjugate Kohn Laplacian; 2(q+1)p on H_{p,q}."""
-    return CONJ_KOHN.apply(x)
+    return CONJ_KOHN(x)
 
 
 def sublap(x: SpherePoly) -> SpherePoly:
     """Sub-Laplacian; 2pq+p+q on H_{p,q}."""
-    return SUBLAP.apply(x)
+    return SUBLAP(x)
 
 
 def paneitz(x: SpherePoly) -> SpherePoly:
     """CR Paneitz operator; pq(p+1)(q+1) on H_{p,q}, annihilating H_{p,0} and H_{0,q}."""
-    return PANEITZ.apply(x)
+    return PANEITZ(x)
 
 
 def grad_op(g: SpherePoly) -> LinOp:

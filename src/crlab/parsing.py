@@ -5,19 +5,12 @@ Grammar (whitespace-insensitive):
     expr     := term (('+'|'-') term)*
     term     := factor (('*'|'/') factor)*
     factor   := '-' factor | base ('^' uint)?
-    base     := rational | 'i' | 'z1' | 'z2' | 'z1c' | 'z2c'
+    base     := uint | 'i' | 'z1' | 'z2' | 'z1c' | 'z2c'
               | 'conj' '(' expr ')' | '(' expr ')'
-    rational := uint ('/' uint)?
 
-A rational literal ``a/b`` is one base, except in two places.  Right after
-a term-level '/', ``a`` is the whole divisor, so ``z1/3/4`` is
-``(z1/3)/4``, as left-associative division reads it.  Before a '^', the
-power takes ``b`` alone, so ``2/3^2`` is ``2/(3^2)``, as ``z1/3^2`` is.
-Elsewhere ``1/2*z1`` keeps ``1/2`` as one literal.
-
-Only exact literals exist: rationals a/b and the imaginary unit i; no
-floating point is accepted.  Division is exact and only by a nonzero
-constant (so i/3 is fine and z1/z2 is rejected when evaluated).
+Only exact literals exist: integers and the imaginary unit i; no floating
+point is accepted, and ``1/2`` is a division.  Division is exact and only
+by a nonzero constant (so i/3 is fine and z1/z2 is rejected when evaluated).
 Conjugates may be written z1c/z2c or conj(z1)/conj(z2).
 ``SpherePoly.to_source`` emits this grammar, and print-then-parse returns
 a structurally identical polynomial.
@@ -32,7 +25,7 @@ character; any other character is a token of its own and must be one of
 ``+-*/^()``.
 
 Errors carry 1-based column positions: unknown tokens are lexical errors,
-structural problems are syntax errors, and a zero denominator, an exponent
+structural problems are syntax errors, and a literal ``0`` divisor, an exponent
 above ``MAX_EXPONENT`` or nesting deeper than ``MAX_NESTING`` is rejected
 at parse time.  An integer literal longer than ``MAX_LITERAL_DIGITS``
 digits is a lexical error.  Before evaluating, :func:`evaluate` bounds the
@@ -40,7 +33,7 @@ number of terms of every subexpression from the program and raises
 ``EvaluationError`` above ``MAX_TERMS``.
 
 :func:`parse` returns a program: the expression in postfix order, as a
-tuple of instructions ``("num", Fraction)``, ``("i",)``, ``("var", name)``,
+tuple of instructions ``("num", int)``, ``("i",)``, ``("var", name)``,
 ``("neg",)``, ``("conj",)``, ``("pow", n)`` and the binary ``("+",)``,
 ``("-",)``, ``("*",)`` and ``("/",)``.  Bounding and evaluating are each
 one loop over the program with a stack, so a chain ``a + b - c`` or
@@ -53,8 +46,7 @@ result a ``SpherePoly``; a one-term power is raised in one step.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from .spherepoly import (_VAR_MONOS, Nums, SpherePoly, _add_into, _canonical, _mul_into,
                          _power)
@@ -73,7 +65,7 @@ MAX_TERMS = 10000
 #: is a syntax error, so no expression can exhaust the interpreter's stack.
 MAX_NESTING = 100
 
-#: Most digits in one integer literal (numerator, denominator or exponent);
+#: Most digits in one integer literal, exponents included;
 #: longer literals are rejected before they are converted to ``int``.
 MAX_LITERAL_DIGITS = 100
 
@@ -174,17 +166,21 @@ class _Parser:
         self.parse_factor()
         while self.text in ("*", "/"):
             op = self.advance()
-            self.parse_factor(divisor=op == "/")
+            self.parse_factor()
+            if op == "/" and self.program[-1] == ("num", 0):
+                # The divisor is a literal 0, maybe in parentheses: point at the 0.
+                column = next(c for t, c in reversed(self.tokens[:self.pos]) if t.isdecimal())
+                raise SyntaxParseError("denominator must be nonzero", column)
             self.program.append((op,))
 
-    def parse_factor(self, divisor: bool = False):
+    def parse_factor(self):
         if self.text == "-":
             self.enter()
-            self.parse_factor(divisor)
+            self.parse_factor()
             self.depth -= 1
             self.program.append(("neg",))
             return
-        self.parse_base(divisor)
+        self.parse_base()
         if self.text == "^":
             self.advance()
             self.expect("uint")
@@ -195,25 +191,11 @@ class _Parser:
                                        column)
             self.program.append(("pow", exponent))
 
-    def parse_base(self, divisor: bool = False):
-        """A base; after a term-level '/' (``divisor``) an integer is not a rational's numerator."""
+    def parse_base(self):
         text = self.text
         if text.isdecimal():
             self.advance()
-            value = Fraction(int(text))
-            # Consume a '/' here only for a rational literal: not in a divisor,
-            # so z1/3/4 is (z1/3)/4, and not when '^' follows the denominator,
-            # so 2/3^2 is 2/(3^2); other division stays a term-level operation.
-            tokens, pos = self.tokens, self.pos
-            if (not divisor and self.text == "/" and tokens[pos + 1][0].isdecimal()
-                    and tokens[pos + 2][0] != "^"):
-                self.advance()
-                column = self.column
-                denominator = int(self.advance())
-                if denominator == 0:
-                    raise SyntaxParseError("denominator must be nonzero", column)
-                value /= denominator
-            self.program.append(("num", value))
+            self.program.append(("num", int(text)))
         elif text == "conj":
             self.advance()
             self.parse_group()
@@ -310,7 +292,7 @@ def evaluate(program: Program) -> SpherePoly:
     for ins in program:
         op = ins[0]
         if op == "num":
-            stack.append(({(0, 0, 0, 0): (ins[1].numerator, 0)}, ins[1].denominator))
+            stack.append(({(0, 0, 0, 0): (ins[1], 0)}, 1))
         elif op == "i":
             stack.append(({(0, 0, 0, 0): (0, 1)}, 1))
         elif op == "var":
@@ -338,14 +320,17 @@ def evaluate(program: Program) -> SpherePoly:
 
 
 def _reciprocal(nums: Nums, den: int) -> tuple[Nums, int]:
-    """den*(x - y*i) over x^2 + y^2: the reciprocal of a constant divisor (x + y*i)/den."""
+    """den*(x - y*i) over g*(x^2 + y^2): the reciprocal of a constant divisor
+    g*(x + y*i)/den, g the gcd of its parts, so an integer n gives den/n, not den*n/n^2."""
     terms = [(mono, pair) for mono, pair in nums.items() if pair[0] or pair[1]]
     if not terms:
         raise EvaluationError("division by zero")
     if len(terms) > 1 or terms[0][0] != (0, 0, 0, 0):
         raise EvaluationError("division only by a nonzero constant")
     x, y = terms[0][1]
-    return {(0, 0, 0, 0): (x * den, -y * den)}, x * x + y * y
+    g = gcd(x, y)
+    x, y = x // g, y // g
+    return {(0, 0, 0, 0): (x * den, -y * den)}, g * (x * x + y * y)
 
 
 def parse_poly(src: str) -> SpherePoly:

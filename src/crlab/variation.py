@@ -355,7 +355,11 @@ def drift_square_form(phi: SpherePoly, f: SpherePoly) -> GaussianRational:
     parts = canonicalize(f)
     if any(p > 0 and q > 0 for (p, q) in parts):
         raise PreconditionError("f must lie in the kernel of the Paneitz operator")
-    rep = SpherePoly.summed(parts.values())
+    return _drift_square(phi, SpherePoly.summed(parts.values()))
+
+
+def _drift_square(phi: SpherePoly, rep: SpherePoly) -> GaussianRational:
+    """:func:`drift_square_form` on rep, a sum of canonical parts in Ker paneitz."""
     d_op = drift_operator(phi)
     image = d_op(rep)
     value = inner(d_op(image), rep)
@@ -440,8 +444,9 @@ def second_variation_decomposition(phi: SpherePoly, f: SpherePoly) -> SecondVari
     side and each k is one :func:`crlab.integration._integral` pass on the
     field kernels' numerators, with w_k and conj(w_k) grouped once per
     (phi, k) by the cache behind :func:`weighted_gradient_pairing`.  The
-    left side is 2<D^2 f, f> from :func:`drift_square_form` (D built once,
-    applied twice) plus the other (c, chain) parts of
+    left side is 2<D^2 f, f>, computed and checked as in
+    :func:`drift_square_form` on f's canonical sum (f is split once, D built
+    once and applied twice), plus the other (c, chain) parts of
     :func:`_second_variation_parts` applied to f, last operator first, and
     paired with f once; ``second_variation(phi)`` itself is never built.
     """
@@ -462,7 +467,7 @@ def second_variation_decomposition(phi: SpherePoly, f: SpherePoly) -> SecondVari
                                piece.den * whole.den * weights.weight_den)
     lower = total * 2
 
-    drift_part = drift_square_form(phi, rep) * 2
+    drift_part = _drift_square(phi, rep) * 2
     images = []
     for c, chain in _second_variation_parts(phi):
         image = rep

@@ -7,7 +7,7 @@ from crlab import (CONJ_KOHN, KOHN, PANEITZ, SUBLAP, SpherePoly, apply_T,
                    common_eigenvalue, conj_kohn, grad_op, gr, inner, kohn,
                    kohn_energy_identity, one, paneitz, radius_sq, sphere_equal,
                    parse_poly, sublap, z1, z1c, z2, z2c)
-from crlab.operators import IDENTITY, T, Z1, Z1BAR, MulBy
+from crlab.operators import IDENTITY, T, Z1, Z1BAR, LinOp, MulBy
 from conftest import random_poly, random_scalar, vanishes_on_sphere
 
 ZERO = SpherePoly.zero()
@@ -133,6 +133,24 @@ def test_exact_values_enter_and_leave_polynomials_without_scalar_arithmetic(monk
     assert evaluate(parse(src)).to_source() == expected_source
     assert len(basis(3, 2).elements) == 6
     assert common_eigenvalue(KOHN, 2, 3) == gr(2 * (2 + 1) * 3)
+
+
+def test_named_operators_are_applied_through_call(monkeypatch):
+    # kohn(x) and the like call the operator itself, so a wrapper over
+    # LinOp.__call__ sees every application.
+    applied = []
+    call = LinOp.__call__
+
+    def counted(self, poly):
+        applied.append(self)
+        return call(self, poly)
+
+    monkeypatch.setattr(LinOp, "__call__", counted)
+    for op, named in ((KOHN, kohn), (CONJ_KOHN, conj_kohn), (SUBLAP, sublap),
+                      (PANEITZ, paneitz)):
+        applied.clear()
+        assert named(z1 * z2c) == call(op, z1 * z2c)
+        assert applied == [op]
 
 
 def test_kohn_minus_conj_kohn_is_2iT():

@@ -47,21 +47,21 @@ def test_precedence_and_associativity():
     assert parse_poly("1 - 2 - 3") == one.scale(-4)
     assert parse_poly("2*z1+3*z2") == z1.scale(2) + z2.scale(3)
     assert parse_poly("-2^2") == one.scale(-4)
-    # After a '/', an integer is the whole divisor: division associates left.
+    # Division associates left.
     assert parse_poly("z1/3/4") == parse_poly("(z1/3)/4") == z1.scale(Fraction(1, 12))
     assert parse_poly("z1/-3/4") == z1.scale(Fraction(-1, 12))
-    # Elsewhere a/b is still one rational literal, as to_source prints it.
+    # 1/2*z1 is (1/2)*z1, as to_source prints it.
     assert parse_poly("1/2*z1") == z1.scale(Fraction(1, 2))
 
 
 def test_program_is_postfix():
     assert parse("-conj(z1 + i)^2/3 - 1/2*z2c") == (
         ("var", "z1"), ("i",), ("+",), ("conj",), ("pow", 2), ("neg",),
-        ("num", Fraction(3)), ("/",), ("num", Fraction(1, 2)), ("var", "z2c"), ("*",), ("-",))
+        ("num", 3), ("/",), ("num", 1), ("num", 2), ("/",), ("var", "z2c"), ("*",), ("-",))
 
 
 def test_power_after_a_slash_takes_the_denominator_alone():
-    # 2/3^2 is 2/(3^2), as 2*1/3^2 and z1/3^2 are; a/b is one literal only without '^'.
+    # '^' binds tighter than '/': 2/3^2 is 2/(3^2), as 2*1/3^2 and z1/3^2 are.
     assert parse_poly("2/3^2") == parse_poly("2*1/3^2") == SpherePoly.constant(Fraction(2, 9))
     assert parse_poly("2/3^2*z1") == parse_poly("z1/3^2*2") == z1.scale(Fraction(2, 9))
     assert parse("2/3^2") == (("num", Fraction(2)), ("num", Fraction(3)), ("pow", 2), ("/",))
@@ -153,6 +153,22 @@ def test_syntax_errors_are_positioned():
 def test_zero_denominator_rejected_at_parse_time():
     with pytest.raises(ParseError):
         parse("1/0")
+
+
+@pytest.mark.parametrize("src, column", [
+    ("1/0", 3), ("z1/0", 4), ("1/(0)", 4), ("i/00", 3),
+    ("(z1+z2+z1c+z2c)^32/0", 20),  # rejected before the dividend is expanded
+])
+def test_literal_zero_divisor_is_a_positioned_syntax_error(src, column):
+    with pytest.raises(SyntaxParseError) as err:
+        parse(src)
+    assert str(err.value) == f"denominator must be nonzero (column {column})"
+
+
+@pytest.mark.parametrize("src", ["1/0^2", "1/(1-1)", "z1/-0"])
+def test_a_divisor_that_only_evaluates_to_zero_fails_on_evaluation(src):
+    with pytest.raises(EvaluationError, match="division by zero"):
+        parse_poly(src)
 
 
 def test_float_literals_are_rejected():
@@ -291,7 +307,7 @@ def test_long_chains_evaluate_without_recursion():
     assert parse_poly("*".join(["z2"] * 3000)) == z2 ** 3000
     assert parse_poly(" - ".join(["z1c"] * 3001)) == z1c.scale(-2999)
     assert parse_poly("z1" + "*1/2" * 2000) == z1.scale(Fraction(1, 2 ** 2000))
-    # A chain keeps left-to-right order and precedence (5/2 is one literal): 6.
+    # A chain keeps left-to-right order and precedence (4*5/2 is (4*5)/2): 6.
     assert parse_poly("1 - 2 - 3 + 4*5/2") == SpherePoly.constant(6)
 
 
@@ -322,8 +338,8 @@ def test_evaluation_makes_one_polynomial(monkeypatch):
 
 
 def test_integer_growth_stays_bounded(monkeypatch):
-    # z1*2*1/2*2*1/2... : each product divides out the common factor, so no
-    # numerator or denominator grows along the chain.
+    # z1*2*1/2*2*1/2... : each product and quotient divides out the common
+    # factor, so no numerator or denominator grows along the chain.
     widths = []
     canonical = parsing._canonical
 
@@ -333,7 +349,7 @@ def test_integer_growth_stays_bounded(monkeypatch):
 
     monkeypatch.setattr(parsing, "_canonical", recorded)
     assert parse_poly("z1" + "*2*1/2" * 2000) == z1
-    assert len(widths) == 4000  # one per product
+    assert len(widths) == 6000  # one per product and per quotient
     assert max(widths) <= 2
 
 
@@ -463,3 +479,23 @@ def test_evaluate_rejects_foreign_objects():
         evaluate("not an ast")
     with pytest.raises(TypeError, match="not an instruction"):
         evaluate((("var", "z1"), ("sqrt",)))
+
+
+def _literals(src: str) -> list:
+    return [ins[1] for ins in parse(src) if ins[0] == "num"]
+
+
+def test_fixed_sources_have_integer_literals():
+    sources = [src for src, _, _ in BOUND_CASES] + [
+        "-conj(z1 + i)^2/3 - 1/2*z2c*(z1 - z1 + 2) + (2/4 - 3*i)^3",
+        (z1 ** 3 * z2c + z2.scale(gr(Fraction(1, 2), Fraction(-5, 3)))).to_source()]
+    sources += [_random_source(random.Random(seed), 4) for seed in range(200)]
+    literals = [n for src in sources for n in _literals(src)]
+    assert literals and all(type(n) is int for n in literals)
+
+
+@settings(max_examples=60, deadline=None)
+@given(expressions(), polys())
+def test_generated_sources_have_integer_literals(case, poly):
+    for src in (case[0], poly.to_source(), call_style(poly)):
+        assert all(type(n) is int for n in _literals(src))

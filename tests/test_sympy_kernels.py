@@ -1,7 +1,7 @@
 """The polynomial kernels against sympy, which shares no code with them.
 
 ``SpherePoly.__mul__``, ``scale``, ``conj``, sums, the field appliers,
-``inner``, the weighted ``integration._integral``, ``LinOp.apply`` and
+``inner``, the weighted ``integration._integral``, ``LinOp.__call__`` and
 ``assemble_form`` each work on integer numerators over one shared
 denominator, accumulate products into one term map, and drop what
 cancels.  Here

@@ -272,6 +272,20 @@ def test_decomposition_builds_and_applies_the_drift_once(monkeypatch):
     assert not split.drift_part.is_zero()
 
 
+def test_decomposition_splits_f_once(monkeypatch):
+    # The drift part reuses the decomposition's own split of f.
+    split_calls = []
+    original = variation.canonicalize
+
+    def counted(f):
+        split_calls.append(f)
+        return original(f)
+
+    monkeypatch.setattr(variation, "canonicalize", counted)
+    second_variation_decomposition(z1 ** 4 + z1c * z2, z1 + z2c + z1 ** 2)
+    assert len(split_calls) == 1
+
+
 def test_decomposition_rejects_functions_outside_h():
     with pytest.raises(PreconditionError):
         second_variation_decomposition(z1, one + z1)
