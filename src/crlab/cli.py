@@ -58,6 +58,7 @@ _OPERATORS = {
 
 MAX_BIDEGREE = 8
 MAX_VARIATION_PMAX = 24
+MAX_PHI_DEGREE = 48
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,6 +84,15 @@ def _parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError as exc:
         raise argparse.ArgumentTypeError(f"zero denominator: {text!r}") from exc
+
+
+def _parse_phi(text: str) -> SpherePoly:
+    """--phi as a polynomial of total degree at most MAX_PHI_DEGREE."""
+    phi = parse_poly(text)
+    degree = max(map(sum, phi.nums), default=0)
+    if degree > MAX_PHI_DEGREE:
+        raise PreconditionError(f"--phi has degree {degree}, above the bound {MAX_PHI_DEGREE}")
+    return phi
 
 
 def _jet_text(jet) -> str:
@@ -118,7 +128,7 @@ def cmd_spectrum(args, report: Report):
 
 
 def cmd_decompose(args, report: Report):
-    phi = parse_poly(args.phi)
+    phi = _parse_phi(args.phi)
     verdict = be_check(phi)
     total = SpherePoly.zero()
     for (p, q), piece in sorted(verdict.components.items()):
@@ -145,7 +155,7 @@ def cmd_decompose(args, report: Report):
 
 
 def cmd_torsion(args, report: Report):
-    phi = parse_poly(args.phi)
+    phi = _parse_phi(args.phi)
     factor = torsion_factor(phi)
     vanishes = sphere_equal(factor, SpherePoly.zero())
     components = canonicalize(phi)
@@ -203,7 +213,7 @@ def cmd_rossi(args, report: Report):
 
 
 def cmd_bochner(args, report: Report):
-    phi = parse_poly(args.phi)
+    phi = _parse_phi(args.phi)
     residual = bochner_residual(phi)
     report.add(
         "bochner-vanishing",
@@ -217,7 +227,7 @@ def cmd_bochner(args, report: Report):
 def cmd_variation(args, report: Report):
     if not 1 <= args.pmax <= MAX_VARIATION_PMAX:
         raise PreconditionError(f"--pmax must lie in 1..{MAX_VARIATION_PMAX}")
-    phi = parse_poly(args.phi)
+    phi = _parse_phi(args.phi)
     if args.order == 1:
         form = assemble_form(first_variation(phi), args.pmax)
         report.add(

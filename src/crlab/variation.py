@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import lcm
 from operator import matmul
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .deformation import paneitz_family_jet
 from .harmonics import basis, canonicalize
@@ -272,37 +272,35 @@ def _blocks(rows: tuple[dict[int, GaussianRational], ...]) -> list[list[int]]:
     return blocks
 
 
-def _block_inertia(matrix: list[list[GaussianRational]]) -> tuple[int, int, int] | None:
-    """(positive, negative, zero) inertia of a dense Hermitian block, or None if indefinite.
+def _pivot_signs(matrix: list[list[GaussianRational]]) -> Iterator[int]:
+    """Signs of the pivots of a dense Hermitian block, one per row while decided.
 
     The block is scaled by the lcm of its denominators, which keeps its
     inertia, and eliminated fraction-free over Gaussian integers (Bareiss):
     with pivot d, the first nonzero diagonal entry, and prev the pivot
-    before it, every remaining entry becomes (d*a_ij - a_ip*a_pj) / prev.
-    The division is exact, since each entry is then a minor of the block.
-    The Schur complement's pivot is d / prev, so it contributes the sign
-    sign(d) * sign(prev).  A state with zero diagonal but a nonzero
-    off-diagonal entry is indefinite (its 2x2 principal block has
-    eigenvalues of both signs); remaining zero rows only reduce the rank.
+    before it, every remaining entry becomes (d*a_ij - a_ip*a_pj) / prev,
+    an exact division (each entry is a minor of the block).  The Schur
+    complement's pivot is d / prev, so each pivot yields sign(d) *
+    sign(prev); by Haynsworth's inertia additivity the signs so far are
+    the inertia of a principal submatrix.  A zero diagonal with a nonzero
+    off-diagonal entry yields 1 and -1 and stops (that entry's 2x2
+    principal block has both signs); zero rows left yield 0 each.  The
+    block's inertia is decided exactly when it yields one sign per row.
     """
     scale = lcm(*[v._d for row in matrix for v in row])
     re = [[v._a * (scale // v._d) for v in row] for row in matrix]
     im = [[v._b * (scale // v._d) for v in row] for row in matrix]
-    pos = neg = 0
     prev = 1
     while re:
         for k, row in enumerate(re):
             if row[k]:
                 break
         else:
-            if any(map(any, re)) or any(map(any, im)):
-                return None
-            return pos, neg, len(re)
+            # Both signs from a nonzero off-diagonal entry's 2x2 block, else one 0 per zero row.
+            yield from (1, -1) if any(map(any, re)) or any(map(any, im)) else [0] * len(re)
+            return
         d = row[k]
-        if (d > 0) == (prev > 0):
-            pos += 1
-        else:
-            neg += 1
+        yield 1 if (d > 0) == (prev > 0) else -1
         pr, pi = re.pop(k), im.pop(k)
         del pr[k], pi[k]
         for i, (ri, ii) in enumerate(zip(re, im)):
@@ -310,7 +308,6 @@ def _block_inertia(matrix: list[list[GaussianRational]]) -> tuple[int, int, int]
             re[i] = [(d * a - xr * c + xi * e) // prev for a, c, e in zip(ri, pr, pi)]
             im[i] = [(d * b - xr * e - xi * c) // prev for b, c, e in zip(ii, pr, pi)]
         prev = d
-    return pos, neg, 0
 
 
 def classify(form: HermitianForm) -> str:
@@ -318,27 +315,27 @@ def classify(form: HermitianForm) -> str:
 
     The basis splits into the connected blocks of the form's nonzero
     pattern; the matrix is block diagonal over them, so by Sylvester's law
-    of inertia the inertia of the form is the sum of the blocks' inertias,
-    each found by fraction-free elimination over Gaussian integers
-    (:func:`_block_inertia`).  The outcome is basis-independent.
+    of inertia the inertia of the form is the sum of the blocks' inertias.
+    Each block's pivot signs (:func:`_pivot_signs`) are read until both 1
+    and -1 have been seen, in one block or across blocks: the signs seen
+    are the inertia of a principal submatrix, and by Cauchy interlacing a
+    principal submatrix with eigenvalues of both signs makes the whole
+    form indefinite.  Otherwise every block yields one sign per row.  The
+    outcome is basis-independent.
     """
     if not form.is_hermitian():
         raise PreconditionError("classification requires a Hermitian matrix")
     rows = form.rows
-    pos = neg = rank_deficit = 0
+    signs = set()
     for block in _blocks(rows):
-        inertia = _block_inertia([[rows[i].get(j, ZERO) for j in block] for i in block])
-        if inertia is None:
-            return INDEFINITE
-        pos += inertia[0]
-        neg += inertia[1]
-        rank_deficit += inertia[2]
-        if pos and neg:
-            return INDEFINITE
-    if pos:
-        return POSITIVE_DEFINITE if not rank_deficit else POSITIVE_SEMIDEFINITE
-    if neg:
-        return NEGATIVE_DEFINITE if not rank_deficit else NEGATIVE_SEMIDEFINITE
+        for sign in _pivot_signs([[rows[i].get(j, ZERO) for j in block] for i in block]):
+            signs.add(sign)
+            if {1, -1} <= signs:
+                return INDEFINITE
+    if 1 in signs:
+        return POSITIVE_SEMIDEFINITE if 0 in signs else POSITIVE_DEFINITE
+    if -1 in signs:
+        return NEGATIVE_SEMIDEFINITE if 0 in signs else NEGATIVE_DEFINITE
     return ZERO_FORM
 
 

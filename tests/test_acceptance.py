@@ -189,11 +189,11 @@ def negative_index(form) -> int | None:
     rows = form.rows
     total = 0
     for block in variation._blocks(rows):
-        inertia = variation._block_inertia([[rows[i].get(j, gr(0)) for j in block]
-                                            for i in block])
-        if inertia is None:
+        signs = list(variation._pivot_signs([[rows[i].get(j, gr(0)) for j in block]
+                                             for i in block]))
+        if len(signs) < len(block):
             return None
-        total += inertia[1]
+        total += signs.count(-1)
     return total
 
 

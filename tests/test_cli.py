@@ -178,6 +178,31 @@ def test_variation_order2_rossi_negative_directions(capsys):
     assert by_id["negative-direction-confinement"]["status"] == "pass"
 
 
+def test_variation_dense_phi_at_largest_pmax(capsys):
+    code, data, _ = run_json(capsys, "variation", "--phi", "(z1+z2+z1c+z2c)^2", "--pmax", "24")
+    assert code == 0
+    record = data["records"][0]
+    assert record["witness"]["classification"] == "indefinite"
+
+
+_PHI_COMMANDS = [("decompose",), ("torsion",), ("bochner",), ("variation", "--pmax", "1")]
+
+
+@pytest.mark.parametrize("command", _PHI_COMMANDS)
+def test_phi_degree_at_bound_is_accepted(capsys, command):
+    code, out, err = run_cli(capsys, *command, "--phi", "(z1*z1c)^24")
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("phi, degree", [("(z1*z1c)^24*z2", 49), ("((z1*z1c)^32)^32", 2048)])
+@pytest.mark.parametrize("command", _PHI_COMMANDS)
+def test_phi_degree_above_bound_exits_2_with_one_line(capsys, command, phi, degree):
+    code, out, err = run_cli(capsys, *command, "--phi", phi)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --phi has degree {degree}, above the bound 48\n"
+
+
 def test_integrate_command(capsys):
     code, data, _ = run_json(capsys, "integrate", "--expr", "z1*z1c*z2*z2c")
     assert code == 0

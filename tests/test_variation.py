@@ -441,6 +441,11 @@ def _eigen_sign_counts(raw):
     return pos, neg, zero
 
 
+def _inertia(signs):
+    """(positive, negative, zero) counts of a block's pivot signs."""
+    return signs.count(1), signs.count(-1), signs.count(0)
+
+
 def _random_hermitian_block(rng, n, zero_diagonal=False):
     """Hermitian block whose real and imaginary parts carry their own small denominators."""
     def part(bound):
@@ -495,11 +500,11 @@ def test_classify_against_charpoly_oracle(rng):
         for block in variation._blocks(form.rows):
             sub = [[raw[i][j] for j in block] for i in block]
             oracle = _eigen_sign_counts(sub)
-            inertia = variation._block_inertia(sub)
-            if inertia is None:  # undecided only where the block is indefinite
+            signs = list(variation._pivot_signs(sub))
+            if len(signs) < len(block):  # undecided only where the block is indefinite
                 assert oracle[0] and oracle[1]
             else:
-                assert inertia == oracle
+                assert _inertia(signs) == oracle
         pos, neg, zero = _eigen_sign_counts(raw)
         verdict = classify(form)
         verdicts.add(verdict)
@@ -523,12 +528,12 @@ def test_block_inertia_makes_no_scalar_arithmetic(monkeypatch):
     oracle = _eigen_sign_counts(block)
 
     def forbidden(*args):
-        raise AssertionError("GaussianRational arithmetic inside _block_inertia")
+        raise AssertionError("GaussianRational arithmetic inside _pivot_signs")
 
     for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                  "__truediv__", "__rtruediv__"):
         monkeypatch.setattr(GaussianRational, name, forbidden)
-    assert variation._block_inertia(block) == oracle == (2, 1, 0)
+    assert _inertia(list(variation._pivot_signs(block))) == oracle == (2, 1, 0)
 
 
 def test_dense_phi_form_has_two_large_blocks():
@@ -539,10 +544,29 @@ def test_dense_phi_form_has_two_large_blocks():
     blocks = variation._blocks(rows)
     assert form.dimension == 88
     assert sorted(len(block) for block in blocks) == [40, 48]
-    inertias = [variation._block_inertia([[rows[i].get(j, gr(0)) for j in block]
-                                          for i in block]) for block in blocks]
+    inertias = [_inertia(list(variation._pivot_signs([[rows[i].get(j, gr(0)) for j in block]
+                                                      for i in block]))) for block in blocks]
     assert [sum(counts) for counts in zip(*inertias)] == [80, 8, 0]
     assert classify(form) == INDEFINITE
+
+
+@pytest.mark.parametrize("pmax", [8, 16])
+def test_classify_stops_at_the_first_opposite_pair(monkeypatch, pmax):
+    # Both signs show within a few pivots of the dense phi's first block; by
+    # Cauchy interlacing that decides the form, so classify reads no further.
+    form = assemble_form(second_variation(parse_poly("(z1+z2+z1c+z2c)^2")), pmax)
+    pivot_signs = variation._pivot_signs
+    taken = []
+
+    def counting(matrix):
+        for sign in pivot_signs(matrix):
+            taken.append(sign)
+            yield sign
+
+    monkeypatch.setattr(variation, "_pivot_signs", counting)
+    assert classify(form) == INDEFINITE
+    assert {1, -1} <= set(taken)
+    assert len(taken) <= 9
 
 
 def test_be_deformation_gives_positive_definite_form():
