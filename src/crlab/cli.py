@@ -29,10 +29,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 import time
-from fractions import Fraction
 from functools import cache
 
 from . import __version__
@@ -41,7 +39,7 @@ from .harmonics import be_check, canonical_form, canonicalize, sphere_equal
 from .integration import integrate
 from .operators import (CONJ_KOHN, KOHN, PANEITZ, SUBLAP, bochner_residual,
                         common_eigenvalue)
-from .parsing import MAX_LITERAL_DIGITS, EvaluationError, ParseError, parse_poly
+from .parsing import EvaluationError, ParseError, parse_poly
 from .report import Report
 from .scalars import GaussianRational
 from .spherepoly import SpherePoly, one
@@ -71,21 +69,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-_RATIONAL = re.compile(r"-?([0-9]+)(?:/([0-9]+))?")
-
-
-def _parse_rational(text: str) -> Fraction:
-    """A rational [-]a[/b], each integer at most MAX_LITERAL_DIGITS digits."""
-    match = _RATIONAL.fullmatch(text)
-    if match is None or any(len(part) > MAX_LITERAL_DIGITS for part in match.groups("")):
-        raise argparse.ArgumentTypeError(
-            f"not an exact rational [-]a[/b] of integers with at most {MAX_LITERAL_DIGITS} digits")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError as exc:
-        raise argparse.ArgumentTypeError(f"zero denominator: {text!r}") from exc
-
-
 def _parse_phi(text: str) -> SpherePoly:
     """--phi as a polynomial of total degree at most MAX_PHI_DEGREE."""
     phi = parse_poly(text)
@@ -93,6 +76,15 @@ def _parse_phi(text: str) -> SpherePoly:
     if degree > MAX_PHI_DEGREE:
         raise PreconditionError(f"--phi has degree {degree}, above the bound {MAX_PHI_DEGREE}")
     return phi
+
+
+def _parse_t(text: str) -> GaussianRational:
+    """--t as an expression that evaluates to a real constant."""
+    t = parse_poly(text)
+    value = t.coefficient((0, 0, 0, 0))
+    if t != value or not value.is_real():
+        raise PreconditionError(f"--t {text!r} is not a real constant")
+    return value
 
 
 def _jet_text(jet) -> str:
@@ -156,6 +148,7 @@ def cmd_decompose(args, report: Report):
 
 def cmd_torsion(args, report: Report):
     phi = _parse_phi(args.phi)
+    t = None if args.t is None else _parse_t(args.t)
     factor = torsion_factor(phi)
     vanishes = sphere_equal(factor, SpherePoly.zero())
     components = canonicalize(phi)
@@ -167,7 +160,7 @@ def cmd_torsion(args, report: Report):
         vanishes=vanishes,
         all_components_on_p_eq_q_plus_4=on_diagonal,
     )
-    if args.t is None:
+    if t is None:
         num, den = torsion(phi)
         report.add(
             "torsion-pair",
@@ -177,10 +170,10 @@ def cmd_torsion(args, report: Report):
             denominator=_jet_text(den),
         )
     else:
-        num, den = torsion(phi, GaussianRational(args.t))
+        num, den = torsion(phi, t)
         report.add(
             "torsion-pair",
-            f"torsion = numerator/denominator at t = {args.t}",
+            f"torsion = numerator/denominator at t = {t}",
             True,
             numerator=num,
             denominator=den,
@@ -188,16 +181,17 @@ def cmd_torsion(args, report: Report):
 
 
 def cmd_rossi(args, report: Report):
-    data = rossi(GaussianRational(args.t))
+    t = _parse_t(args.t)
+    data = rossi(t)
     report.add(
         "rossi-webster-curvature",
         "Webster curvature 2(1+t^2)/|1-t^2| of the constant family is positive",
         data["webster_R"].real_sign() > 0,
         webster_R=data["webster_R"],
         branch=data["branch"],
-        t=str(args.t),
+        t=str(t),
     )
-    num, den = torsion(one, GaussianRational(args.t))
+    num, den = torsion(one, t)
     num_scalar = num.coefficient((0, 0, 0, 0))
     den_scalar = den.coefficient((0, 0, 0, 0))
     agrees = (len(num) <= 1 and len(den) <= 1
@@ -292,7 +286,7 @@ def _add_common(parser: argparse.ArgumentParser):
                         help="add decimal renderings (non-authoritative)")
 
 
-_T_HELP = "exact rational [-]a[/b]; write a negative value as --t=-1/3"
+_T_HELP = "exact expression with a real constant value; write a negative value as --t=-1/3"
 
 
 @cache
@@ -319,12 +313,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("torsion", help="exact torsion of the deformed structure")
     p.add_argument("--phi", required=True)
-    p.add_argument("--t", type=_parse_rational, default=None, help=_T_HELP)
+    p.add_argument("--t", help=_T_HELP)
     _add_common(p)
     p.set_defaults(run=cmd_torsion)
 
     p = sub.add_parser("rossi", help="constant-deformation family closed forms")
-    p.add_argument("--t", type=_parse_rational, required=True, help=_T_HELP)
+    p.add_argument("--t", required=True, help=_T_HELP)
     _add_common(p)
     p.set_defaults(run=cmd_rossi)
 

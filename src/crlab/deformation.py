@@ -102,17 +102,24 @@ def torsion_factor(phi: SpherePoly) -> SpherePoly:
     return apply_T(phi) - phi.scale(GaussianRational(0, 4))
 
 
+def torsion_potential(phi: SpherePoly) -> SpherePoly:
+    """E = 4*phi + i*T(phi) = i * torsion_factor(phi); (4 + q - p) * phi on P_{p,q}."""
+    return torsion_factor(phi).scale(I)
+
+
 def torsion(phi: SpherePoly, t=None):
     """Exact torsion of the structure Z1bar + t*phi*Z1 as a rational pair.
 
     Returns (numerator, denominator) with torsion = numerator/denominator:
 
         numerator   = -t * (T(phi) - 4i phi)
-        denominator = 1 - t^2 |phi|^2.
+        denominator = 1 - |t|^2 |phi|^2.
 
-    With ``t=None`` both sides are returned as t-polynomials (TJets,
-    truncated beyond t^2, which is exact here); with a rational ``t`` they
-    are polynomials.  A denominator identically 0 on S^3 raises
+    With ``t=None`` both sides are returned as t-polynomials (TJets in a
+    real t, truncated beyond t^2, which is exact here); with a Gaussian
+    rational ``t`` they are polynomials.  The structure at t is the one of
+    t*phi at parameter 1, so ``torsion(phi, t)`` and ``torsion(t*phi, 1)``
+    agree.  A denominator identically 0 on S^3 raises
     :class:`DegenerateStructureError`; one that is 0 only somewhere is not detected.
     """
     factor = torsion_factor(phi)
@@ -121,9 +128,9 @@ def torsion(phi: SpherePoly, t=None):
         den = TJet([SpherePoly.constant(1), None, -(phi * phi.conj())])
         return num, den
     t = GaussianRational.coerce(t)
-    den = SpherePoly.constant(1) - (phi * phi.conj()).scale(t * t)
+    den = SpherePoly.constant(1) - (phi * phi.conj()).scale(t * t.conj())
     if sphere_equal(den, SpherePoly.zero()):
-        raise DegenerateStructureError(f"t = {t}: 1 - t^2|phi|^2 is 0 on S^3, not a CR structure")
+        raise DegenerateStructureError(f"t = {t}: 1 - |t|^2|phi|^2 is 0 on S^3, not a CR structure")
     return factor.scale(-t), den
 
 
@@ -270,7 +277,7 @@ def torsion_correction_jet(phi: SpherePoly) -> TJet:
     f4 = (fj * fj) * (fj * fj)
     f6 = f4 * (fj * fj)
     phibar = phi.conj()
-    e = phi.scale(4) + apply_T(phi).scale(I)
+    e = torsion_potential(phi)
     e_1 = apply_Z1(e)
     e_b = apply_Z1bar(e)
     pb_1 = apply_Z1(phibar)

@@ -43,13 +43,13 @@ from math import lcm
 from operator import matmul
 from typing import Iterable, Iterator, NamedTuple
 
-from .deformation import paneitz_family_jet
+from .deformation import paneitz_family_jet, torsion_potential
 from .harmonics import basis, canonicalize
 from .integration import Groups, _groups, _integral, inner, moment_total, targets_of
 from .operators import (CONJ_KOHN, KOHN, KOHN_SQUARES, LinOp, MulBy, PANEITZ,
                         SUBLAP, Z1, Z1BAR, ZERO_OP, _collect, _z1_nums, _z1bar_nums,
-                        apply_T, apply_Z1, apply_Z1bar, grad_op, kohn)
-from .scalars import ZERO, GaussianRational, I, ScalarLike
+                        apply_Z1, apply_Z1bar, grad_op, kohn)
+from .scalars import ZERO, GaussianRational, ScalarLike
 from .spherepoly import SpherePoly
 
 
@@ -67,11 +67,6 @@ NEGATIVE_DEFINITE = "negative-definite"
 NEGATIVE_SEMIDEFINITE = "negative-semidefinite"
 INDEFINITE = "indefinite"
 ZERO_FORM = "zero"
-
-
-def torsion_potential(phi: SpherePoly) -> SpherePoly:
-    """E = 4*phi + i*T(phi); constant multiple (4 + q - p) * phi on P_{p,q}."""
-    return phi.scale(4) + apply_T(phi).scale(I)
 
 
 class _Weights(NamedTuple):

@@ -12,8 +12,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from crlab import IdentityCheckError, PreconditionError, cli
+from crlab import GaussianRational, IdentityCheckError, PreconditionError, cli
 from crlab.cli import main
 from conftest import decode_complex
 
@@ -253,17 +254,54 @@ def test_nesting_above_bound_exits_2_with_one_line(capsys, expr):
     assert err == "error: nesting deeper than the bound 100 (column 101)\n"
 
 
-@pytest.mark.parametrize("args", [("rossi", "--t", "1e5000"),
-                                  ("torsion", "--phi", "z1", "--t", "1e5000"),
-                                  ("rossi", "--t", "1/" + "3" * 101)])
+@pytest.mark.parametrize("args", [
+    (("rossi", "--t", "1e5000"), "error: unknown token 'e5000' (column 2)"),
+    (("torsion", "--phi", "z1", "--t", "1e5000"), "error: unknown token 'e5000' (column 2)"),
+    (("rossi", "--t", "1/" + "3" * 101),
+     "error: integer literal of 101 digits exceeds the bound 100 (column 3)"),
+])
 def test_huge_parameter_is_a_usage_error(capsys, args):
-    with pytest.raises(SystemExit) as exc:
-        main(list(args))
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
+    argv, message = args
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
     assert "Traceback" not in err
-    assert err.splitlines()[-1].endswith(
-        "argument --t: not an exact rational [-]a[/b] of integers with at most 100 digits")
+    assert err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("command", [("rossi",), ("torsion", "--phi", "z1")])
+@pytest.mark.parametrize("value, message", [
+    ("2.5", "unknown token '.' (column 2)"),
+    ("1/0", "denominator must be nonzero (column 3)"),
+    ("z1", "--t 'z1' is not a real constant"),
+    ("i", "--t 'i' is not a real constant"),
+    ("", "unexpected 'end of input' (column 1)"),
+])
+def test_bad_t_is_one_error_line(capsys, command, value, message):
+    code, out, err = run_cli(capsys, *command, "--t=" + value)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+# Every string of the former [-]a[/b] grammar for --t: integers of at most
+# 100 digits (leading zeros and -0 included) and a nonzero denominator.
+_DIGITS = st.text("0123456789", min_size=1, max_size=100)
+_OLD_T = st.one_of(
+    st.tuples(st.sampled_from(["", "-"]), _DIGITS,
+              st.one_of(st.just(""), _DIGITS.filter(lambda d: int(d) != 0).map("/".__add__))
+              ).map("".join),
+    st.sampled_from(["-0", "007/0010", "-" + "9" * 100 + "/" + "0" * 99 + "1"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_OLD_T)
+def test_t_reads_every_rational_of_the_old_grammar(text):
+    assert cli._parse_t(text) == GaussianRational(Fraction(text))
+
+
+def test_t_accepts_any_expression_with_a_real_constant_value(capsys):
+    _, sum_data, _ = run_json(capsys, "rossi", "--t", "1/2 - 1/6")
+    _, third_data, _ = run_json(capsys, "rossi", "--t", "1/3")
+    assert sum_data["all_pass"] is True
+    assert sum_data["records"] == third_data["records"]
 
 
 @pytest.mark.parametrize("args", [("rossi", "--t=-1/3"),
@@ -338,6 +376,13 @@ def test_golden_rossi_json(capsys):
     data["elapsed_ms"] = 0
     expected = json.loads((GOLDEN / "rossi_half.json").read_text())
     assert data == expected
+
+
+def test_golden_torsion_at_t_json(capsys):
+    code, out, _ = run_cli(capsys, "torsion", "--phi", "z1c", "--t", "1/3", "--format", "json")
+    assert code == 0
+    out = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out)
+    assert out == (GOLDEN / "torsion_z1c_third.json").read_text()
 
 
 def test_golden_spectrum_csv(capsys):

@@ -1,12 +1,13 @@
 """The CLI contract under generated input.
 
 Expressions are drawn from the grammar (with deliberate errors mixed in)
-and combined with every subcommand that reads one, its flags and the three
-output formats.  Whatever the input, a run exits 0, 1 or 2; exit 0 or 1
-prints a well-formed report (exit 1 adds one stderr line listing the failed
-records), exit 2 prints nothing to stdout and exactly one line to stderr,
-and no run prints a traceback.  Expressions stay small (depth at most 3,
-exponents at most 3 unless above the parser's bound), so each run is quick.
+and combined with every subcommand that reads one (as --expr, --phi or
+--t), its flags and the three output formats.  Whatever the input, a run
+exits 0, 1 or 2; exit 0 or 1 prints a well-formed report (exit 1 adds one
+stderr line listing the failed records), exit 2 prints nothing to stdout
+and exactly one line to stderr, and no run prints a traceback.
+Expressions stay small (depth at most 3, exponents at most 3 unless above
+the parser's bound), so each run is quick.
 """
 
 import contextlib
@@ -48,13 +49,21 @@ def expressions(draw, depth=3):
     return f"{left} {kind} {draw(expressions(depth=depth - 1))}"
 
 
+# Values of --t: fixed rationals, or a generated expression with junk spliced in.
+T_VALUES = st.one_of(st.sampled_from(["1/2", "-1/3", "0", "3", "1e5"]),
+                     st.tuples(expressions(), JUNK).map("".join))
+
+
 @st.composite
 def invocations(draw):
-    expr = draw(expressions()) + draw(JUNK)
-    command = draw(st.sampled_from(["integrate", "decompose", "bochner", "torsion", "variation"]))
-    args = [command, "--expr" if command == "integrate" else "--phi", expr]
-    if command == "torsion" and draw(st.booleans()):
-        args.append("--t=" + draw(st.sampled_from(["1/2", "-1/3", "0", "3", "1e5"])))
+    command = draw(st.sampled_from(["integrate", "decompose", "bochner", "torsion", "rossi",
+                                    "variation"]))
+    args = [command]
+    if command != "rossi":
+        args += ["--expr" if command == "integrate" else "--phi",
+                 draw(expressions()) + draw(JUNK)]
+    if command == "rossi" or command == "torsion" and draw(st.booleans()):
+        args.append("--t=" + draw(T_VALUES))
     if command == "variation":
         args += ["--order", draw(st.sampled_from(["1", "2"])),
                  "--pmax", draw(st.sampled_from(["1", "2", "3", "0"]))]

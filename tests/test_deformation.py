@@ -97,6 +97,18 @@ def test_torsion_rejects_a_denominator_that_vanishes_on_the_sphere(phi, t):
         torsion(phi, t)
 
 
+@pytest.mark.parametrize("t", [gr(0, 1), gr(1, 1), gr(Fraction(1, 3), Fraction(2, 5))])
+@pytest.mark.parametrize("phi", [one.scale(Fraction(1, 2)), z1, z1c * z2 - z1 ** 2,
+                                 z1 ** 4 * gr(1, 2) + z2c])
+def test_torsion_at_complex_t_is_the_torsion_of_t_phi(phi, t):
+    # Z1bar + t*phi*Z1 is the structure of t*phi at parameter 1, so the
+    # denominator scales |phi|^2 by |t|^2, not t^2.
+    num, den = torsion(phi, t)
+    num_1, den_1 = torsion(phi.scale(t), 1)
+    assert num == num_1
+    assert sphere_equal(den, den_1)
+
+
 def test_torsion_of_antiholomorphic_coordinate():
     # T(z1c) = -i z1c, so the numerator is -t(-i - 4i) z1c = 5it z1c.
     num, _ = torsion(z1c)
