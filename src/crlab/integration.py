@@ -16,7 +16,9 @@ positive rescaling.
 
 ``inner(x, y)`` is the L^2 pairing  integral of x * conj(y), conjugate
 linear in the second slot.  Every pairing, this one, each integral of a
-weighted gradient pairing and each row of a variation form, runs through
+weighted gradient pairing and each row of a variation form (each
+coefficient of the operator's restriction to the row's space as the weight,
+against a power of Z1 or Z1bar applied to the row's element), runs through
 one kernel, :func:`_pair_into`.
 A product of terms integrates to zero unless the torus weights
 (a - c, b - d) of its factors balance, W(w) + W(x) = W(y), so only

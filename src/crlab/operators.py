@@ -46,22 +46,22 @@ suffix image is passed on without a kernel call.  (``apply_Z1``,
 
 * ``A(f)`` adds each word's coefficient times its image of f with the
   polynomial product's kernel, into one term map with one gcd at the end.
-* ``A.moment_sums`` pairs A(f_i) against functions f_j without building
-  A(f_i): each word's image of f_i goes, with the word's coefficient as
-  the weight, through the pairing kernel of :mod:`crlab.integration`.
+* On H_{k,0} every word acts as a scalar times a power of Z1 (on H_{0,k},
+  of Z1bar), so the plan also gives A's restriction there,
+  sum over m of C_(k,m) Z1^m, from which :func:`crlab.assemble_form`
+  pairs each row without building A(f_i) or any word's image of f_i.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from fractions import Fraction
 from itertools import chain
 from math import lcm
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .harmonics import basis
-from .integration import Sums, Target, Weight, _groups, _pair_into, inner
+from .integration import Groups, _groups, inner
 from .scalars import GaussianRational, ScalarLike, _make
 from .spherepoly import Nums, SpherePoly, _mul_into
 
@@ -140,10 +140,11 @@ class _Plan:
     nonempty suffix of the words, shorter ones first, so each one's rest is
     applied before it.  ``words`` holds (word, coefficient numerators) with
     every coefficient brought onto the one denominator ``den``, the lcm of
-    theirs.
+    theirs.  ``_paths`` holds, per side of H, each word's :func:`_path` with
+    its numerators, for :meth:`restriction`.
     """
 
-    __slots__ = ("suffixes", "words", "den")
+    __slots__ = ("suffixes", "words", "den", "_paths")
 
     def __init__(self, terms: Mapping[Word, SpherePoly]):
         found = {word[i:] for word in terms for i in range(len(word))}
@@ -155,6 +156,7 @@ class _Plan:
             factor = den // coeff.den
             self.words.append((word, coeff.nums if factor == 1 else {
                 mono: (x * factor, y * factor) for mono, (x, y) in coeff.nums.items()}))
+        self._paths: dict[bool, list] = {}  # built per side on first use
 
     def images(self, nums: Nums) -> dict[Word, Nums]:
         """Numerators of every word suffix applied to nums, over nums' denominator.
@@ -167,6 +169,75 @@ class _Plan:
             image = images[rest]
             images[word] = kernel(image) if image else image
         return images
+
+    def restriction(self, k: int, holomorphic: bool) -> list[tuple[int, Groups]]:
+        """The operator on H_(k,0) (holomorphic) or H_(0,k) as sum_m C_(k,m) X^m.
+
+        X is Z1 on H_(k,0) and Z1bar on H_(0,k).  Returns (m, C_(k,m)) for
+        each nonzero C_(k,m), m ascending, with C_(k,m)'s numerators over
+        ``den`` grouped by :func:`crlab.integration._groups`: each word's
+        coefficient times the Gaussian integer its path gives at k (see
+        :func:`_path`), summed per end point m.
+        """
+        paths = self._paths.get(holomorphic)
+        if paths is None:
+            raising = "Z1" if holomorphic else "Z1bar"
+            paths = self._paths[holomorphic] = [
+                (*path, coeff_nums) for word, coeff_nums in self.words
+                if (path := _path(word, raising)) is not None]
+        sign = 1 if holomorphic else -1
+        sums: dict[int, Nums] = {}
+        for m, steps, coeff_nums in paths:
+            if m > k:  # X^m f = 0; a path that passes above k and comes back gets a factor 0
+                continue
+            re, im = 1, 0
+            for is_t, j in steps:
+                if is_t:
+                    c = sign * (k - 2 * j)
+                    re, im = -im * c, re * c
+                else:
+                    c = -j * (k - j + 1)
+                    re, im = re * c, im * c
+            if not (re or im):
+                continue
+            _mul_into(sums.setdefault(m, {}), {(0, 0, 0, 0): (re, im)}, coeff_nums)
+        out = []
+        for m in sorted(sums):
+            nums = {mono: pair for mono, pair in sums[m].items() if pair != (0, 0)}
+            if nums:
+                out.append((m, _groups(nums)))
+        return out
+
+
+# The fields on the pluriharmonic spaces: for f in H_(k,0), u_m = Z1^m f lies
+# in H_(k-m,m), and
+#     Z1 u_m = u_(m+1),   Z1bar u_m = -m(k-m+1) u_(m-1),   T u_m = i(k-2m) u_m,
+# with u_m = 0 for m > k (the Z1bar rule is conj_kohn = -2 Z1bar Z1, which
+# is 2(q+1)p on H_(p,q)).  On H_(0,k), with v_m = Z1bar^m g, Z1 and Z1bar
+# swap roles and T v_m = i(2m-k) v_m.
+
+
+def _path(word: Word, raising: str) -> tuple[int, tuple[tuple[bool, int], ...]] | None:
+    """Where word takes u_0 in the rules above: u_0 to a scalar times u_m.
+
+    Returns m and, in order, (is T, point) for each letter that is not the
+    raising one; the scalar at a given k is the product of those letters'
+    factors.  The path does not depend on k.  None if the path drops below
+    0, where the word kills u_0 for every k.
+    """
+    m = 0
+    steps = []
+    for letter in reversed(word):
+        if letter == raising:
+            m += 1
+        elif letter == "T":
+            steps.append((True, m))
+        elif m:
+            steps.append((False, m))
+            m -= 1
+        else:
+            return None
+    return m, tuple(steps)
 
 
 def _collect(pairs: Iterable[tuple[Word, SpherePoly]]) -> dict[Word, SpherePoly]:
@@ -193,7 +264,7 @@ class LinOp:
     ``terms`` is a read-only mapping from each word (a tuple of the letters
     "Z1", "Z1bar", "T", the last applied first) to its coefficient; zero
     coefficients are dropped.  The plan that application, ``op(poly)``,
-    and :meth:`moment_sums` share is built from it on first use.
+    and form assembly share is built from it on first use.
     """
 
     __slots__ = ("terms", "_plan")
@@ -225,31 +296,6 @@ class LinOp:
             if image:
                 count += _mul_into(out, coeff_nums, image)
         return SpherePoly._of(out, plan.den * poly.den, len(out) < count)
-
-    def moment_sums(self, fs: Iterable[SpherePoly], targets: Mapping[Weight, list[Target]]
-                    ) -> Iterator[tuple[dict[int, Sums], int]]:
-        """Per f_i: the numerators of each pairing <self(f_i), f_j>, summed per moment.
-
-        ``targets`` indexes the f_j by :func:`crlab.integration.targets_of`.
-        Each f_i yields (sums, den): :func:`crlab.integration.moment_total`
-        of sums[j] over den times f_j's denominator is the integral of
-        self(f_i) * conj(f_j).
-
-        self(f_i) is never built.  Each word's image of f_i is paired by
-        :func:`crlab.integration._pair_into` with the word's coefficient,
-        on the plan's shared denominator, as the weight; the coefficients
-        are grouped by torus weight once per call.
-        """
-        plan = self._get_plan()
-        words = [(word, _groups(coeff_nums)) for word, coeff_nums in plan.words]
-        for f in fs:
-            images = plan.images(f.nums)
-            sums: defaultdict[int, Sums] = defaultdict(dict)
-            for word, groups in words:
-                image = images[word]
-                if image:
-                    _pair_into(sums, groups, image, targets)
-            yield sums, plan.den * f.den
 
     def conj_op(self) -> "LinOp":
         """The conjugate operator f -> conj(self(conj(f)))."""
@@ -364,20 +410,21 @@ def bochner_residual(phi: SpherePoly) -> SpherePoly:
     where ``_b`` is Z1bar, ``phi_bb`` is Z1bar Z1bar phi and ``phi_b1`` is
     Z1 Z1bar phi; pointwise pairings of (0,1)-forms are coefficient times
     conjugate coefficient.  The returned residual vanishes on the sphere
-    for every phi.
+    for every phi.  The code applies each field once and groups the three
+    terms with the factor conj(phi_b) into one product,
+    (2 phi_b - (kohn phi)_b - Z1bar Z1bar Z1 phi) * conj(phi_b).
     """
     phi_b = apply_Z1bar(phi)
     phi_b_conj = phi_b.conj()
-    energy = phi_b * phi_b_conj
-    lhs = Fraction(-1, 2) * kohn(energy)
-    box = kohn(phi)
+    phi_bb = apply_Z1bar(phi_b)
+    phi_b1 = apply_Z1(phi_b)
+    box_b = apply_Z1bar(kohn(phi))
+    lhs = Fraction(-1, 2) * kohn(phi_b * phi_b_conj)
     rhs = (
-        apply_Z1bar(phi_b) * apply_Z1bar(phi_b).conj()
-        + apply_Z1(phi_b) * apply_Z1(phi_b).conj()
-        - Fraction(1, 2) * (phi_b * apply_Z1bar(box).conj())
-        - apply_Z1bar(box) * phi_b_conj
-        - apply_Z1bar(apply_Z1bar(apply_Z1(phi))) * phi_b_conj
-        + 2 * energy
+        phi_bb * phi_bb.conj()
+        + phi_b1 * phi_b1.conj()
+        - Fraction(1, 2) * (phi_b * box_b.conj())
+        + (2 * phi_b - box_b - apply_Z1bar(apply_Z1bar(apply_Z1(phi)))) * phi_b_conj
     )
     return lhs - rhs
 

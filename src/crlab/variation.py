@@ -37,6 +37,7 @@ independent truncated-expansion route in :mod:`crlab.deformation`
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import lcm
@@ -45,7 +46,8 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .deformation import paneitz_family_jet, torsion_potential
 from .harmonics import basis, canonicalize
-from .integration import Groups, _groups, _integral, inner, moment_total, targets_of
+from .integration import (Groups, Sums, _groups, _integral, _pair_into, inner, moment_total,
+                          targets_of)
 from .operators import (CONJ_KOHN, KOHN, KOHN_SQUARES, LinOp, MulBy, PANEITZ,
                         SUBLAP, Z1, Z1BAR, ZERO_OP, _collect, _z1_nums, _z1bar_nums,
                         apply_Z1, apply_Z1bar, grad_op, kohn)
@@ -221,29 +223,75 @@ def pluriharmonic_basis(pmax: int) -> tuple[SpherePoly, ...]:
                  for f in basis(k, 0).elements + basis(0, k).elements)
 
 
+def _side(f: SpherePoly) -> tuple[int, bool]:
+    """(k, True) for f in H_(k,0) and (k, False) for f in H_(0,k), k >= 1.
+
+    A polynomial of uniform bidegree (k,0) or (0,k) is (anti)holomorphic,
+    hence harmonic, so its bidegree alone decides membership.
+    """
+    bidegree = f.bidegree_if_uniform()
+    if bidegree is not None:
+        p, q = bidegree
+        if p and not q:
+            return p, True
+        if q and not p:
+            return q, False
+    raise PreconditionError(f"{f} is not in H_(k,0) or H_(0,k) with k >= 1")
+
+
+def _rows(op: LinOp, elements: tuple[SpherePoly, ...]) -> list[dict[int, GaussianRational]]:
+    """The nonzero entries <op f_i, f_j>, row by row, over the given elements.
+
+    Each f_i must lie in H_(k,0) or H_(0,k) (:func:`_side`), where op
+    restricts to sum_m C_(k,m) X^m (:meth:`_Plan.restriction`, built once
+    per (k, side)).  Row i pairs each nonzero C_(k,m), as the weight, with
+    X^m f_i by :func:`crlab.integration._pair_into`, one field-kernel call
+    per m, and divides each entry once by :func:`moment_total`.
+    """
+    plan = op._get_plan()
+    targets = targets_of(f.nums for f in elements)
+    restrictions: dict[tuple[int, bool], list[tuple[int, Groups]]] = {}
+    rows = []
+    for f in elements:
+        side = _side(f)
+        coeffs = restrictions.get(side)
+        if coeffs is None:
+            coeffs = restrictions[side] = plan.restriction(*side)
+        kernel = _z1_nums if side[1] else _z1bar_nums
+        sums: defaultdict[int, Sums] = defaultdict(dict)
+        image, at = f.nums, 0
+        for m, groups in coeffs:
+            for _ in range(m - at):
+                image = kernel(image)
+            at = m
+            _pair_into(sums, groups, image, targets)
+        den = plan.den * f.den
+        row = {j: moment_total(entry, den * elements[j].den) for j, entry in sums.items()}
+        rows.append({j: value for j, value in row.items() if value})
+    return rows
+
+
 def assemble_form(op: LinOp, pmax: int) -> HermitianForm:
     """Matrix of <op f_i, f_j> over the pluriharmonic basis up to degree pmax.
 
-    The basis is indexed once by torus weight (:func:`targets_of`), and
-    :meth:`LinOp.moment_sums` gives each row without building ``op f_i``:
-    each word's image of f_i is paired with the f_j, the word's coefficient
-    as the weight, by the kernel behind :func:`crlab.integration.inner`,
+    The basis is indexed once by torus weight (:func:`targets_of`).  On
+    H_(k,0) op acts as sum_m C_(k,m) Z1^m, and on H_(0,k) as the same with
+    Z1bar, because each field moves Z1^m f along H_(k-m,m) by an exact
+    scalar; so each row pairs op f_i without building it, one X^m f_i per
+    nonzero C_(k,m), by the kernel behind :func:`crlab.integration.inner`,
     which multiplies only terms whose weights balance and sums their
     numerators per (j, moment).  :func:`moment_total` then divides each
     entry by its denominator once, and only the nonzero entries are kept.
     Every entry is computed on its own; none is filled in by symmetry, and
     every assembled form is checked to be Hermitian: a failed
     conjugate-symmetry check is an error, which is how the "the variation
-    operators are real" claims are asserted.
+    operators are real" claims are asserted.  A basis element outside
+    H_(k,0) and H_(0,k), k >= 1, is a :class:`PreconditionError`.
     """
     if pmax < 1:
         raise PreconditionError("pmax must be >= 1")
     elements = pluriharmonic_basis(pmax)
-    rows = []
-    for sums, den in op.moment_sums(elements, targets_of(f.nums for f in elements)):
-        row = {j: moment_total(entry, den * elements[j].den) for j, entry in sums.items()}
-        rows.append({j: value for j, value in row.items() if value})
-    form = HermitianForm(elements, tuple(rows))
+    form = HermitianForm(elements, tuple(_rows(op, elements)))
     if not form.is_hermitian():
         raise IdentityCheckError("assembled form is not Hermitian")
     return form

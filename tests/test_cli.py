@@ -391,6 +391,17 @@ def test_golden_spectrum_csv(capsys):
     assert out == (GOLDEN / "spectrum_paneitz_2x2.csv").read_text()
 
 
+@pytest.mark.parametrize("phi, golden", [
+    ("(z1+z2+z1c+z2c)^2", "variation_dense_pmax8.json"),
+    ("z1c^2 + z2c^2", "variation_z1c2_z2c2_pmax8.json"),
+])
+def test_golden_variation_json(capsys, phi, golden):
+    code, out, _ = run_cli(capsys, "variation", "--phi", phi, "--pmax", "8", "--format", "json")
+    assert code == 0
+    out = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out)
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_golden_decompose_text(capsys):
     code, out, _ = run_cli(capsys, "decompose", "--phi", "z1*z1c", "--format", "text")
     assert _normalized(out) == (GOLDEN / "decompose_z1z1c.txt").read_text()

@@ -1,4 +1,8 @@
-"""Every demo script runs to completion as a user would run it."""
+"""Every demo script runs to completion as a user would run it.
+
+Demo output is deterministic, so each run's standard output must equal the
+committed ``tests/golden/demos/<name>.txt`` byte for byte.
+"""
 
 import os
 import subprocess
@@ -9,6 +13,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = ROOT / "tests" / "golden" / "demos"
 
 
 def test_all_five_demos_are_collected():
@@ -23,3 +28,4 @@ def test_demo_runs_cleanly(demo):
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
     assert "Traceback" not in result.stderr
+    assert result.stdout == (GOLDEN / f"{demo.stem}.txt").read_text()

@@ -8,7 +8,7 @@ from crlab import (CONJ_KOHN, KOHN, PANEITZ, SUBLAP, SpherePoly, apply_T,
                    kohn_energy_identity, one, paneitz, radius_sq, sphere_equal,
                    parse_poly, sublap, z1, z1c, z2, z2c)
 from crlab.operators import IDENTITY, T, Z1, Z1BAR, LinOp, MulBy
-from conftest import random_poly, random_scalar, vanishes_on_sphere
+from conftest import random_bidegree_poly, random_poly, random_scalar, vanishes_on_sphere
 
 ZERO = SpherePoly.zero()
 
@@ -33,6 +33,49 @@ def test_fields_shift_torus_weight_by_fixed_amounts(rng):
                 wa, wb = _weight(mono)
                 image = field(SpherePoly.monomial(mono))
                 assert all(_weight(m) == (wa + shift, wb + shift) for m in image.nums)
+
+
+def _restricted(word, k, holomorphic):
+    """[(m, c)] for the single word's restriction sum_m c X^m, with constant c."""
+    out = []
+    for m, groups in LinOp({word: one})._get_plan().restriction(k, holomorphic):
+        ((weight, terms),) = groups
+        ((a, b, re, im),) = terms
+        assert (weight, a, b) == ((0, 0), 0, 0)
+        out.append((m, gr(re, im)))
+    return out
+
+
+@pytest.mark.parametrize("holomorphic", [True, False], ids=["H_k0", "H_0k"])
+def test_fields_act_on_pluriharmonic_spaces_by_the_restriction_rules(holomorphic):
+    # With u_m = X^m f for f in H_(k,0) (X = Z1) or H_(0,k) (X = Z1bar):
+    # the other field Y gives Y u_m = -m(k-m+1) u_(m-1), T u_m = +-i(k-2m) u_m
+    # (+ on H_(k,0)), and X^(k+1) f = 0.  Form assembly restricts every
+    # operator to these spaces by the same rules, so each single step, taken
+    # after X^m, must restrict to the scalars the fields give here.
+    x_field, y_field = (apply_Z1, apply_Z1bar) if holomorphic else (apply_Z1bar, apply_Z1)
+    x, y = ("Z1", "Z1bar") if holomorphic else ("Z1bar", "Z1")
+    sign = 1 if holomorphic else -1
+    for k in range(1, 9):
+        for f in (basis(k, 0) if holomorphic else basis(0, k)).elements:
+            u = [f]
+            for _ in range(k + 1):
+                u.append(x_field(u[-1]))
+            assert not any(v.is_zero() for v in u[:k + 1])
+            assert u[k + 1].is_zero()
+            for m in range(k + 2):
+                assert y_field(u[m]) == (u[m - 1].scale(-m * (k - m + 1)) if m else ZERO)
+                assert apply_T(u[m]) == u[m].scale(gr(0, sign * (k - 2 * m)))
+        for m in range(k + 2):
+            climb = (x,) * m
+            lowered, turned = -m * (k - m + 1), gr(0, sign * (k - 2 * m))
+            assert _restricted(climb, k, holomorphic) == ([(m, gr(1))] if m <= k else [])
+            assert _restricted((x,) + climb, k, holomorphic) == (
+                [(m + 1, gr(1))] if m < k else [])
+            assert _restricted((y,) + climb, k, holomorphic) == (
+                [(m - 1, gr(lowered))] if 0 < m <= k else [])
+            assert _restricted(("T",) + climb, k, holomorphic) == (
+                [(m, turned)] if m <= k and turned else [])
 
 
 def test_linop_terms_are_read_only():
@@ -300,21 +343,31 @@ def test_operator_algebra_matches_sequential_application(rng):
         assert a.conj_op()(f) == a(f.conj()).conj()
 
 
-def test_moment_sums_match_inner_against_scaled_monomials(rng):
-    # Monomials with Gaussian coefficients other than 1, several at one
-    # torus weight, exercise the conj(f_j) factor and the per-weight
-    # matching of the contraction that assembles variation forms; the
-    # sums of monomials added after them have terms at several weights.
-    from crlab.integration import moment_total, targets_of
+def test_form_rows_match_inner_for_random_operators(rng):
+    # Each row of a variation form, built from the operator's restriction to
+    # H_(k,0) or H_(0,k), must be <op f_i, f_j> for any operator, with T
+    # words or without, Hermitian or not (the rows are built before the
+    # Hermitian check).  The elements are scaled pluriharmonic monomials,
+    # several at one torus weight, and scaled sums with terms at several
+    # weights on both sides.
+    from crlab.harmonics import bidegree_monomials
+    from crlab.variation import HermitianForm, _rows
 
+    monos = [m for k in (1, 2, 3) for m in bidegree_monomials(k, 0) + bidegree_monomials(0, k)]
+    with_t = non_hermitian = 0
     for _ in range(12):
-        op, _ = random_operator(rng, 2)
-        monos = sorted(random_poly(rng, 2, 2, terms=8).nums)
-        elements = [SpherePoly.monomial(m, random_scalar(rng, allow_zero=False)) for m in monos]
-        elements += [random_poly(rng, 2, 2, terms=3) for _ in range(2)] + [z1 + z2]
-        targets = targets_of(g.nums for g in elements)
-        for f, (sums, den) in zip(elements, op.moment_sums(elements, targets), strict=True):
+        (a, _), (b, _) = random_operator(rng, 3), random_operator(rng, 1)
+        op = a + b @ T
+        with_t += any("T" in word for word in op.terms)
+        elements = [SpherePoly.monomial(m, random_scalar(rng, allow_zero=False))
+                    for m in rng.sample(monos, 8)]
+        elements += [random_bidegree_poly(rng, *bidegree) for bidegree in ((2, 0), (0, 3), (3, 0))]
+        elements += [z1 + z2, 3 * z1c - z2c]
+        rows = _rows(op, tuple(elements))
+        non_hermitian += not HermitianForm(tuple(elements), tuple(rows)).is_hermitian()
+        for f, row in zip(elements, rows, strict=True):
             image = op(f)
+            assert all(not value.is_zero() for value in row.values())
             for j, g in enumerate(elements):
-                got = moment_total(sums[j], den * g.den) if j in sums else gr(0)
-                assert got == inner(image, g)
+                assert row.get(j, gr(0)) == inner(image, g)
+    assert with_t and non_hermitian
