@@ -1,8 +1,10 @@
 """Exact spectra of the canonical operators on bigraded spherical harmonics.
 
 Every number below is an exact rational: the operators are compositions of
-the CR vector fields, applied to explicit polynomial harmonics, and the
-eigenvalue is read off by exact division.
+the CR vector fields, applied to explicit polynomial harmonics.  Each
+eigenvalue is read off the operator's image of the sum of the basis of
+H_(p,q), one application per torus-shift class, and checked exactly against
+every basis element at once: the elements have distinct torus weights.
 """
 
 from crlab import (KOHN, CONJ_KOHN, PANEITZ, SUBLAP, basis, common_eigenvalue,

@@ -50,6 +50,8 @@ suffix image is passed on without a kernel call.  (``apply_Z1``,
   of Z1bar), so the plan also gives A's restriction there,
   sum over m of C_(k,m) Z1^m, from which :func:`crlab.assemble_form`
   pairs each row without building A(f_i) or any word's image of f_i.
+* :func:`common_eigenvalue` applies each torus-shift class of A once, to
+  the sum of the basis of H_{p,q}, not once per basis element.
 """
 
 from __future__ import annotations
@@ -429,34 +431,77 @@ def bochner_residual(phi: SpherePoly) -> SpherePoly:
     return lhs - rhs
 
 
+def _shift_classes(op: LinOp) -> list[tuple[tuple[int, int], LinOp]]:
+    """op as the sum of its shift classes op_s: (s, op_s) for each torus shift s.
+
+    A letter moves the torus weight (a - c, b - d) by (-1, -1) for Z1,
+    (+1, +1) for Z1bar and 0 for T, and a coefficient term
+    z1^a z2^b conj(z1)^c conj(z2)^d by (a - c, b - d); op_s collects the
+    (word, coefficient term) pairs whose total shift is s, so it maps weight
+    w to weight w + s.  An operator with a single class is returned as it is.
+    """
+    parts: dict[tuple[int, int], dict[Word, Nums]] = {}
+    for word, coeff in op.terms.items():
+        letters = word.count("Z1bar") - word.count("Z1")
+        for (a, b, c, d), pair in coeff.nums.items():
+            shift = (a - c + letters, b - d + letters)
+            parts.setdefault(shift, {}).setdefault(word, {})[(a, b, c, d)] = pair
+    if len(parts) == 1:
+        return [(shift, op) for shift in parts]
+    return [(shift, LinOp({word: SpherePoly._of(nums, op.terms[word].den)
+                           for word, nums in words.items()}))
+            for shift, words in parts.items()]
+
+
 def common_eigenvalue(op: LinOp, p: int, q: int) -> GaussianRational:
     """The exact scalar by which op acts on H_{p,q}.
 
-    Applies op to every basis element f and checks, on Gaussian-integer
-    numerators, that the image is lam * f with one lam across the basis;
-    raises if op does not act as a scalar there.
+    Applies each shift class op_s of op (:func:`_shift_classes`) once to F,
+    the sum of the basis of H_{p,q}, and checks on Gaussian-integer
+    numerators that op_0(F) = lam * F and that every other op_s(F) is 0;
+    raises if op does not act as a scalar there.  This is exactly the check
+    on every element: each basis element f_i is one torus weight w_i, no
+    two share one, and op_s(f_i) sits at weight w_i + s.  So op_s(F) = 0
+    iff op_s kills every f_i, and op_0(F) = lam * F iff op_0(f_i) = lam * f_i
+    for every i (F's weight-w_i part is f_i); since lam * f_i sits at w_i,
+    op acts as lam on every f_i iff both hold.  The premise is checked: an
+    element that is not one torus weight, or two elements of one weight,
+    raise.
     """
-    value: GaussianRational | None = None
-    for f in basis(p, q).elements:
-        image = op(f)
-        nums, mono = image.nums, min(f.nums)
-        u, v = f.nums[mono]
-        s, t = nums.get(mono, (0, 0))
-        # A nonzero image has f's support and, on every monomial, numerators
-        # (x + y*i)(u + v*i) == (s + t*i)(a + b*i), cross-multiplied with f's first one.
-        if nums and (nums.keys() != f.nums.keys() or any(
-                x * u - y * v != s * a - t * b or x * v + y * u != s * b + t * a
-                for (a, b), (x, y) in zip(f.nums.values(), map(nums.get, f.nums)))):
+    elements = basis(p, q).elements
+    den = lcm(*(f.den for f in elements))
+    nums: Nums = {}
+    weights: set[tuple[int, int]] = set()
+    for f in elements:
+        found = {(a - c, b - d) for a, b, c, d in f.nums}
+        if len(found) != 1 or found <= weights:
+            raise ArithmeticError(
+                f"basis of H_({p},{q}) is not one element per distinct torus weight")
+        weights |= found
+        factor = den // f.den
+        nums.update(f.nums if factor == 1 else {
+            mono: (x * factor, y * factor) for mono, (x, y) in f.nums.items()})
+    total = SpherePoly._of(nums, den)
+    fixed: Nums = {}
+    image_den = 1
+    for shift, part in _shift_classes(op):
+        image = part(total)
+        if shift == (0, 0):
+            fixed, image_den = image.nums, image.den
+        elif image.nums:
             raise ArithmeticError(f"operator is not scalar on H_({p},{q})")
-        # lam = ((s + t*i) / image.den) / ((u + v*i) / f.den)
-        candidate = _make((s * u + t * v) * f.den, (t * u - s * v) * f.den,
-                          (u * u + v * v) * image.den)
-        if value is None:
-            value = candidate
-        elif value != candidate:
-            raise ArithmeticError(f"operator has distinct eigenvalues on H_({p},{q})")
-    assert value is not None
-    return value
+    mono = next(iter(total.nums))
+    u, v = total.nums[mono]
+    s, t = fixed.get(mono, (0, 0))
+    # A nonzero image has F's support and, on every monomial, numerators
+    # (x + y*i)(u + v*i) == (s + t*i)(a + b*i), cross-multiplied with F's first one.
+    if fixed and (fixed.keys() != total.nums.keys() or any(
+            x * u - y * v != s * a - t * b or x * v + y * u != s * b + t * a
+            for (a, b), (x, y) in zip(total.nums.values(), map(fixed.get, total.nums)))):
+        raise ArithmeticError(f"operator is not scalar on H_({p},{q})")
+    # lam = ((s + t*i) / image_den) / ((u + v*i) / total.den)
+    return _make((s * u + t * v) * total.den, (t * u - s * v) * total.den,
+                 (u * u + v * v) * image_den)
 
 
 def kohn_energy_identity(p: int, q: int) -> bool:

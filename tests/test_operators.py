@@ -7,7 +7,7 @@ from crlab import (CONJ_KOHN, KOHN, PANEITZ, SUBLAP, SpherePoly, apply_T,
                    common_eigenvalue, conj_kohn, grad_op, gr, inner, kohn,
                    kohn_energy_identity, one, paneitz, radius_sq, sphere_equal,
                    parse_poly, sublap, z1, z1c, z2, z2c)
-from crlab.operators import IDENTITY, T, Z1, Z1BAR, LinOp, MulBy
+from crlab.operators import IDENTITY, T, Z1, Z1BAR, ZERO_OP, LinOp, MulBy
 from conftest import random_bidegree_poly, random_poly, random_scalar, vanishes_on_sphere
 
 ZERO = SpherePoly.zero()
@@ -141,20 +141,96 @@ def test_common_eigenvalue_rejects_non_scalar_action():
         common_eigenvalue(MulBy(z1), 1, 0)
 
 
-def test_common_eigenvalue_rejects_an_image_with_f_support_that_is_not_proportional():
-    # Twice the coefficient of f's first monomial, the rest unchanged: same support.
-    def skewed(f):
-        mono = min(f.nums)
-        return f + SpherePoly.monomial(mono, f.coefficient(mono))
-
+def test_common_eigenvalue_rejects_an_image_off_the_support():
+    # Shift 0, so one application, but z1*z1c*f leaves bidegree (1,1).
     with pytest.raises(ArithmeticError, match="not scalar"):
-        common_eigenvalue(skewed, 1, 1)
+        common_eigenvalue(MulBy(z1 * z1c), 1, 1)
 
 
-def test_common_eigenvalue_rejects_distinct_scalars():
-    # H_(1,1) has basis elements of one and of two terms.
-    with pytest.raises(ArithmeticError, match="distinct eigenvalues"):
-        common_eigenvalue(lambda f: f.scale(len(f)), 1, 1)
+def test_common_eigenvalue_rejects_a_shifted_part_that_does_not_vanish():
+    # KOHN is 2(p+1)q on H_(1,1); z1 * Z1bar moves the torus weight by (2, 1)
+    # and does not kill H_(1,1).
+    with pytest.raises(ArithmeticError, match="not scalar"):
+        common_eigenvalue(KOHN + MulBy(z1) @ Z1BAR, 1, 1)
+
+
+def _eigenvalue_per_element(op, p, q):
+    """The common lam with op(f) == lam * f for each basis element f, else None."""
+    values = set()
+    for f in basis(p, q).elements:
+        image = op(f)
+        mono = next(iter(f.nums))
+        lam = image.coefficient(mono) / f.coefficient(mono)
+        if image != f.scale(lam):
+            return None
+        values.add(lam)
+    return values.pop() if len(values) == 1 else None
+
+
+def test_common_eigenvalue_matches_the_per_element_definition():
+    for op in (KOHN, CONJ_KOHN, SUBLAP, PANEITZ, T, IDENTITY, ZERO_OP):
+        for p in range(9):
+            for q in range(9):
+                lam = common_eigenvalue(op, p, q)
+                for f in basis(p, q).elements:
+                    assert op(f) == f.scale(lam)
+
+
+def test_common_eigenvalue_raises_exactly_when_some_element_is_not_an_eigenvector(rng):
+    ops = [random_operator(rng, 2)[0] for _ in range(30)]
+    # Z1(z1 + z2) = z2c - z1c, so the last operator kills z1 + z2, the sum of
+    # the basis of H_(1,0), but sends z1 to -r^2: applied whole to the sum,
+    # its shift classes cancel.
+    ops += [MulBy(z1) @ Z1BAR, Z1BAR, MulBy(z1), MulBy(z2c - z1c) - MulBy(z1 + z2) @ Z1]
+    outcomes = set()
+    for op in ops:
+        for p in range(4):
+            for q in range(4):
+                expected = _eigenvalue_per_element(op, p, q)
+                if expected is None:
+                    with pytest.raises(ArithmeticError, match="not scalar"):
+                        common_eigenvalue(op, p, q)
+                else:
+                    assert common_eigenvalue(op, p, q) == expected
+                outcomes.add(expected is None)
+    assert outcomes == {True, False}
+
+
+def test_common_eigenvalue_applies_each_shift_class_once(monkeypatch):
+    calls = []
+    call = LinOp.__call__
+
+    def counted(self, poly):
+        calls.append(self)
+        return call(self, poly)
+
+    monkeypatch.setattr(LinOp, "__call__", counted)
+    for op in (KOHN, CONJ_KOHN, SUBLAP, PANEITZ):
+        for p in range(9):
+            for q in range(9):
+                calls.clear()
+                common_eigenvalue(op, p, q)
+                assert calls == [op]
+    calls.clear()
+    # Z1bar kills H_(2,0), so both classes are applied and neither raises.
+    assert common_eigenvalue(KOHN + MulBy(z1) @ Z1BAR, 2, 0) == gr(0)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("elements", [
+    (z1 + z2, z1c),                 # z1 + z2 has the torus weights (1, 0) and (0, 1)
+    (z1 * z1c, z2 * z2c, z1 * z2c),  # z1*z1c and z2*z2c share the weight (0, 0)
+], ids=["mixed_weight", "repeated_weight"])
+def test_common_eigenvalue_rejects_a_basis_that_is_not_graded_by_torus_weight(
+        monkeypatch, elements):
+    # KOHN(z1*z1c + z2*z2c) = KOHN(r^2) = 0, although KOHN is not scalar on
+    # z1*z1c alone: summing elements of one weight would hide that.
+    from crlab import operators
+    from crlab.harmonics import HarmonicBasis
+
+    monkeypatch.setattr(operators, "basis", lambda p, q: HarmonicBasis(p, q, elements))
+    with pytest.raises(ArithmeticError, match="distinct torus weight"):
+        common_eigenvalue(KOHN, 1, 1)
 
 
 def test_exact_values_enter_and_leave_polynomials_without_scalar_arithmetic(monkeypatch):
