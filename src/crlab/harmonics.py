@@ -40,13 +40,18 @@ from .spherepoly import Monomial, Nums, SpherePoly, radius_sq
 
 def flat_laplacian(x: SpherePoly) -> SpherePoly:
     """d^2 x / dz1 dconj(z1) + d^2 x / dz2 dconj(z2), in one pass over x's numerators."""
+    return SpherePoly._of(_laplacian_nums(x.nums), x.den, summed=True)
+
+
+def _laplacian_nums(nums: Nums) -> Nums:
+    """The flat Laplacian's numerators over nums' denominator; sums may be (0, 0)."""
     out: Nums = {}
-    for (a, b, c, d), (u, v) in x.nums.items():
+    for (a, b, c, d), (u, v) in nums.items():
         for k, lowered in ((a * c, (a - 1, b, c - 1, d)), (b * d, (a, b - 1, c, d - 1))):
             if k:
                 s, t = out.get(lowered, (0, 0))
                 out[lowered] = (s + k * u, t + k * v)
-    return SpherePoly._of(out, x.den, summed=True)
+    return out
 
 
 def bidegree_monomials(p: int, q: int) -> list[Monomial]:

@@ -44,12 +44,16 @@ denominator that are never wrapped as polynomials or reduced, and a zero
 suffix image is passed on without a kernel call.  (``apply_Z1``,
 ``apply_Z1bar`` and ``apply_T`` are the same kernels followed by one gcd.)
 
-* ``A(f)`` adds each word's coefficient times its image of f with the
-  polynomial product's kernel, into one term map with one gcd at the end.
-* On H_{k,0} every word acts as a scalar times a power of Z1 (on H_{0,k},
-  of Z1bar), so the plan also gives A's restriction there,
-  sum over m of C_(k,m) Z1^m, from which :func:`crlab.assemble_form`
-  pairs each row without building A(f_i) or any word's image of f_i.
+* On H_{p,q} every word acts as a Gaussian integer times some
+  u_m = Z1^m f (m >= 0) or Z1bar^|m| f (m < 0), fixed by the word's path
+  of m, so the plan also gives A's restriction there, sum over m of
+  C_m u_m.  ``A(f)`` for f in some H_{p,q} builds the u_m and adds
+  C_m u_m, with no word's own image, and :func:`crlab.assemble_form`
+  pairs each row on H_{k,0} and H_{0,k} with the C_m without building
+  A(f_i) at all.
+* ``A(f)`` for any other f adds each word's coefficient times its image
+  of f with the polynomial product's kernel, into one term map with one
+  gcd at the end.
 * :func:`common_eigenvalue` applies each torus-shift class of A once, to
   the sum of the basis of H_{p,q}, not once per basis element.
 """
@@ -62,8 +66,8 @@ from math import lcm
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
-from .harmonics import basis
-from .integration import Groups, _groups, inner
+from .harmonics import _laplacian_nums, basis
+from .integration import inner
 from .scalars import GaussianRational, ScalarLike, _make
 from .spherepoly import Nums, SpherePoly, _mul_into
 
@@ -142,11 +146,13 @@ class _Plan:
     nonempty suffix of the words, shorter ones first, so each one's rest is
     applied before it.  ``words`` holds (word, coefficient numerators) with
     every coefficient brought onto the one denominator ``den``, the lcm of
-    theirs.  ``_paths`` holds, per side of H, each word's :func:`_path` with
-    its numerators, for :meth:`restriction`.
+    theirs.  :meth:`restrict` finds each word's :func:`_path` on first use;
+    application reads its result through :meth:`restriction`, which keeps
+    it per (p, q) so each H_{p,q} is restricted to once per plan, and form
+    assembly calls it once per H_{k,0} and H_{0,k} of a form.
     """
 
-    __slots__ = ("suffixes", "words", "den", "_paths")
+    __slots__ = ("suffixes", "words", "den", "_paths", "_restrictions")
 
     def __init__(self, terms: Mapping[Word, SpherePoly]):
         found = {word[i:] for word in terms for i in range(len(word))}
@@ -158,7 +164,8 @@ class _Plan:
             factor = den // coeff.den
             self.words.append((word, coeff.nums if factor == 1 else {
                 mono: (x * factor, y * factor) for mono, (x, y) in coeff.nums.items()}))
-        self._paths: dict[bool, list] = {}  # built per side on first use
+        self._paths: list | None = None  # built on first use
+        self._restrictions: dict[tuple[int, int], list[tuple[int, Nums]]] = {}
 
     def images(self, nums: Nums) -> dict[Word, Nums]:
         """Numerators of every word suffix applied to nums, over nums' denominator.
@@ -172,74 +179,105 @@ class _Plan:
             images[word] = kernel(image) if image else image
         return images
 
-    def restriction(self, k: int, holomorphic: bool) -> list[tuple[int, Groups]]:
-        """The operator on H_(k,0) (holomorphic) or H_(0,k) as sum_m C_(k,m) X^m.
+    def restriction(self, p: int, q: int) -> list[tuple[int, Nums]]:
+        """:meth:`restrict` (p, q), built on first use and kept on the plan."""
+        out = self._restrictions.get((p, q))
+        if out is None:
+            out = self._restrictions[(p, q)] = self.restrict(p, q)
+        return out
 
-        X is Z1 on H_(k,0) and Z1bar on H_(0,k).  Returns (m, C_(k,m)) for
-        each nonzero C_(k,m), m ascending, with C_(k,m)'s numerators over
-        ``den`` grouped by :func:`crlab.integration._groups`: each word's
-        coefficient times the Gaussian integer its path gives at k (see
-        :func:`_path`), summed per end point m.
+    def restrict(self, p: int, q: int) -> list[tuple[int, Nums]]:
+        """The operator on H_{p,q} as sum_m C_m u_m, u_m as in the rules below.
+
+        Returns (m, C_m's numerators over ``den``) for each nonzero C_m, m
+        ascending: each word's coefficient times the Gaussian integer its
+        path (:func:`_path`) gives at (p, q), summed per end point m.  A word
+        whose path leaves -q..p kills H_{p,q}.
         """
-        paths = self._paths.get(holomorphic)
+        paths = self._paths
         if paths is None:
-            raising = "Z1" if holomorphic else "Z1bar"
-            paths = self._paths[holomorphic] = [
-                (*path, coeff_nums) for word, coeff_nums in self.words
-                if (path := _path(word, raising)) is not None]
-        sign = 1 if holomorphic else -1
+            paths = self._paths = [(*_path(word), coeff_nums) for word, coeff_nums in self.words]
         sums: dict[int, Nums] = {}
-        for m, steps, coeff_nums in paths:
-            if m > k:  # X^m f = 0; a path that passes above k and comes back gets a factor 0
+        for m, lo, hi, steps, coeff_nums in paths:
+            if lo < -q or hi > p:
                 continue
             re, im = 1, 0
-            for is_t, j in steps:
+            for is_t, e in steps:
                 if is_t:
-                    c = sign * (k - 2 * j)
+                    c = p - q - 2 * e
                     re, im = -im * c, re * c
                 else:
-                    c = -j * (k - j + 1)
+                    c = -(p - e) * (q + e + 1)
                     re, im = re * c, im * c
-            if not (re or im):
-                continue
-            _mul_into(sums.setdefault(m, {}), {(0, 0, 0, 0): (re, im)}, coeff_nums)
+            if re or im:
+                _mul_into(sums.setdefault(m, {}), {(0, 0, 0, 0): (re, im)}, coeff_nums)
         out = []
         for m in sorted(sums):
             nums = {mono: pair for mono, pair in sums[m].items() if pair != (0, 0)}
             if nums:
-                out.append((m, _groups(nums)))
+                out.append((m, nums))
         return out
 
 
-# The fields on the pluriharmonic spaces: for f in H_(k,0), u_m = Z1^m f lies
-# in H_(k-m,m), and
-#     Z1 u_m = u_(m+1),   Z1bar u_m = -m(k-m+1) u_(m-1),   T u_m = i(k-2m) u_m,
-# with u_m = 0 for m > k (the Z1bar rule is conj_kohn = -2 Z1bar Z1, which
-# is 2(q+1)p on H_(p,q)).  On H_(0,k), with v_m = Z1bar^m g, Z1 and Z1bar
-# swap roles and T v_m = i(2m-k) v_m.
+# The fields on H_{p,q}: for f in H_{p,q} let u_m = Z1^m f for m >= 0 and
+# u_m = Z1bar^|m| f for m < 0, so u_m lies in H_(p-m,q+m) and is 0 outside
+# -q <= m <= p.  Since Z1bar Z1 = -a(b+1) and Z1 Z1bar = -(a+1)b on a
+# harmonic of bidegree (a, b) (conj_kohn and kohn are 2(b+1)a and 2(a+1)b
+# there, as polynomial identities),
+#     Z1 u_m    = u_(m+1) for m >= 0,  -(p-m)(q+m+1) u_(m+1) for m < 0,
+#     Z1bar u_m = u_(m-1) for m <= 0,  -(p-m+1)(q+m) u_(m-1) for m > 0,
+#     T u_m     = i(p-q-2m) u_m.
+# A step with a factor other than 1 between u_e and u_(e+1), either way,
+# gives -(p-e)(q+e+1).
 
 
-def _path(word: Word, raising: str) -> tuple[int, tuple[tuple[bool, int], ...]] | None:
+def _path(word: Word) -> tuple[int, int, int, tuple[tuple[bool, int], ...]]:
     """Where word takes u_0 in the rules above: u_0 to a scalar times u_m.
 
-    Returns m and, in order, (is T, point) for each letter that is not the
-    raising one; the scalar at a given k is the product of those letters'
-    factors.  The path does not depend on k.  None if the path drops below
-    0, where the word kills u_0 for every k.
+    Returns m, the lowest and highest points visited, and, in order,
+    (is T, e) for each step with a factor other than 1: T at u_e, or Z1
+    (from u_e, e < 0) or Z1bar (to u_e, e >= 0) between u_e and u_(e+1).
+    The scalar on H_{p,q} is the product of those steps' factors; the path
+    itself does not depend on (p, q).
     """
-    m = 0
+    m = lo = hi = 0
     steps = []
     for letter in reversed(word):
-        if letter == raising:
-            m += 1
-        elif letter == "T":
+        if letter == "T":
             steps.append((True, m))
-        elif m:
-            steps.append((False, m))
-            m -= 1
+        elif letter == "Z1":
+            if m < 0:
+                steps.append((False, m))
+            m += 1
+            if m > hi:
+                hi = m
         else:
+            m -= 1
+            if m >= 0:
+                steps.append((False, m))
+            elif m < lo:
+                lo = m
+    return m, lo, hi, tuple(steps)
+
+
+def _harmonic_bidegree(nums: Nums) -> tuple[int, int] | None:
+    """(p, q) when nums are the numerators of a nonzero element of H_{p,q}, else None.
+
+    A polynomial of uniform bidegree (p, 0) or (0, q) is (anti)holomorphic,
+    hence harmonic; otherwise its flat Laplacian must vanish.
+    """
+    keys = iter(nums)
+    first = next(keys, None)
+    if first is None:
+        return None
+    a, b, c, d = first
+    p, q = a + b, c + d
+    for a, b, c, d in keys:
+        if a + b != p or c + d != q:
             return None
-    return m, tuple(steps)
+    if p and q and any(x or y for x, y in _laplacian_nums(nums).values()):
+        return None
+    return p, q
 
 
 def _collect(pairs: Iterable[tuple[Word, SpherePoly]]) -> dict[Word, SpherePoly]:
@@ -284,19 +322,34 @@ class LinOp:
     def __call__(self, poly: SpherePoly) -> SpherePoly:
         """The sum over words w of coeff_w * w(poly).
 
-        Each word's coefficient numerators (on the plan's shared
-        denominator) times its image numerators are added with the
-        polynomial product's kernel into one term map over
+        On a nonzero poly in some H_{p,q} (:func:`_harmonic_bidegree`) that
+        sum is sum_m C_m u_m (:meth:`_Plan.restriction`), so each u_m is
+        built once, outward from u_0 = poly, with at most p+q field-kernel
+        calls in all, and each nonzero C_m is multiplied in once.  Any other
+        poly takes every word suffix's image (:meth:`_Plan.images`) and
+        multiplies in each word's coefficient.  Either way the numerators
+        (the coefficients' on the plan's shared denominator) are added with
+        the polynomial product's kernel into one term map over
         ``plan.den * poly.den``, which is reduced once at the end.
         """
         plan = self._get_plan()
-        images = plan.images(poly.nums)
+        nums = poly.nums
+        bidegree = _harmonic_bidegree(nums)
         out: Nums = {}
         count = 0
-        for word, coeff_nums in plan.words:
-            image = images[word]
-            if image:
-                count += _mul_into(out, coeff_nums, image)
+        if bidegree is None:
+            images = plan.images(nums)
+            for word, coeff_nums in plan.words:
+                image = images[word]
+                if image:
+                    count += _mul_into(out, coeff_nums, image)
+        else:
+            raised, lowered = [nums], [nums]  # Z1^j poly and Z1bar^j poly
+            for m, coeff_nums in plan.restriction(*bidegree):
+                chain, kernel = (raised, _z1_nums) if m >= 0 else (lowered, _z1bar_nums)
+                while len(chain) <= abs(m):
+                    chain.append(kernel(chain[-1]))
+                count += _mul_into(out, coeff_nums, chain[abs(m)])
         return SpherePoly._of(out, plan.den * poly.den, len(out) < count)
 
     def conj_op(self) -> "LinOp":
@@ -466,7 +519,8 @@ def common_eigenvalue(op: LinOp, p: int, q: int) -> GaussianRational:
     for every i (F's weight-w_i part is f_i); since lam * f_i sits at w_i,
     op acts as lam on every f_i iff both hold.  The premise is checked: an
     element that is not one torus weight, or two elements of one weight,
-    raise.
+    raise.  F lies in H_{p,q}, so each op_s(F) is sum_m C_m u_m from the
+    restriction of op_s to H_{p,q} (:meth:`_Plan.restriction`).
     """
     elements = basis(p, q).elements
     den = lcm(*(f.den for f in elements))

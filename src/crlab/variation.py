@@ -243,10 +243,12 @@ def _rows(op: LinOp, elements: tuple[SpherePoly, ...]) -> list[dict[int, Gaussia
     """The nonzero entries <op f_i, f_j>, row by row, over the given elements.
 
     Each f_i must lie in H_(k,0) or H_(0,k) (:func:`_side`), where op
-    restricts to sum_m C_(k,m) X^m (:meth:`_Plan.restriction`, built once
-    per (k, side)).  Row i pairs each nonzero C_(k,m), as the weight, with
-    X^m f_i by :func:`crlab.integration._pair_into`, one field-kernel call
-    per m, and divides each entry once by :func:`moment_total`.
+    restricts to sum_m C_m X^|m| with X = Z1 (m >= 0) on H_(k,0) and
+    X = Z1bar (m <= 0) on H_(0,k) (:meth:`_Plan.restrict`); each C_m is
+    grouped by torus weight once per (k, side).  Row i pairs each nonzero
+    C_m, as the weight, with X^|m| f_i by
+    :func:`crlab.integration._pair_into`, one field-kernel call per step in
+    |m|, and divides each entry once by :func:`moment_total`.
     """
     plan = op._get_plan()
     targets = targets_of(f.nums for f in elements)
@@ -256,7 +258,10 @@ def _rows(op: LinOp, elements: tuple[SpherePoly, ...]) -> list[dict[int, Gaussia
         side = _side(f)
         coeffs = restrictions.get(side)
         if coeffs is None:
-            coeffs = restrictions[side] = plan.restriction(*side)
+            k, holomorphic = side
+            # Asked for once per form, so not kept on the plan as well.
+            terms = plan.restrict(k, 0) if holomorphic else plan.restrict(0, k)[::-1]
+            coeffs = restrictions[side] = [(abs(m), _groups(nums)) for m, nums in terms]
         kernel = _z1_nums if side[1] else _z1bar_nums
         sums: defaultdict[int, Sums] = defaultdict(dict)
         image, at = f.nums, 0
@@ -275,18 +280,20 @@ def assemble_form(op: LinOp, pmax: int) -> HermitianForm:
     """Matrix of <op f_i, f_j> over the pluriharmonic basis up to degree pmax.
 
     The basis is indexed once by torus weight (:func:`targets_of`).  On
-    H_(k,0) op acts as sum_m C_(k,m) Z1^m, and on H_(0,k) as the same with
-    Z1bar, because each field moves Z1^m f along H_(k-m,m) by an exact
-    scalar; so each row pairs op f_i without building it, one X^m f_i per
-    nonzero C_(k,m), by the kernel behind :func:`crlab.integration.inner`,
-    which multiplies only terms whose weights balance and sums their
-    numerators per (j, moment).  :func:`moment_total` then divides each
-    entry by its denominator once, and only the nonzero entries are kept.
-    Every entry is computed on its own; none is filled in by symmetry, and
-    every assembled form is checked to be Hermitian: a failed
-    conjugate-symmetry check is an error, which is how the "the variation
-    operators are real" claims are asserted.  A basis element outside
-    H_(k,0) and H_(0,k), k >= 1, is a :class:`PreconditionError`.
+    H_(k,0) op acts as sum_m C_m Z1^m, and on H_(0,k) as sum_m C_m
+    Z1bar^|m| (m <= 0): the restriction to H_{p,q} that ``op(f)`` also
+    applies, exact because each field moves Z1^m f (or Z1bar^|m| f) along
+    H_(p-m,q+m) by an exact scalar.  So each row pairs op f_i without
+    building it, one X^|m| f_i per nonzero C_m, by the kernel behind
+    :func:`crlab.integration.inner`, which multiplies only terms whose
+    weights balance and sums their numerators per (j, moment).
+    :func:`moment_total` then divides each entry by its denominator once,
+    and only the nonzero entries are kept.  Every entry is computed on its
+    own; none is filled in by symmetry, and every assembled form is checked
+    to be Hermitian: a failed conjugate-symmetry check is an error, which
+    is how the "the variation operators are real" claims are asserted.  A
+    basis element outside H_(k,0) and H_(0,k), k >= 1, is a
+    :class:`PreconditionError`.
     """
     if pmax < 1:
         raise PreconditionError("pmax must be >= 1")

@@ -35,47 +35,62 @@ def test_fields_shift_torus_weight_by_fixed_amounts(rng):
                 assert all(_weight(m) == (wa + shift, wb + shift) for m in image.nums)
 
 
-def _restricted(word, k, holomorphic):
-    """[(m, c)] for the single word's restriction sum_m c X^m, with constant c."""
+def _restricted(word, p, q):
+    """[(m, c)] for the single word's restriction sum_m c u_m to H_(p,q), with constant c."""
     out = []
-    for m, groups in LinOp({word: one})._get_plan().restriction(k, holomorphic):
-        ((weight, terms),) = groups
-        ((a, b, re, im),) = terms
-        assert (weight, a, b) == ((0, 0), 0, 0)
+    for m, nums in LinOp({word: one})._get_plan().restriction(p, q):
+        ((mono, (re, im)),) = nums.items()
+        assert mono == (0, 0, 0, 0)
         out.append((m, gr(re, im)))
     return out
 
 
-@pytest.mark.parametrize("holomorphic", [True, False], ids=["H_k0", "H_0k"])
-def test_fields_act_on_pluriharmonic_spaces_by_the_restriction_rules(holomorphic):
-    # With u_m = X^m f for f in H_(k,0) (X = Z1) or H_(0,k) (X = Z1bar):
-    # the other field Y gives Y u_m = -m(k-m+1) u_(m-1), T u_m = +-i(k-2m) u_m
-    # (+ on H_(k,0)), and X^(k+1) f = 0.  Form assembly restricts every
-    # operator to these spaces by the same rules, so each single step, taken
-    # after X^m, must restrict to the scalars the fields give here.
-    x_field, y_field = (apply_Z1, apply_Z1bar) if holomorphic else (apply_Z1bar, apply_Z1)
-    x, y = ("Z1", "Z1bar") if holomorphic else ("Z1bar", "Z1")
-    sign = 1 if holomorphic else -1
-    for k in range(1, 9):
-        for f in (basis(k, 0) if holomorphic else basis(0, k)).elements:
-            u = [f]
-            for _ in range(k + 1):
-                u.append(x_field(u[-1]))
-            assert not any(v.is_zero() for v in u[:k + 1])
-            assert u[k + 1].is_zero()
-            for m in range(k + 2):
-                assert y_field(u[m]) == (u[m - 1].scale(-m * (k - m + 1)) if m else ZERO)
-                assert apply_T(u[m]) == u[m].scale(gr(0, sign * (k - 2 * m)))
-        for m in range(k + 2):
-            climb = (x,) * m
-            lowered, turned = -m * (k - m + 1), gr(0, sign * (k - 2 * m))
-            assert _restricted(climb, k, holomorphic) == ([(m, gr(1))] if m <= k else [])
-            assert _restricted((x,) + climb, k, holomorphic) == (
-                [(m + 1, gr(1))] if m < k else [])
-            assert _restricted((y,) + climb, k, holomorphic) == (
-                [(m - 1, gr(lowered))] if 0 < m <= k else [])
-            assert _restricted(("T",) + climb, k, holomorphic) == (
-                [(m, turned)] if m <= k and turned else [])
+def _climb(m):
+    """The word taking f to u_m: Z1^m for m >= 0, Z1bar^|m| for m < 0."""
+    return ("Z1",) * m if m >= 0 else ("Z1bar",) * -m
+
+
+def test_fields_act_on_bigraded_harmonics_by_the_restriction_rules():
+    # With u_m = Z1^m f (m >= 0) and Z1bar^|m| f (m < 0) for f in H_(p,q):
+    # Z1 u_m = u_(m+1) for m >= 0 and -(p-m)(q+m+1) u_(m+1) for m < 0,
+    # Z1bar u_m = u_(m-1) for m <= 0 and -(p-m+1)(q+m) u_(m-1) for m > 0,
+    # T u_m = i(p-q-2m) u_m, and Z1^(p+1) f = Z1bar^(q+1) f = 0.  Every
+    # operator is applied and restricted by these rules, so each single step,
+    # taken after u_m, must restrict to the scalars the fields give here.
+    def raising(m):
+        return gr(1) if m >= 0 else gr(-(p - m) * (q + m + 1))
+
+    def lowering(m):
+        return gr(1) if m <= 0 else gr(-(p - m + 1) * (q + m))
+
+    def single(m, c):
+        return [(m, c)] if -q <= m <= p and c else []
+
+    for p in range(9):
+        for q in range(9 - p):
+            for f in basis(p, q).elements:
+                u = {0: f}
+                for m in range(p + 1):
+                    u[m + 1] = apply_Z1(u[m])
+                for m in range(0, -q - 1, -1):
+                    u[m - 1] = apply_Z1bar(u[m])
+                assert u[p + 1].is_zero() and u[-q - 1].is_zero()
+                for m in range(-q, p + 1):
+                    assert not u[m].is_zero()
+                    assert apply_Z1(u[m]) == u[m + 1].scale(raising(m))
+                    assert apply_Z1bar(u[m]) == u[m - 1].scale(lowering(m))
+                    assert apply_T(u[m]) == u[m].scale(gr(0, p - q - 2 * m))
+
+            for m in range(-q - 2, p + 3):
+                climb = _climb(m)
+                inside = -q <= m <= p
+                assert _restricted(climb, p, q) == single(m, gr(1))
+                assert _restricted(("Z1",) + climb, p, q) == (
+                    single(m + 1, raising(m)) if inside else [])
+                assert _restricted(("Z1bar",) + climb, p, q) == (
+                    single(m - 1, lowering(m)) if inside else [])
+                assert _restricted(("T",) + climb, p, q) == (
+                    single(m, gr(0, p - q - 2 * m)) if inside else [])
 
 
 def test_linop_terms_are_read_only():
@@ -447,3 +462,80 @@ def test_form_rows_match_inner_for_random_operators(rng):
             for j, g in enumerate(elements):
                 assert row.get(j, gr(0)) == inner(image, g)
     assert with_t and non_hermitian
+
+
+_FIELDS = {"Z1": apply_Z1, "Z1bar": apply_Z1bar, "T": apply_T}
+
+
+def _word_by_word(op, f):
+    """op(f) as the sum of each coefficient times its word applied letter by letter."""
+    total = ZERO
+    for word, coeff in op.terms.items():
+        image = f
+        for letter in reversed(word):
+            image = _FIELDS[letter](image)
+        total = total + coeff * image
+    return total
+
+
+def test_application_matches_the_word_by_word_sum(rng):
+    # op(f) takes the restriction route on a nonzero f in some H_(p,q) and
+    # the suffix route otherwise; both must give, as polynomials, the sum of
+    # each coefficient times its word applied one field at a time.
+    from crlab.variation import first_variation, second_variation, variations_from_jets
+
+    phis = [z1, z1 * z2c, z1 ** 4, random_poly(rng, 2, 2, terms=4),
+            random_bidegree_poly(rng, 2, 1), parse_poly("1/3*z1^2*z2c + 2/5*i*z1*z2*z1c")]
+    ops = []
+    for phi in phis:
+        ops += [*variations_from_jets(phi), first_variation(phi), second_variation(phi)]
+    for _ in range(30):
+        (a, _), (b, _) = random_operator(rng, 3), random_operator(rng, 1)
+        ops.append(a + b @ T)
+    assert sum(any("T" in word for word in op.terms) for op in ops[len(phis) * 4:]) >= 20
+    harmonic = [f for n in range(6) for p in range(n + 1) for f in basis(p, n - p).elements]
+    for bidegree in ((2, 1), (3, 2), (0, 4), (4, 0), (1, 2)):
+        harmonic.append(SpherePoly.summed(
+            f.scale(random_scalar(rng)) for f in basis(*bidegree).elements))
+    others = [z1 * z1c, radius_sq * basis(2, 1).elements[1], z1 + z2c ** 2, ZERO, 3 * one]
+    for op in ops:
+        for f in harmonic + others:
+            assert op(f) == _word_by_word(op, f)
+
+
+def test_application_to_h_pq_makes_at_most_p_plus_q_field_calls(monkeypatch, rng):
+    # On f in H_(p,q), op(f) builds each u_m once from the plan's (p, q)
+    # restriction, built once per plan: at most p+q field-kernel calls per
+    # element, however many words op has.
+    import crlab.operators as operators
+    from crlab.variation import second_variation, variations_from_jets
+
+    calls = []
+    for name, letter in (("_z1_nums", "Z1"), ("_z1bar_nums", "Z1bar"), ("_t_nums", "T")):
+        def counted(nums, kernel=getattr(operators, name)):
+            calls.append(1)
+            return kernel(nums)
+        monkeypatch.setattr(operators, name, counted)
+        monkeypatch.setitem(operators._KERNELS, letter, counted)
+
+    class CountedDict(dict):
+        sets = 0
+
+        def __setitem__(self, key, value):
+            self.sets += 1
+            super().__setitem__(key, value)
+
+    ops = [second_variation(z1 ** 4 + z1c * z2), *variations_from_jets(z1 * z2c),
+           PANEITZ, CONJ_KOHN @ T, random_operator(rng, 3)[0] @ T]
+    for source in ops:
+        for p in range(5):
+            for q in range(5 - p):
+                op = LinOp(dict(source.terms))  # a fresh plan
+                plan = op._get_plan()
+                plan._restrictions = CountedDict()
+                for f in basis(p, q).elements:
+                    calls.clear()
+                    image = op(f)
+                    assert len(calls) <= p + q
+                    assert image == source(f)
+                assert plan._restrictions.sets == 1
