@@ -93,6 +93,39 @@ def test_fields_act_on_bigraded_harmonics_by_the_restriction_rules():
                     single(m, gr(0, p - q - 2 * m)) if inside else [])
 
 
+@pytest.mark.parametrize("holomorphic", [True, False], ids=["H_k0", "H_0k"])
+def test_fields_act_on_pluriharmonic_spaces_by_the_restriction_rules(holomorphic):
+    # The pluriharmonic ends of the general rules, in their own terms: with
+    # u_m = X^m f for f in H_(k,0) (X = Z1) or H_(0,k) (X = Z1bar), the other
+    # field Y gives Y u_m = -m(k-m+1) u_(m-1), T u_m = +-i(k-2m) u_m (+ on
+    # H_(k,0)), and X^(k+1) f = 0.  The restriction indexes X^m f by m on
+    # H_(k,0) and by -m on H_(0,k).
+    x_field, y_field = (apply_Z1, apply_Z1bar) if holomorphic else (apply_Z1bar, apply_Z1)
+    x, y = ("Z1", "Z1bar") if holomorphic else ("Z1bar", "Z1")
+    sign = 1 if holomorphic else -1
+    for k in range(1, 9):
+        p, q = (k, 0) if holomorphic else (0, k)
+        for f in basis(p, q).elements:
+            u = [f]
+            for _ in range(k + 1):
+                u.append(x_field(u[-1]))
+            assert not any(v.is_zero() for v in u[:k + 1])
+            assert u[k + 1].is_zero()
+            for m in range(k + 2):
+                assert y_field(u[m]) == (u[m - 1].scale(-m * (k - m + 1)) if m else ZERO)
+                assert apply_T(u[m]) == u[m].scale(gr(0, sign * (k - 2 * m)))
+        for m in range(k + 2):
+            climb = (x,) * m
+            lowered, turned = -m * (k - m + 1), gr(0, sign * (k - 2 * m))
+            assert _restricted(climb, p, q) == ([(sign * m, gr(1))] if m <= k else [])
+            assert _restricted((x,) + climb, p, q) == (
+                [(sign * (m + 1), gr(1))] if m < k else [])
+            assert _restricted((y,) + climb, p, q) == (
+                [(sign * (m - 1), gr(lowered))] if 0 < m <= k else [])
+            assert _restricted(("T",) + climb, p, q) == (
+                [(sign * m, turned)] if m <= k and turned else [])
+
+
 def test_linop_terms_are_read_only():
     with pytest.raises(TypeError):
         KOHN.terms[("T",)] = one
