@@ -2,9 +2,10 @@
 
 Every number below is an exact rational: the operators are compositions of
 the CR vector fields, applied to explicit polynomial harmonics.  Each
-eigenvalue is read off the operator's image of the sum of the basis of
-H_(p,q), one application per torus-shift class, and checked exactly against
-every basis element at once: the elements have distinct torus weights.
+eigenvalue is read off the operator's restriction to H_(p,q), sum_m C_m u_m
+with u_m = Z1^m f or Z1bar^|m| f: the operator is the scalar lam on every
+element of H_(p,q) exactly when that restriction is the constant C_0 = lam
+alone, since the u_m are independent over polynomial coefficients.
 """
 
 from crlab import (KOHN, CONJ_KOHN, PANEITZ, SUBLAP, basis, common_eigenvalue,

@@ -54,8 +54,9 @@ suffix image is passed on without a kernel call.  (``apply_Z1``,
 * ``A(f)`` for any other f adds each word's coefficient times its image
   of f with the polynomial product's kernel, into one term map with one
   gcd at the end.
-* :func:`common_eigenvalue` applies each torus-shift class of A once, to
-  the sum of the basis of H_{p,q}, not once per basis element.
+* :func:`common_eigenvalue` reads A's eigenvalue on H_{p,q} off A's
+  restriction there, with no basis and no application: A is scalar there
+  exactly when the restriction is a constant C_0 alone (or empty).
 """
 
 from __future__ import annotations
@@ -64,11 +65,11 @@ from fractions import Fraction
 from itertools import chain
 from math import lcm
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 from .harmonics import _laplacian_nums, basis
 from .integration import inner
-from .scalars import GaussianRational, ScalarLike, _make
+from .scalars import ZERO, GaussianRational, ScalarLike, _make
 from .spherepoly import Nums, SpherePoly, _mul_into
 
 
@@ -132,6 +133,7 @@ def apply_T(poly: SpherePoly) -> SpherePoly:
 
 
 Word = tuple[str, ...]
+_Coeff = TypeVar("_Coeff")
 
 _KERNELS: dict[str, Callable[[Nums], Nums]] = {
     "Z1": _z1_nums, "Z1bar": _z1bar_nums, "T": _t_nums}
@@ -146,10 +148,11 @@ class _Plan:
     nonempty suffix of the words, shorter ones first, so each one's rest is
     applied before it.  ``words`` holds (word, coefficient numerators) with
     every coefficient brought onto the one denominator ``den``, the lcm of
-    theirs.  :meth:`restrict` finds each word's :func:`_path` on first use;
-    application reads its result through :meth:`restriction`, which keeps
-    it per (p, q) so each H_{p,q} is restricted to once per plan, and form
-    assembly calls it once per H_{k,0} and H_{0,k} of a form.
+    theirs.  :meth:`restrict` finds each word's :func:`_path` on first use.
+    Application and :func:`common_eigenvalue` read its result through
+    :meth:`restriction`, which keeps it per (p, q) so each H_{p,q} is
+    restricted to once per plan; form assembly calls :meth:`restrict`
+    itself, once per H_{k,0} and H_{0,k} of a form.
     """
 
     __slots__ = ("suffixes", "words", "den", "_paths", "_restrictions")
@@ -260,6 +263,20 @@ def _path(word: Word) -> tuple[int, int, int, tuple[tuple[bool, int], ...]]:
     return m, lo, hi, tuple(steps)
 
 
+def _walk(terms: Iterable[tuple[int, _Coeff]], nums: Nums) -> Iterator[tuple[_Coeff, Nums]]:
+    """(C_m, u_m) for each (m, C_m) of a restriction, in order, with u_0 = nums.
+
+    Each u_m (Z1^m u_0 for m >= 0, Z1bar^|m| u_0 for m < 0) is built once,
+    outward from u_0, one field-kernel call per step.
+    """
+    raised, lowered = [nums], [nums]  # Z1^j u_0 and Z1bar^j u_0
+    for m, coeff in terms:
+        chain, kernel = (raised, _z1_nums) if m >= 0 else (lowered, _z1bar_nums)
+        while len(chain) <= abs(m):
+            chain.append(kernel(chain[-1]))
+        yield coeff, chain[abs(m)]
+
+
 def _harmonic_bidegree(nums: Nums) -> tuple[int, int] | None:
     """(p, q) when nums are the numerators of a nonzero element of H_{p,q}, else None.
 
@@ -344,12 +361,8 @@ class LinOp:
                 if image:
                     count += _mul_into(out, coeff_nums, image)
         else:
-            raised, lowered = [nums], [nums]  # Z1^j poly and Z1bar^j poly
-            for m, coeff_nums in plan.restriction(*bidegree):
-                chain, kernel = (raised, _z1_nums) if m >= 0 else (lowered, _z1bar_nums)
-                while len(chain) <= abs(m):
-                    chain.append(kernel(chain[-1]))
-                count += _mul_into(out, coeff_nums, chain[abs(m)])
+            for coeff_nums, image in _walk(plan.restriction(*bidegree), nums):
+                count += _mul_into(out, coeff_nums, image)
         return SpherePoly._of(out, plan.den * poly.den, len(out) < count)
 
     def conj_op(self) -> "LinOp":
@@ -484,78 +497,41 @@ def bochner_residual(phi: SpherePoly) -> SpherePoly:
     return lhs - rhs
 
 
-def _shift_classes(op: LinOp) -> list[tuple[tuple[int, int], LinOp]]:
-    """op as the sum of its shift classes op_s: (s, op_s) for each torus shift s.
-
-    A letter moves the torus weight (a - c, b - d) by (-1, -1) for Z1,
-    (+1, +1) for Z1bar and 0 for T, and a coefficient term
-    z1^a z2^b conj(z1)^c conj(z2)^d by (a - c, b - d); op_s collects the
-    (word, coefficient term) pairs whose total shift is s, so it maps weight
-    w to weight w + s.  An operator with a single class is returned as it is.
-    """
-    parts: dict[tuple[int, int], dict[Word, Nums]] = {}
-    for word, coeff in op.terms.items():
-        letters = word.count("Z1bar") - word.count("Z1")
-        for (a, b, c, d), pair in coeff.nums.items():
-            shift = (a - c + letters, b - d + letters)
-            parts.setdefault(shift, {}).setdefault(word, {})[(a, b, c, d)] = pair
-    if len(parts) == 1:
-        return [(shift, op) for shift in parts]
-    return [(shift, LinOp({word: SpherePoly._of(nums, op.terms[word].den)
-                           for word, nums in words.items()}))
-            for shift, words in parts.items()]
-
-
 def common_eigenvalue(op: LinOp, p: int, q: int) -> GaussianRational:
-    """The exact scalar by which op acts on H_{p,q}.
+    """The exact scalar by which op acts on H_{p,q}; raises if op is not scalar there.
 
-    Applies each shift class op_s of op (:func:`_shift_classes`) once to F,
-    the sum of the basis of H_{p,q}, and checks on Gaussian-integer
-    numerators that op_0(F) = lam * F and that every other op_s(F) is 0;
-    raises if op does not act as a scalar there.  This is exactly the check
-    on every element: each basis element f_i is one torus weight w_i, no
-    two share one, and op_s(f_i) sits at weight w_i + s.  So op_s(F) = 0
-    iff op_s kills every f_i, and op_0(F) = lam * F iff op_0(f_i) = lam * f_i
-    for every i (F's weight-w_i part is f_i); since lam * f_i sits at w_i,
-    op acts as lam on every f_i iff both hold.  The premise is checked: an
-    element that is not one torus weight, or two elements of one weight,
-    raise.  F lies in H_{p,q}, so each op_s(F) is sum_m C_m u_m from the
-    restriction of op_s to H_{p,q} (:meth:`_Plan.restriction`).
+    Read off op's restriction to H_{p,q}, sum_m C_m u_m
+    (:meth:`_Plan.restriction`), with no basis built and nothing applied:
+    op acts as lam exactly when the restriction is empty (lam = 0) or the
+    single term m = 0 with a constant C_0 = lam.
+
+    Why that is exact: the restriction rules hold as polynomial identities,
+    so op(f) - lam f = (C_0 - lam) u_0 + sum_{m != 0} C_m u_m for every f in
+    H_{p,q}, and if sum_m A_m u_m(f) = 0 for every f then every A_m = 0.
+    For the basis element f_w of torus weight (w, p-q-w), u_m(f_w) has
+    weight (w-m, p-q-w-m).  At the point (z1, z2, conj z1, conj z2) =
+    (1, 0, 1, 0) only monomials free of z2 and conj z2 survive, so there
+    M_{w,m} = u_m(f_w) can be nonzero only at w = p-q-m, a permutation
+    pattern.  Each of those entries is nonzero: Z1^m (m <= p) and
+    Z1bar^|m| (|m| <= q) are injective on H_{p,q}, and the weight
+    (p-q-2m, 0) part of H_(p-m,q+m) is spanned by one element with
+    coefficient 1 on z1^(p-m) conj(z1)^(q+m)
+    (:func:`crlab.harmonics._weight_string`).  So det M is a nonzero
+    polynomial, and sum_m A_m M_{w,m} = 0 for every w forces every A_m to
+    vanish where det M does not, a dense set, hence identically.
     """
-    elements = basis(p, q).elements
-    den = lcm(*(f.den for f in elements))
-    nums: Nums = {}
-    weights: set[tuple[int, int]] = set()
-    for f in elements:
-        found = {(a - c, b - d) for a, b, c, d in f.nums}
-        if len(found) != 1 or found <= weights:
-            raise ArithmeticError(
-                f"basis of H_({p},{q}) is not one element per distinct torus weight")
-        weights |= found
-        factor = den // f.den
-        nums.update(f.nums if factor == 1 else {
-            mono: (x * factor, y * factor) for mono, (x, y) in f.nums.items()})
-    total = SpherePoly._of(nums, den)
-    fixed: Nums = {}
-    image_den = 1
-    for shift, part in _shift_classes(op):
-        image = part(total)
-        if shift == (0, 0):
-            fixed, image_den = image.nums, image.den
-        elif image.nums:
-            raise ArithmeticError(f"operator is not scalar on H_({p},{q})")
-    mono = next(iter(total.nums))
-    u, v = total.nums[mono]
-    s, t = fixed.get(mono, (0, 0))
-    # A nonzero image has F's support and, on every monomial, numerators
-    # (x + y*i)(u + v*i) == (s + t*i)(a + b*i), cross-multiplied with F's first one.
-    if fixed and (fixed.keys() != total.nums.keys() or any(
-            x * u - y * v != s * a - t * b or x * v + y * u != s * b + t * a
-            for (a, b), (x, y) in zip(total.nums.values(), map(fixed.get, total.nums)))):
-        raise ArithmeticError(f"operator is not scalar on H_({p},{q})")
-    # lam = ((s + t*i) / image_den) / ((u + v*i) / total.den)
-    return _make((s * u + t * v) * total.den, (t * u - s * v) * total.den,
-                 (u * u + v * v) * image_den)
+    if p < 0 or q < 0:
+        raise ValueError("bidegrees must be nonnegative")
+    plan = op._get_plan()
+    terms = plan.restriction(p, q)
+    if not terms:
+        return ZERO
+    if len(terms) == 1:
+        (m, nums), = terms
+        if m == 0 and nums.keys() == {(0, 0, 0, 0)}:
+            x, y = nums[(0, 0, 0, 0)]
+            return _make(x, y, plan.den)
+    raise ArithmeticError(f"operator is not scalar on H_({p},{q})")
 
 
 def kohn_energy_identity(p: int, q: int) -> bool:

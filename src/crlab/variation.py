@@ -49,7 +49,7 @@ from .harmonics import basis, canonicalize
 from .integration import (Groups, Sums, _groups, _integral, _pair_into, inner, moment_total,
                           targets_of)
 from .operators import (CONJ_KOHN, KOHN, KOHN_SQUARES, LinOp, MulBy, PANEITZ,
-                        SUBLAP, Z1, Z1BAR, ZERO_OP, _collect, _z1_nums, _z1bar_nums,
+                        SUBLAP, Z1, Z1BAR, ZERO_OP, _collect, _walk, _z1_nums, _z1bar_nums,
                         apply_Z1, apply_Z1bar, grad_op, kohn)
 from .scalars import ZERO, GaussianRational, ScalarLike
 from .spherepoly import SpherePoly
@@ -223,19 +223,15 @@ def pluriharmonic_basis(pmax: int) -> tuple[SpherePoly, ...]:
                  for f in basis(k, 0).elements + basis(0, k).elements)
 
 
-def _side(f: SpherePoly) -> tuple[int, bool]:
-    """(k, True) for f in H_(k,0) and (k, False) for f in H_(0,k), k >= 1.
+def _side(f: SpherePoly) -> tuple[int, int]:
+    """The bidegree (k, 0) or (0, k), k >= 1, of f in H_(k,0) or H_(0,k).
 
     A polynomial of uniform bidegree (k,0) or (0,k) is (anti)holomorphic,
     hence harmonic, so its bidegree alone decides membership.
     """
     bidegree = f.bidegree_if_uniform()
-    if bidegree is not None:
-        p, q = bidegree
-        if p and not q:
-            return p, True
-        if q and not p:
-            return q, False
+    if bidegree is not None and min(bidegree) == 0 < max(bidegree):
+        return bidegree
     raise PreconditionError(f"{f} is not in H_(k,0) or H_(0,k) with k >= 1")
 
 
@@ -243,32 +239,27 @@ def _rows(op: LinOp, elements: tuple[SpherePoly, ...]) -> list[dict[int, Gaussia
     """The nonzero entries <op f_i, f_j>, row by row, over the given elements.
 
     Each f_i must lie in H_(k,0) or H_(0,k) (:func:`_side`), where op
-    restricts to sum_m C_m X^|m| with X = Z1 (m >= 0) on H_(k,0) and
-    X = Z1bar (m <= 0) on H_(0,k) (:meth:`_Plan.restrict`); each C_m is
-    grouped by torus weight once per (k, side).  Row i pairs each nonzero
-    C_m, as the weight, with X^|m| f_i by
-    :func:`crlab.integration._pair_into`, one field-kernel call per step in
-    |m|, and divides each entry once by :func:`moment_total`.
+    restricts to sum_m C_m u_m with u_m = Z1^m f_i (m >= 0) on H_(k,0) and
+    Z1bar^|m| f_i (m <= 0) on H_(0,k) (:meth:`_Plan.restrict`); each C_m
+    is grouped by torus weight once per bidegree.  Row i pairs each
+    nonzero C_m, as the weight, with u_m by
+    :func:`crlab.integration._pair_into`, each u_m built once
+    (:func:`crlab.operators._walk`), and divides each entry once by
+    :func:`moment_total`.
     """
     plan = op._get_plan()
     targets = targets_of(f.nums for f in elements)
-    restrictions: dict[tuple[int, bool], list[tuple[int, Groups]]] = {}
+    restrictions: dict[tuple[int, int], list[tuple[int, Groups]]] = {}
     rows = []
     for f in elements:
-        side = _side(f)
-        coeffs = restrictions.get(side)
+        bidegree = _side(f)
+        coeffs = restrictions.get(bidegree)
         if coeffs is None:
-            k, holomorphic = side
             # Asked for once per form, so not kept on the plan as well.
-            terms = plan.restrict(k, 0) if holomorphic else plan.restrict(0, k)[::-1]
-            coeffs = restrictions[side] = [(abs(m), _groups(nums)) for m, nums in terms]
-        kernel = _z1_nums if side[1] else _z1bar_nums
+            coeffs = restrictions[bidegree] = [
+                (m, _groups(nums)) for m, nums in plan.restrict(*bidegree)]
         sums: defaultdict[int, Sums] = defaultdict(dict)
-        image, at = f.nums, 0
-        for m, groups in coeffs:
-            for _ in range(m - at):
-                image = kernel(image)
-            at = m
+        for groups, image in _walk(coeffs, f.nums):
             _pair_into(sums, groups, image, targets)
         den = plan.den * f.den
         row = {j: moment_total(entry, den * elements[j].den) for j, entry in sums.items()}

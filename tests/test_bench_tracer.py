@@ -6,8 +6,9 @@ only in a traced benchmark run.  It counts operator application through
 ``LinOp.__call__`` and polynomial products through ``SpherePoly.__mul__``,
 so those must stay the entry points of the product kernel.  A weighted
 gradient pairing calls neither ``inner`` nor the product: each of its
-integrals is one pass of the pairing kernel over numerator maps.
-Nothing under ``bench/`` is written.
+integrals is one pass of the pairing kernel over numerator maps.  An
+eigenvalue check reads the operator's restriction, so it builds no basis
+and applies nothing.  Nothing under ``bench/`` is written.
 """
 
 import crlab
@@ -61,3 +62,16 @@ def test_weighted_pairing_forms_no_product(monkeypatch):
     assert stats["spherepoly.mul.calls"] == 0
     # Both integrals on the diagonal, the weighted one alone off it.
     assert (diagonal, len(passes) - diagonal) == (2, 1)
+
+
+def test_eigenvalue_check_builds_no_basis_and_applies_nothing():
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        assert crlab.common_eigenvalue(crlab.KOHN, 2, 1) == 6
+    finally:
+        tracer.uninstall()
+    stats = tracer.aggregate()
+    assert stats["operators.common_eigenvalue.calls"] == 1
+    assert stats["operators.apply.calls"] == 0
+    assert stats["harmonics.basis.calls"] == 0

@@ -180,6 +180,11 @@ def test_common_eigenvalue_helper():
     assert common_eigenvalue(PANEITZ, 1, 1) == gr(4)
     assert common_eigenvalue(KOHN, 0, 1) == gr(2)
     assert common_eigenvalue(SUBLAP, 0, 0) == gr(0)
+    # Every word of KOHN leaves -q..p when p or q is negative, so its
+    # restriction there is empty; the bidegree itself must be refused.
+    for p, q in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            common_eigenvalue(KOHN, p, q)
 
 
 def test_common_eigenvalue_rejects_non_scalar_action():
@@ -190,23 +195,27 @@ def test_common_eigenvalue_rejects_non_scalar_action():
 
 
 def test_common_eigenvalue_rejects_an_image_off_the_support():
-    # Shift 0, so one application, but z1*z1c*f leaves bidegree (1,1).
+    # The restriction is C_0 = z1*z1c alone, not a constant: z1*z1c*f leaves bidegree (1,1).
     with pytest.raises(ArithmeticError, match="not scalar"):
         common_eigenvalue(MulBy(z1 * z1c), 1, 1)
 
 
 def test_common_eigenvalue_rejects_a_shifted_part_that_does_not_vanish():
-    # KOHN is 2(p+1)q on H_(1,1); z1 * Z1bar moves the torus weight by (2, 1)
-    # and does not kill H_(1,1).
+    # KOHN is 2(p+1)q on H_(1,1); z1 * Z1bar adds the term C_-1 = z1, as
+    # Z1bar does not kill H_(1,1).
     with pytest.raises(ArithmeticError, match="not scalar"):
         common_eigenvalue(KOHN + MulBy(z1) @ Z1BAR, 1, 1)
 
 
 def _eigenvalue_per_element(op, p, q):
-    """The common lam with op(f) == lam * f for each basis element f, else None."""
+    """The common lam with op(f) == lam * f for each basis element f, else None.
+
+    op(f) is taken letter by letter (:func:`_word_by_word`), not through the
+    restriction that :func:`common_eigenvalue` reads.
+    """
     values = set()
     for f in basis(p, q).elements:
-        image = op(f)
+        image = _word_by_word(op, f)
         mono = next(iter(f.nums))
         lam = image.coefficient(mono) / f.coefficient(mono)
         if image != f.scale(lam):
@@ -221,15 +230,19 @@ def test_common_eigenvalue_matches_the_per_element_definition():
             for q in range(9):
                 lam = common_eigenvalue(op, p, q)
                 for f in basis(p, q).elements:
-                    assert op(f) == f.scale(lam)
+                    assert _word_by_word(op, f) == f.scale(lam)
 
 
 def test_common_eigenvalue_raises_exactly_when_some_element_is_not_an_eigenvector(rng):
     ops = [random_operator(rng, 2)[0] for _ in range(30)]
-    # Z1(z1 + z2) = z2c - z1c, so the last operator kills z1 + z2, the sum of
-    # the basis of H_(1,0), but sends z1 to -r^2: applied whole to the sum,
-    # its shift classes cancel.
+    # Z1(z1 + z2) = z2c - z1c, so this operator kills z1 + z2, the sum of
+    # the basis of H_(1,0), but sends z1 to -r^2.
     ops += [MulBy(z1) @ Z1BAR, Z1BAR, MulBy(z1), MulBy(z2c - z1c) - MulBy(z1 + z2) @ Z1]
+    # [Z1, Z1bar] = -iT, so c is the zero operator written with three words,
+    # and each operator below has words whose restrictions cancel.
+    c = Z1 @ Z1BAR - Z1BAR @ Z1 + gr(0, 1) * T
+    ops += [c, MulBy(z1) @ c]
+    ops += [KOHN + a @ c - c @ a for a in (random_operator(rng, 1)[0] for _ in range(4))]
     outcomes = set()
     for op in ops:
         for p in range(4):
@@ -244,41 +257,23 @@ def test_common_eigenvalue_raises_exactly_when_some_element_is_not_an_eigenvecto
     assert outcomes == {True, False}
 
 
-def test_common_eigenvalue_applies_each_shift_class_once(monkeypatch):
-    calls = []
-    call = LinOp.__call__
-
-    def counted(self, poly):
-        calls.append(self)
-        return call(self, poly)
-
-    monkeypatch.setattr(LinOp, "__call__", counted)
-    for op in (KOHN, CONJ_KOHN, SUBLAP, PANEITZ):
-        for p in range(9):
-            for q in range(9):
-                calls.clear()
-                common_eigenvalue(op, p, q)
-                assert calls == [op]
-    calls.clear()
-    # Z1bar kills H_(2,0), so both classes are applied and neither raises.
-    assert common_eigenvalue(KOHN + MulBy(z1) @ Z1BAR, 2, 0) == gr(0)
-    assert len(calls) == 2
-
-
-@pytest.mark.parametrize("elements", [
-    (z1 + z2, z1c),                 # z1 + z2 has the torus weights (1, 0) and (0, 1)
-    (z1 * z1c, z2 * z2c, z1 * z2c),  # z1*z1c and z2*z2c share the weight (0, 0)
-], ids=["mixed_weight", "repeated_weight"])
-def test_common_eigenvalue_rejects_a_basis_that_is_not_graded_by_torus_weight(
-        monkeypatch, elements):
-    # KOHN(z1*z1c + z2*z2c) = KOHN(r^2) = 0, although KOHN is not scalar on
-    # z1*z1c alone: summing elements of one weight would hide that.
+def test_common_eigenvalue_builds_no_basis_and_applies_nothing(monkeypatch):
+    # The eigenvalue is read off the operator's restriction to H_(p,q).
     from crlab import operators
-    from crlab.harmonics import HarmonicBasis
 
-    monkeypatch.setattr(operators, "basis", lambda p, q: HarmonicBasis(p, q, elements))
-    with pytest.raises(ArithmeticError, match="distinct torus weight"):
-        common_eigenvalue(KOHN, 1, 1)
+    def forbidden(*args):
+        raise AssertionError("basis built or operator applied")
+
+    monkeypatch.setattr(LinOp, "__call__", forbidden)
+    monkeypatch.setattr(operators, "basis", forbidden)
+    for p in range(9):
+        for q in range(9):
+            assert common_eigenvalue(KOHN, p, q) == gr(2 * (p + 1) * q)
+            assert common_eigenvalue(CONJ_KOHN, p, q) == gr(2 * (q + 1) * p)
+            assert common_eigenvalue(SUBLAP, p, q) == gr(2 * p * q + p + q)
+            assert common_eigenvalue(PANEITZ, p, q) == gr(p * q * (p + 1) * (q + 1))
+    # Z1bar kills H_(2,0), so the z1 * Z1bar words drop out of the restriction.
+    assert common_eigenvalue(KOHN + MulBy(z1) @ Z1BAR, 2, 0) == gr(0)
 
 
 def test_exact_values_enter_and_leave_polynomials_without_scalar_arithmetic(monkeypatch):
