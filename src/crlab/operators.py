@@ -35,25 +35,25 @@ which is again a sum of coefficients times words.  ``A @ B`` composes
 A by this step, one letter at a time, last letter first.
 
 Both ways of using an operator read one plan, built from its terms on
-first use: the distinct word suffixes, shortest first, and every word's
-coefficient numerators brought once onto one shared denominator, the lcm
-of theirs.  The fields act through kernels on the integer view of
-:mod:`crlab.spherepoly`: a kernel multiplies numerators by exponents over
-an unchanged denominator, so the images of f are numerator maps over f's
-denominator that are never wrapped as polynomials or reduced, and a zero
-suffix image is passed on without a kernel call.  (``apply_Z1``,
-``apply_Z1bar`` and ``apply_T`` are the same kernels followed by one gcd.)
+first use: every word's coefficient numerators brought once onto one
+shared denominator, the lcm of theirs.  The fields act through kernels on
+the integer view of :mod:`crlab.spherepoly`: a kernel multiplies
+numerators by exponents over an unchanged denominator, so the images of f
+are numerator maps over f's denominator that are never wrapped as
+polynomials or reduced.  (``apply_Z1``, ``apply_Z1bar`` and ``apply_T``
+are the same kernels followed by one gcd.)
 
 * On H_{p,q} every word acts as a Gaussian integer times some
-  u_m = Z1^m f (m >= 0) or Z1bar^|m| f (m < 0), fixed by the word's path
-  of m, so the plan also gives A's restriction there, sum over m of
-  C_m u_m.  ``A(f)`` for f in some H_{p,q} builds the u_m and adds
-  C_m u_m, with no word's own image, and :func:`crlab.assemble_form`
-  pairs each row on H_{k,0} and H_{0,k} with the C_m without building
-  A(f_i) at all.
-* ``A(f)`` for any other f adds each word's coefficient times its image
-  of f with the polynomial product's kernel, into one term map with one
-  gcd at the end.
+  u_m = Z1^m f (m >= 0) or Z1bar^|m| f (m < 0), found by walking the
+  word's letters through the restriction rules, so the plan also gives
+  A's restriction there, sum over m of C_m u_m.  ``A(f)`` for f in some
+  H_{p,q} builds the u_m and adds C_m u_m, with no word's own image, and
+  :func:`crlab.assemble_form` pairs each row on H_{k,0} and H_{0,k} with
+  the C_m without building A(f_i) at all.
+* ``A(f)`` for any other f applies each word to f letter by letter, last
+  letter first, up to the first zero image, and adds the word's
+  coefficient times that image with the polynomial product's kernel, into
+  one term map with one gcd at the end.
 * :func:`common_eigenvalue` reads A's eigenvalue on H_{p,q} off A's
   restriction there, with no basis and no application: A is scalar there
   exactly when the restriction is a constant C_0 alone (or empty).
@@ -144,43 +144,24 @@ _CONJ_LETTER = {"Z1": "Z1bar", "Z1bar": "Z1", "T": "T"}
 class _Plan:
     """How a LinOp is applied, built once from its terms.
 
-    ``suffixes`` holds (suffix, kernel of its first letter, rest) for every
-    nonempty suffix of the words, shorter ones first, so each one's rest is
-    applied before it.  ``words`` holds (word, coefficient numerators) with
-    every coefficient brought onto the one denominator ``den``, the lcm of
-    theirs.  :meth:`restrict` finds each word's :func:`_path` on first use.
-    Application and :func:`common_eigenvalue` read its result through
-    :meth:`restriction`, which keeps it per (p, q) so each H_{p,q} is
-    restricted to once per plan; form assembly calls :meth:`restrict`
-    itself, once per H_{k,0} and H_{0,k} of a form.
+    ``words`` holds (word, coefficient numerators) with every coefficient
+    brought onto the one denominator ``den``, the lcm of theirs.
+    Application and :func:`common_eigenvalue` read :meth:`restrict`'s
+    result through :meth:`restriction`, which keeps it per (p, q) so each
+    H_{p,q} is restricted to once per plan; form assembly calls
+    :meth:`restrict` itself, once per H_{k,0} and H_{0,k} of a form.
     """
 
-    __slots__ = ("suffixes", "words", "den", "_paths", "_restrictions")
+    __slots__ = ("words", "den", "_restrictions")
 
     def __init__(self, terms: Mapping[Word, SpherePoly]):
-        found = {word[i:] for word in terms for i in range(len(word))}
-        self.suffixes: list[tuple[Word, Callable[[Nums], Nums], Word]] = [
-            (word, _KERNELS[word[0]], word[1:]) for word in sorted(found, key=len)]
         self.den = den = lcm(*(coeff.den for coeff in terms.values()))
         self.words: list[tuple[Word, Nums]] = []
         for word, coeff in terms.items():
             factor = den // coeff.den
             self.words.append((word, coeff.nums if factor == 1 else {
                 mono: (x * factor, y * factor) for mono, (x, y) in coeff.nums.items()}))
-        self._paths: list | None = None  # built on first use
         self._restrictions: dict[tuple[int, int], list[tuple[int, Nums]]] = {}
-
-    def images(self, nums: Nums) -> dict[Word, Nums]:
-        """Numerators of every word suffix applied to nums, over nums' denominator.
-
-        A zero suffix image is the image of every longer suffix too, with no
-        kernel call.
-        """
-        images = {(): nums}
-        for word, kernel, rest in self.suffixes:
-            image = images[rest]
-            images[word] = kernel(image) if image else image
-        return images
 
     def restriction(self, p: int, q: int) -> list[tuple[int, Nums]]:
         """:meth:`restrict` (p, q), built on first use and kept on the plan."""
@@ -189,78 +170,56 @@ class _Plan:
             out = self._restrictions[(p, q)] = self.restrict(p, q)
         return out
 
+    # The fields on H_{p,q}: for f in H_{p,q} let u_m = Z1^m f for m >= 0 and
+    # u_m = Z1bar^|m| f for m < 0, so u_m lies in H_(p-m,q+m) and is 0 outside
+    # -q <= m <= p.  Since Z1bar Z1 = -a(b+1) and Z1 Z1bar = -(a+1)b on a
+    # harmonic of bidegree (a, b) (conj_kohn and kohn are 2(b+1)a and 2(a+1)b
+    # there, as polynomial identities),
+    #     Z1 u_m    = u_(m+1) for m >= 0,  -(p-m)(q+m+1) u_(m+1) for m < 0,
+    #     Z1bar u_m = u_(m-1) for m <= 0,  -(p-m+1)(q+m) u_(m-1) for m > 0,
+    #     T u_m     = i(p-q-2m) u_m.
+    # A step with a factor other than 1 between u_e and u_(e+1), either way,
+    # gives -(p-e)(q+e+1).
+
     def restrict(self, p: int, q: int) -> list[tuple[int, Nums]]:
-        """The operator on H_{p,q} as sum_m C_m u_m, u_m as in the rules below.
+        """The operator on H_{p,q} as sum_m C_m u_m, u_m as in the rules above.
 
         Returns (m, C_m's numerators over ``den``) for each nonzero C_m, m
-        ascending: each word's coefficient times the Gaussian integer its
-        path (:func:`_path`) gives at (p, q), summed per end point m.  A word
-        whose path leaves -q..p kills H_{p,q}.
+        ascending.  Each word's letters, last first, take u_0 to a Gaussian
+        integer times u_m by the rules, and the word's coefficient times
+        that integer is added to C_m.  A word that takes m outside -q..p
+        kills H_{p,q}.
         """
-        paths = self._paths
-        if paths is None:
-            paths = self._paths = [(*_path(word), coeff_nums) for word, coeff_nums in self.words]
         sums: dict[int, Nums] = {}
-        for m, lo, hi, steps, coeff_nums in paths:
-            if lo < -q or hi > p:
-                continue
-            re, im = 1, 0
-            for is_t, e in steps:
-                if is_t:
-                    c = p - q - 2 * e
+        for word, coeff_nums in self.words:
+            m, re, im = 0, 1, 0
+            for letter in reversed(word):
+                if letter == "T":
+                    c = p - q - 2 * m
                     re, im = -im * c, re * c
+                elif letter == "Z1":
+                    if m < 0:
+                        c = -(p - m) * (q + m + 1)
+                        re, im = re * c, im * c
+                    m += 1
+                    if m > p:
+                        break
                 else:
-                    c = -(p - e) * (q + e + 1)
-                    re, im = re * c, im * c
-            if re or im:
-                _mul_into(sums.setdefault(m, {}), {(0, 0, 0, 0): (re, im)}, coeff_nums)
+                    m -= 1
+                    if m < -q:
+                        break
+                    if m >= 0:
+                        c = -(p - m) * (q + m + 1)
+                        re, im = re * c, im * c
+            else:
+                if re or im:
+                    _mul_into(sums.setdefault(m, {}), {(0, 0, 0, 0): (re, im)}, coeff_nums)
         out = []
         for m in sorted(sums):
             nums = {mono: pair for mono, pair in sums[m].items() if pair != (0, 0)}
             if nums:
                 out.append((m, nums))
         return out
-
-
-# The fields on H_{p,q}: for f in H_{p,q} let u_m = Z1^m f for m >= 0 and
-# u_m = Z1bar^|m| f for m < 0, so u_m lies in H_(p-m,q+m) and is 0 outside
-# -q <= m <= p.  Since Z1bar Z1 = -a(b+1) and Z1 Z1bar = -(a+1)b on a
-# harmonic of bidegree (a, b) (conj_kohn and kohn are 2(b+1)a and 2(a+1)b
-# there, as polynomial identities),
-#     Z1 u_m    = u_(m+1) for m >= 0,  -(p-m)(q+m+1) u_(m+1) for m < 0,
-#     Z1bar u_m = u_(m-1) for m <= 0,  -(p-m+1)(q+m) u_(m-1) for m > 0,
-#     T u_m     = i(p-q-2m) u_m.
-# A step with a factor other than 1 between u_e and u_(e+1), either way,
-# gives -(p-e)(q+e+1).
-
-
-def _path(word: Word) -> tuple[int, int, int, tuple[tuple[bool, int], ...]]:
-    """Where word takes u_0 in the rules above: u_0 to a scalar times u_m.
-
-    Returns m, the lowest and highest points visited, and, in order,
-    (is T, e) for each step with a factor other than 1: T at u_e, or Z1
-    (from u_e, e < 0) or Z1bar (to u_e, e >= 0) between u_e and u_(e+1).
-    The scalar on H_{p,q} is the product of those steps' factors; the path
-    itself does not depend on (p, q).
-    """
-    m = lo = hi = 0
-    steps = []
-    for letter in reversed(word):
-        if letter == "T":
-            steps.append((True, m))
-        elif letter == "Z1":
-            if m < 0:
-                steps.append((False, m))
-            m += 1
-            if m > hi:
-                hi = m
-        else:
-            m -= 1
-            if m >= 0:
-                steps.append((False, m))
-            elif m < lo:
-                lo = m
-    return m, lo, hi, tuple(steps)
 
 
 def _walk(terms: Iterable[tuple[int, _Coeff]], nums: Nums) -> Iterator[tuple[_Coeff, Nums]]:
@@ -321,7 +280,8 @@ class LinOp:
     ``terms`` is a read-only mapping from each word (a tuple of the letters
     "Z1", "Z1bar", "T", the last applied first) to its coefficient; zero
     coefficients are dropped.  The plan that application, ``op(poly)``,
-    and form assembly share is built from it on first use.
+    and form assembly share (the coefficients on one denominator and the
+    restrictions to each H_{p,q} asked for) is built from it on first use.
     """
 
     __slots__ = ("terms", "_plan")
@@ -342,11 +302,12 @@ class LinOp:
         On a nonzero poly in some H_{p,q} (:func:`_harmonic_bidegree`) that
         sum is sum_m C_m u_m (:meth:`_Plan.restriction`), so each u_m is
         built once, outward from u_0 = poly, with at most p+q field-kernel
-        calls in all, and each nonzero C_m is multiplied in once.  Any other
-        poly takes every word suffix's image (:meth:`_Plan.images`) and
-        multiplies in each word's coefficient.  Either way the numerators
-        (the coefficients' on the plan's shared denominator) are added with
-        the polynomial product's kernel into one term map over
+        calls in all, and each nonzero C_m is multiplied in once.  On any
+        other poly each word applies its letters' field kernels, last letter
+        first, up to the first zero image, and a nonzero image is multiplied
+        by the word's coefficient.  Either way the numerators (the
+        coefficients' on the plan's shared denominator) are added with the
+        polynomial product's kernel into one term map over
         ``plan.den * poly.den``, which is reduced once at the end.
         """
         plan = self._get_plan()
@@ -355,9 +316,12 @@ class LinOp:
         out: Nums = {}
         count = 0
         if bidegree is None:
-            images = plan.images(nums)
             for word, coeff_nums in plan.words:
-                image = images[word]
+                image = nums
+                for letter in reversed(word):
+                    if not image:
+                        break
+                    image = _KERNELS[letter](image)
                 if image:
                     count += _mul_into(out, coeff_nums, image)
         else:

@@ -424,6 +424,9 @@ def weighted_gradient_pairing(phi: SpherePoly, k: int, l: int, side: str,
         (k + p1 - q1 - 4) * integral |phi|^2 |d f_k|^2
 
     when k = l; both laws are checked before returning, on every call.
+    f_k and f_l must lie in H_{k,0} and H_{l,0} ("holomorphic") or in
+    H_{0,k} and H_{0,l} ("antiholomorphic").  That is not checked: other
+    inputs give a value that means nothing, even when both laws hold.
     Only the phi-only weights are memoised (per exact phi and k, in a
     bounded cache, grouped by torus weight).  Both integrals are computed
     anew for each pair on numerators alone: d f_k and d f_l are the field

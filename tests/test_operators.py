@@ -508,8 +508,8 @@ def _word_by_word(op, f):
 
 def test_application_matches_the_word_by_word_sum(rng):
     # op(f) takes the restriction route on a nonzero f in some H_(p,q) and
-    # the suffix route otherwise; both must give, as polynomials, the sum of
-    # each coefficient times its word applied one field at a time.
+    # walks each word's letters otherwise; both must give, as polynomials, the
+    # sum of each coefficient times its word applied one field at a time.
     from crlab.variation import first_variation, second_variation, variations_from_jets
 
     phis = [z1, z1 * z2c, z1 ** 4, random_poly(rng, 2, 2, terms=4),

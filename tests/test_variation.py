@@ -621,8 +621,8 @@ def test_assemble_form_pairs_a_non_monomial_basis(monkeypatch):
 
 @pytest.mark.parametrize("outside", [z1 * z1c, one + z1, one], ids=["z1*z1c", "1+z1", "1"])
 def test_assemble_form_rejects_elements_outside_h(monkeypatch, outside):
-    # Rows come from the operator's restriction to H_(k,0) and H_(0,k), k >= 1,
-    # which holds nowhere else.
+    # The form lives on H, the sum of H_(k,0) and H_(0,k) with k >= 1, so an
+    # element outside every such space is refused.
     elements = variation.pluriharmonic_basis(1) + (outside,)
     monkeypatch.setattr(variation, "pluriharmonic_basis", lambda pmax: elements)
     with pytest.raises(PreconditionError, match="not in H_"):
