@@ -15,22 +15,26 @@ Conjugates may be written z1c/z2c or conj(z1)/conj(z2).
 ``SpherePoly.to_source`` emits this grammar, and print-then-parse returns
 a structurally identical polynomial.
 
-Tokens are matched by one pattern, ``\\d+|\\w+|\\S``, over the Unicode classes
-that ``str`` predicates define: ``\\d`` is ``str.isdecimal`` (what ``int``
-reads, so ``'\\u0663'`` is 3 and ``'²'`` is no digit), ``\\w`` is
-``str.isalnum`` or ``'_'``, and the ``str.isspace`` characters between
-tokens are skipped.  A word must be one of the identifiers above, so one
-that starts with a letter is reported whole and any other by its first
-character; any other character is a token of its own and must be one of
-``+-*/^()``.
+Tokens are read by one ``findall`` of the pattern ``\\d+|\\w+|\\S``, over
+the Unicode classes that ``str`` predicates define: ``\\d`` is
+``str.isdecimal`` (what ``int`` reads, so ``'\\u0663'`` is 3 and ``'²'`` is
+no digit), ``\\w`` is ``str.isalnum`` or ``'_'``, and the ``str.isspace``
+characters between tokens are skipped.  A word must be one of the
+identifiers above, so one that starts with a letter is reported whole and
+any other by its first character; any other character is a token of its
+own and must be one of ``+-*/^()``.
 
 Errors carry 1-based column positions: unknown tokens are lexical errors,
 structural problems are syntax errors, and a literal ``0`` divisor, an exponent
 above ``MAX_EXPONENT`` or nesting deeper than ``MAX_NESTING`` is rejected
 at parse time.  An integer literal longer than ``MAX_LITERAL_DIGITS``
-digits is a lexical error.  Before evaluating, :func:`evaluate` bounds the
-number of terms of every subexpression from the program and raises
-``EvaluationError`` above ``MAX_TERMS``.
+digits is a lexical error.  Only the distinct token texts outside the
+grammar's words are checked, and a column is worked out only when an error
+is raised.  Before evaluating, :func:`evaluate` bounds the number of terms
+of every subexpression from the program and raises ``EvaluationError``
+above ``MAX_TERMS``.  Then it evaluates each divisor that is not a literal
+at two fixed points and rejects it at once if the two values differ; a
+divisor whose values agree is left to the full evaluation, as before.
 
 :func:`parse` returns a program: the expression in postfix order, as a
 tuple of instructions ``("num", int)``, ``("i",)``, ``("var", name)``,
@@ -46,6 +50,7 @@ result a ``SpherePoly``; a one-term power is raised in one step.
 from __future__ import annotations
 
 import re
+from itertools import islice
 from math import comb, gcd
 
 from .spherepoly import (_VAR_MONOS, Nums, SpherePoly, _add_into, _canonical, _mul_into,
@@ -101,21 +106,32 @@ _TOKEN = re.compile(r"\d+|\w+|\S")
 _WORDS = {*_VAR_MONOS, "i", "conj", *"+-*/^()"}
 
 
-def _tokenize(src: str) -> list[tuple[str, int]]:
-    """src as (text, column) pairs, ending in ``("", len(src) + 1)``."""
-    tokens = [(match[0], match.start() + 1) for match in _TOKEN.finditer(src)]
-    for text, column in tokens:
-        if text in _WORDS:
-            continue
+def _tokenize(src: str) -> list[str]:
+    """src's token texts, ending in ``""``.
+
+    Only the distinct texts outside ``_WORDS`` are checked; the column of
+    the first bad token is worked out only to raise.
+    """
+    tokens = _TOKEN.findall(src)
+    bad = [text for text in set(tokens).difference(_WORDS)
+           if not text.isdecimal() or len(text) > MAX_LITERAL_DIGITS]
+    if bad:
+        pos = min(map(tokens.index, bad))
+        text, column = tokens[pos], _column(src, pos)
         if not text.isdecimal():
             # A word that starts with no letter is reported by its first character.
             raise LexicalError(f"unknown token {text if text[0].isalpha() else text[0]!r}",
                                column)
-        if len(text) > MAX_LITERAL_DIGITS:
-            raise LexicalError(f"integer literal of {len(text)} digits exceeds the bound "
-                               f"{MAX_LITERAL_DIGITS}", column)
-    tokens.append(("", len(src) + 1))
+        raise LexicalError(f"integer literal of {len(text)} digits exceeds the bound "
+                           f"{MAX_LITERAL_DIGITS}", column)
+    tokens.append("")
     return tokens
+
+
+def _column(src: str, pos: int) -> int:
+    """The 1-based column of src's token number pos; ``len(src) + 1`` past the last."""
+    match = next(islice(_TOKEN.finditer(src), pos, None), None)
+    return len(src) + 1 if match is None else match.start() + 1
 
 
 # -- recursive-descent parser ------------------------------------------------------
@@ -124,35 +140,40 @@ def _tokenize(src: str) -> list[tuple[str, int]]:
 class _Parser:
     """Appends each parsed expression's instructions to ``program``, operands first.
 
-    ``text`` and ``column`` are the current token's; ``""`` is the end.
+    ``text`` is the current token's, number ``pos`` of ``tokens``; ``""`` is
+    the end.  ``src`` is kept only to work out a column for an error.
     """
 
-    def __init__(self, tokens: list[tuple[str, int]]):
-        self.tokens = tokens
+    def __init__(self, src: str):
+        self.src = src
+        self.tokens = _tokenize(src)
         self.pos = 0
-        self.text, self.column = tokens[0]
+        self.text = self.tokens[0]
         self.depth = 0
         self.program: list[tuple] = []
+
+    def error(self, message: str, pos: int | None = None) -> SyntaxParseError:
+        """A syntax error at token pos, by default the current one."""
+        return SyntaxParseError(message, _column(self.src, self.pos if pos is None else pos))
 
     def advance(self) -> str:
         """Move past the current token; returns its text."""
         text = self.text
         self.pos += 1
-        self.text, self.column = self.tokens[self.pos]
+        self.text = self.tokens[self.pos]
         return text
 
     def expect(self, kind: str):
         """Raise unless the current token is kind: 'uint' or a symbol."""
         if not (self.text.isdecimal() if kind == "uint" else self.text == kind):
-            raise SyntaxParseError(f"expected {kind!r}, found {self.text or 'end of input'!r}",
-                                   self.column)
+            raise self.error(f"expected {kind!r}, found {self.text or 'end of input'!r}")
 
     def enter(self):
         """Open one nesting level at the current token and move past it; close
         it with ``depth -= 1``."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise SyntaxParseError(f"nesting deeper than the bound {MAX_NESTING}", self.column)
+            raise self.error(f"nesting deeper than the bound {MAX_NESTING}")
         self.advance()
 
     def parse_expr(self):
@@ -169,8 +190,8 @@ class _Parser:
             self.parse_factor()
             if op == "/" and self.program[-1] == ("num", 0):
                 # The divisor is a literal 0, maybe in parentheses: point at the 0.
-                column = next(c for t, c in reversed(self.tokens[:self.pos]) if t.isdecimal())
-                raise SyntaxParseError("denominator must be nonzero", column)
+                pos = next(k for k in range(self.pos - 1, -1, -1) if self.tokens[k].isdecimal())
+                raise self.error("denominator must be nonzero", pos)
             self.program.append((op,))
 
     def parse_factor(self):
@@ -184,11 +205,10 @@ class _Parser:
         if self.text == "^":
             self.advance()
             self.expect("uint")
-            column = self.column
             exponent = int(self.advance())
             if exponent > MAX_EXPONENT:
-                raise SyntaxParseError(f"exponent {exponent} exceeds the bound {MAX_EXPONENT}",
-                                       column)
+                raise self.error(f"exponent {exponent} exceeds the bound {MAX_EXPONENT}",
+                                 self.pos - 1)
             self.program.append(("pow", exponent))
 
     def parse_base(self):
@@ -206,7 +226,7 @@ class _Parser:
             self.advance()
             self.program.append(("i",) if text == "i" else ("var", text))
         else:
-            raise SyntaxParseError(f"unexpected {text or 'end of input'!r}", self.column)
+            raise self.error(f"unexpected {text or 'end of input'!r}")
 
     def parse_group(self):
         """'(' expr ')' at the current token, one nesting level deeper."""
@@ -220,10 +240,10 @@ class _Parser:
 
 def parse(src: str) -> Program:
     """Parse source text to a program; raises ParseError with a column on failure."""
-    parser = _Parser(_tokenize(src))
+    parser = _Parser(src)
     parser.parse_expr()
     if parser.text:
-        raise SyntaxParseError(f"trailing input {parser.text!r}", parser.column)
+        raise parser.error(f"trailing input {parser.text!r}")
     return tuple(parser.program)
 
 
@@ -280,14 +300,117 @@ def _bounds(program: Program) -> tuple[int, int]:
     return terms, degree
 
 
+#: A Gaussian rational (a + b*i)/d as its reduced triple (a, b, d), d > 0.
+_Triple = tuple[int, int, int]
+
+#: (z1, z2) = (0, 0) and (1, i), where a divisor is evaluated before it is
+#: expanded.  Every coordinate is 0 or a unit, so a power of one never
+#: grows: each value has about as many bits as the largest coefficient of
+#: the expansion.
+_POINTS = (((0, 0, 1), (0, 0, 1)), ((1, 0, 1), (0, 1, 1)))
+
+_DIVIDE = ("/",)
+
+_NOT_CONSTANT = "division only by a nonzero constant"
+
+
+def _reduced(a: int, b: int, d: int) -> _Triple:
+    g = gcd(a, b, d)
+    return a // g, b // g, d // g
+
+
+def _value_at(program: Program, z1: _Triple, z2: _Triple) -> _Triple:
+    """program's exact value at (z1, z2), with z1c and z2c at their conjugates.
+
+    Values are triples of integers, so no polynomial is formed; a divisor
+    whose value is 0 raises ZeroDivisionError.
+    """
+    values = {"z1": z1, "z2": z2, "z1c": (z1[0], -z1[1], z1[2]), "z2c": (z2[0], -z2[1], z2[2])}
+    stack: list[_Triple] = []
+    for ins in program:
+        op = ins[0]
+        if op == "num":
+            stack.append((ins[1], 0, 1))
+        elif op == "i":
+            stack.append((0, 1, 1))
+        elif op == "var":
+            stack.append(values[ins[1]])
+        elif op in ("neg", "conj", "pow"):
+            a, b, d = stack[-1]
+            if op == "neg":
+                stack[-1] = (-a, -b, d)
+            elif op == "conj":
+                stack[-1] = (a, -b, d)
+            else:
+                n = ins[1]
+                u, v = 1, 0
+                for _ in range(n):
+                    u, v = u * a - v * b, u * b + v * a
+                stack[-1] = _reduced(u, v, d ** n)
+        else:
+            x, y, e = stack.pop()
+            a, b, d = stack[-1]
+            if op == "+":
+                stack[-1] = _reduced(a * e + x * d, b * e + y * d, d * e)
+            elif op == "-":
+                stack[-1] = _reduced(a * e - x * d, b * e - y * d, d * e)
+            elif op == "*":
+                stack[-1] = _reduced(a * x - b * y, a * y + b * x, d * e)
+            else:
+                stack[-1] = _reduced((a * x + b * y) * e, (b * x - a * y) * e, d * (x * x + y * y))
+    return stack.pop()
+
+
+def _operand_start(program: Program, end: int) -> int:
+    """Where the operand that ends at ``program[end]`` begins."""
+    need = 1  # values still to be found, walking back
+    while True:
+        op = program[end][0]
+        if op in ("num", "i", "var"):
+            need -= 1
+            if not need:
+                return end
+        elif op in ("+", "-", "*", "/"):
+            need += 1
+        end -= 1
+
+
+def _check_divisors(program: Program):
+    """Raise EvaluationError if a divisor is proved not constant without expanding it.
+
+    Divisors are taken in program order.  A literal costs one comparison.
+    Any other is evaluated at both of ``_POINTS``: two different values
+    prove it is not constant.  The check stops at the first divisor that is
+    0 at both points (a literal 0 too), so the full evaluation still tells
+    'division by zero' from a divisor that is not constant, as it did before.
+    """
+    j = -1
+    for _ in range(program.count(_DIVIDE)):
+        j = program.index(_DIVIDE, j + 1)
+        last = program[j - 1]
+        if last[0] in ("num", "i"):
+            if last == ("num", 0):
+                return
+            continue
+        divisor = program[_operand_start(program, j - 1):j]
+        first, second = (_value_at(divisor, *point) for point in _POINTS)
+        if first != second:
+            raise EvaluationError(_NOT_CONSTANT)
+        if not (first[0] or first[1]):
+            return
+
+
 def evaluate(program: Program) -> SpherePoly:
     """Evaluate a program to an exact SpherePoly, bounding its size first.
 
-    A '+'/'-' chain adds each summand into its running numerator map on the
-    lcm of the denominators, which may leave zero pairs and a common factor;
-    '*', '/' and '^' divide out the gcd, keeping the integers bounded.
+    A divisor that two points prove not constant is rejected before
+    anything is expanded (see :func:`_check_divisors`).  A '+'/'-' chain
+    adds each summand into its running numerator map on the lcm of the
+    denominators, which may leave zero pairs and a common factor; '*', '/'
+    and '^' divide out the gcd, keeping the integers bounded.
     """
     _bounds(program)
+    _check_divisors(program)
     stack: list[tuple[Nums, int]] = []
     for ins in program:
         op = ins[0]
@@ -326,7 +449,7 @@ def _reciprocal(nums: Nums, den: int) -> tuple[Nums, int]:
     if not terms:
         raise EvaluationError("division by zero")
     if len(terms) > 1 or terms[0][0] != (0, 0, 0, 0):
-        raise EvaluationError("division only by a nonzero constant")
+        raise EvaluationError(_NOT_CONSTANT)
     x, y = terms[0][1]
     g = gcd(x, y)
     x, y = x // g, y // g

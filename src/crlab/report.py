@@ -16,10 +16,11 @@ import csv
 import io
 import json
 from fractions import Fraction
+from json.encoder import INFINITY, encode_basestring_ascii
 
 from .integration import CONTACT_MASS_NOTE
 from .scalars import GaussianRational
-from .spherepoly import SpherePoly
+from .spherepoly import SpherePoly, _ratio
 
 SCHEMA_VERSION = 1
 
@@ -29,9 +30,11 @@ APPROX_NOTE = "decimal renderings are approximate and non-authoritative"
 def encode_witness(value):
     """Lossless JSON-friendly encoding of exact values."""
     if isinstance(value, GaussianRational):
-        if value.is_real():
-            return str(value.re)
-        return {"re": str(value.re), "im": str(value.im)}
+        # Each part is printed from the reduced triple, as str(Fraction) prints it.
+        a, b, d = value._a, value._b, value._d
+        if not b:
+            return _ratio(a, d)
+        return {"re": _ratio(a, d), "im": _ratio(b, d)}
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, SpherePoly):
@@ -47,6 +50,44 @@ def encode_witness(value):
     if isinstance(value, dict):
         return {str(k): encode_witness(v) for k, v in value.items()}
     raise TypeError(f"cannot encode witness value {value!r}")
+
+
+def _json(value, indent: str) -> str:
+    """value as ``json.dumps(value, indent=2)`` writes it, nested at indent.
+
+    ``indent`` is a newline and the spaces of value's own line.  Values are
+    str, bool, int, float, None, and dicts with str keys and lists of them.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + indent + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == INFINITY:
+            return "Infinity"
+        if value == -INFINITY:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
 def _approximate(encoded):
@@ -109,7 +150,8 @@ class Report:
     # -- renderings ------------------------------------------------------
 
     def to_json(self, approx: bool = False) -> str:
-        return json.dumps(self.as_dict(approx), indent=2, sort_keys=False)
+        """``json.dumps(self.as_dict(approx), indent=2)``, byte for byte."""
+        return _json(self.as_dict(approx), "\n")
 
     def to_csv(self, approx: bool = False) -> str:
         buf = io.StringIO()

@@ -5,15 +5,18 @@ import re
 import sys
 from fractions import Fraction
 from itertools import chain
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from crlab import (Monomial, SpherePoly, gr, one, parse_poly, parsing, sphere_equal, z1, z1c, z2,
                    z2c)
-from crlab.parsing import (MAX_NESTING, MAX_TERMS, EvaluationError, LexicalError, ParseError,
-                           SyntaxParseError, _bounds, evaluate, parse)
+from crlab.parsing import (MAX_EXPONENT, MAX_LITERAL_DIGITS, MAX_NESTING, MAX_TERMS,
+                           EvaluationError, LexicalError, ParseError, SyntaxParseError, _TOKEN,
+                           _VAR_MONOS, _WORDS, _bounds, evaluate, parse)
+from conftest import SPHERE_POINTS
+from test_cli_fuzz import JUNK, expressions as cli_expressions
 
 
 def test_basic_expression():
@@ -113,14 +116,17 @@ def test_unicode_spaces_and_decimal_digits_are_read(src, value):
     assert parse_poly(src) == value
 
 
-@pytest.mark.parametrize("src, error, message, column", [
+TOKEN_ERRORS = [
     ("\u00e91", LexicalError, "unknown token '\u00e91'", 1),
     ("_x", LexicalError, "unknown token '_'", 1),       # a word must start with a letter
     ("z1\u00b2", LexicalError, "unknown token 'z1\u00b2'", 1),
     ("\u00bd", LexicalError, "unknown token '\u00bd'", 1),
     ("z1 + \u200b", LexicalError, "unknown token '\\u200b'", 6),  # zero-width, not a space
     ("(" * 100 + "conj z1", SyntaxParseError, "expected '(', found 'z1'", 106),
-])
+]
+
+
+@pytest.mark.parametrize("src, error, message, column", TOKEN_ERRORS)
 def test_token_errors_are_pinned(src, error, message, column):
     with pytest.raises(error) as err:
         parse(src)
@@ -128,8 +134,10 @@ def test_token_errors_are_pinned(src, error, message, column):
     assert err.value.column == column
 
 
-@pytest.mark.parametrize("src, column", [("7" * 101, 1), ("z1^" + "9" * 5000, 4),
-                                         ("1/" + "3" * 101 + "*z1", 3)])
+OVERLONG_LITERALS = [("7" * 101, 1), ("z1^" + "9" * 5000, 4), ("1/" + "3" * 101 + "*z1", 3)]
+
+
+@pytest.mark.parametrize("src, column", OVERLONG_LITERALS)
 def test_overlong_integer_literal_is_lexical_error(src, column):
     with pytest.raises(LexicalError) as err:
         parse(src)
@@ -155,10 +163,13 @@ def test_zero_denominator_rejected_at_parse_time():
         parse("1/0")
 
 
-@pytest.mark.parametrize("src, column", [
+LITERAL_ZERO_DIVISORS = [
     ("1/0", 3), ("z1/0", 4), ("1/(0)", 4), ("i/00", 3),
     ("(z1+z2+z1c+z2c)^32/0", 20),  # rejected before the dividend is expanded
-])
+]
+
+
+@pytest.mark.parametrize("src, column", LITERAL_ZERO_DIVISORS)
 def test_literal_zero_divisor_is_a_positioned_syntax_error(src, column):
     with pytest.raises(SyntaxParseError) as err:
         parse(src)
@@ -499,3 +510,249 @@ def test_fixed_sources_have_integer_literals():
 def test_generated_sources_have_integer_literals(case, poly):
     for src in (case[0], poly.to_source(), call_style(poly)):
         assert all(type(n) is int for n in _literals(src))
+
+
+# -- divisors checked at points before they are expanded -----------------------------
+
+
+def test_non_constant_divisor_is_rejected_before_it_is_expanded(monkeypatch):
+    def no_power(*args):
+        raise AssertionError("the divisor was expanded")
+
+    monkeypatch.setattr(parsing, "_power", no_power)
+    with pytest.raises(EvaluationError) as err:
+        parse_poly("z1/(z1+z2+z1c+z2c)^32")
+    assert str(err.value) == "division only by a nonzero constant"
+
+
+@pytest.mark.parametrize("src, value", [
+    ("z1/(z1 - z1 + 2)", z1.scale(Fraction(1, 2))),
+    ("z1c/(z1*z1c - z1c*z1 + i)", z1c.scale(gr(0, -1))),
+])
+def test_a_constant_divisor_written_with_variables_is_accepted(src, value):
+    assert parse_poly(src) == value
+
+
+def test_a_literal_divisor_is_never_evaluated_at_points(monkeypatch):
+    def no_points(*args):
+        raise AssertionError("a literal divisor was evaluated at a point")
+
+    monkeypatch.setattr(parsing, "_value_at", no_points)
+    poly = z1.scale(gr(Fraction(1, 2), Fraction(-5, 3))) + z2c.scale(gr(0, Fraction(7, 4)))
+    assert parse_poly(poly.to_source()) == poly
+    assert parse_poly("z1/i/3") == z1.scale(gr(0, Fraction(-1, 3)))
+
+
+def test_a_literal_zero_divisor_still_fails_first():
+    # parse rejects a literal 0 divisor; a program built by hand keeps
+    # failing at the first division, before a later one not constant.
+    program = (("num", 1), ("num", 0), ("/",), ("var", "z1"), ("var", "z2"), ("/",), ("+",))
+    with pytest.raises(EvaluationError, match="division by zero"):
+        evaluate(program)
+
+
+#: Divisors that are a nonzero constant, zero, or not constant; some are not
+#: constant but take one value (0, or not) at both of the checked points.
+DIVISORS = ["2", "i", "(1+i)", "(z1 - z1 + 2)", "(z1*z1c - z1c*z1 + 3*i)", "(conj(z1) - z1c - 1)",
+            "0^2", "(1-1)", "(z1 - z1)", "-0", "(z1*z2 - z2*z1)^3",
+            "z1", "z2c", "(z1+z2+z1c+z2c)^3", "(z1*z1c + z2*z2c)", "(z1 - z1c)", "(i*z1 - z2)",
+            "(z2*z2c - z1*z1c + 1)"]
+
+
+def _division_source(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(["z1", "z2c", "1", "i", "(z1+z2+z1c+z2c)"])
+    left = _division_source(rng, depth - 1)
+    form = rng.randrange(3)
+    if form == 0:
+        return f"({left})/{rng.choice(DIVISORS)}"
+    if form == 1:  # a divisor that may hold divisions itself
+        return f"({left})/({_division_source(rng, depth - 1)})"
+    return f"({left}) {rng.choice('+-*')} ({_division_source(rng, depth - 1)})"
+
+
+def _evaluated(src):
+    try:
+        return parse_poly(src)
+    except EvaluationError as exc:
+        return str(exc)
+
+
+def test_divisor_check_changes_no_outcome(monkeypatch):
+    # Each source gives the same polynomial or the same error with the check
+    # as with evaluation alone.
+    rng = random.Random(23)
+    sources = [_division_source(rng, rng.randint(1, 4)) for _ in range(1500)]
+    checked = [_evaluated(src) for src in sources]
+    monkeypatch.setattr(parsing, "_check_divisors", lambda program: None)
+    assert checked == [_evaluated(src) for src in sources]
+    outcomes = {o if isinstance(o, str) else "value" for o in checked}
+    assert outcomes == {"value", "division by zero", "division only by a nonzero constant"}
+
+
+def _triple(value):
+    """value as the reduced (a, b, d) of (a + b*i)/d."""
+    d = lcm(value.re.denominator, value.im.denominator)
+    return (value.re.numerator * (d // value.re.denominator),
+            value.im.numerator * (d // value.im.denominator), d)
+
+
+POINTS = [*parsing._POINTS, *(tuple(map(_triple, point)) for point in SPHERE_POINTS[:4])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(expressions(), st.sampled_from(POINTS))
+def test_program_at_a_point_agrees_with_the_expanded_polynomial(case, point):
+    # The point evaluator shares no code with the parser's numerator kernels
+    # or with GaussianRational, which eval_at uses.
+    text, _ = case
+    z1_value, z2_value = (gr(Fraction(a, d), Fraction(b, d)) for a, b, d in point)
+    assert parsing._value_at(parse(text), *point) == _triple(
+        parse_poly(text).eval_at(z1_value, z2_value))
+
+
+# -- the tokenizer and parser against the (text, column) reference -----------------
+
+
+def _reference_tokenize(src):
+    """src as (text, column) pairs, ending in ``("", len(src) + 1)``."""
+    tokens = [(match[0], match.start() + 1) for match in _TOKEN.finditer(src)]
+    for text, column in tokens:
+        if text in _WORDS:
+            continue
+        if not text.isdecimal():
+            raise LexicalError(f"unknown token {text if text[0].isalpha() else text[0]!r}",
+                               column)
+        if len(text) > MAX_LITERAL_DIGITS:
+            raise LexicalError(f"integer literal of {len(text)} digits exceeds the bound "
+                               f"{MAX_LITERAL_DIGITS}", column)
+    tokens.append(("", len(src) + 1))
+    return tokens
+
+
+class _ReferenceParser:
+    """The parser with every token's column read along with its text."""
+
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.pos = 0
+        self.text, self.column = tokens[0]
+        self.depth = 0
+        self.program = []
+
+    def advance(self):
+        text = self.text
+        self.pos += 1
+        self.text, self.column = self.tokens[self.pos]
+        return text
+
+    def expect(self, kind):
+        if not (self.text.isdecimal() if kind == "uint" else self.text == kind):
+            raise SyntaxParseError(f"expected {kind!r}, found {self.text or 'end of input'!r}",
+                                   self.column)
+
+    def enter(self):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise SyntaxParseError(f"nesting deeper than the bound {MAX_NESTING}", self.column)
+        self.advance()
+
+    def parse_expr(self):
+        self.parse_term()
+        while self.text in ("+", "-"):
+            op = self.advance()
+            self.parse_term()
+            self.program.append((op,))
+
+    def parse_term(self):
+        self.parse_factor()
+        while self.text in ("*", "/"):
+            op = self.advance()
+            self.parse_factor()
+            if op == "/" and self.program[-1] == ("num", 0):
+                column = next(c for t, c in reversed(self.tokens[:self.pos]) if t.isdecimal())
+                raise SyntaxParseError("denominator must be nonzero", column)
+            self.program.append((op,))
+
+    def parse_factor(self):
+        if self.text == "-":
+            self.enter()
+            self.parse_factor()
+            self.depth -= 1
+            self.program.append(("neg",))
+            return
+        self.parse_base()
+        if self.text == "^":
+            self.advance()
+            self.expect("uint")
+            column = self.column
+            exponent = int(self.advance())
+            if exponent > MAX_EXPONENT:
+                raise SyntaxParseError(f"exponent {exponent} exceeds the bound {MAX_EXPONENT}",
+                                       column)
+            self.program.append(("pow", exponent))
+
+    def parse_base(self):
+        text = self.text
+        if text.isdecimal():
+            self.advance()
+            self.program.append(("num", int(text)))
+        elif text == "conj":
+            self.advance()
+            self.parse_group()
+            self.program.append(("conj",))
+        elif text == "(":
+            self.parse_group()
+        elif text == "i" or text in _VAR_MONOS:
+            self.advance()
+            self.program.append(("i",) if text == "i" else ("var", text))
+        else:
+            raise SyntaxParseError(f"unexpected {text or 'end of input'!r}", self.column)
+
+    def parse_group(self):
+        self.expect("(")
+        self.enter()
+        self.parse_expr()
+        self.expect(")")
+        self.advance()
+        self.depth -= 1
+
+
+def _reference_parse(src):
+    parser = _ReferenceParser(_reference_tokenize(src))
+    parser.parse_expr()
+    if parser.text:
+        raise SyntaxParseError(f"trailing input {parser.text!r}", parser.column)
+    return tuple(parser.program)
+
+
+def _parsed(parse_fn, src):
+    try:
+        return parse_fn(src)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.column
+
+
+PARITY_SOURCES = [
+    *(src for src, _, _ in BOUND_CASES), *(src for src, *_ in TOKEN_ERRORS),
+    *(src for src, _ in OVERLONG_LITERALS), *(src for src, _ in LITERAL_ZERO_DIVISORS),
+    "", "  ", "z1 + ", "z1^z2", "z1^-2", "z1^33", "(z1", "z1 z2", "z1)", "conj z1", "z1 @ z2",
+    "0.5*z1", "z1^\u00b2", "\u0663*z1 + 2/\u0663", "1/(1-1)", "z1/(z1+z2+z1c+z2c)^32",
+    "(" * 101 + "z1" + ")" * 101, "-" * 101 + "z1", "z1" + "*1/2" * 50,
+]
+
+
+@pytest.mark.parametrize("src", PARITY_SOURCES)
+def test_parser_agrees_with_the_reference_on_fixed_sources(src):
+    assert _parsed(parse, src) == _parsed(_reference_parse, src)
+
+
+#: Every character of the CLI fuzz's leaves, operators and junk.
+FUZZ_ALPHABET = "z12ci()+-*/^0379 onj.$\u00b2\u00a0\u0663\u00e9_\u200b"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(cli_expressions(), JUNK).map("".join),
+                 st.text(FUZZ_ALPHABET, max_size=40)))
+def test_parser_agrees_with_the_reference_on_generated_text(src):
+    assert _parsed(parse, src) == _parsed(_reference_parse, src)
