@@ -46,13 +46,13 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .deformation import paneitz_family_jet, torsion_potential
 from .harmonics import basis, canonicalize
-from .integration import (Groups, Sums, _groups, _integral, _pair_into, inner, moment_total,
-                          targets_of)
+from .integration import (Groups, Sums, Target, Weight, _groups, _integral, _pair_into, inner,
+                          moment_total, targets_of)
 from .operators import (CONJ_KOHN, KOHN, KOHN_SQUARES, LinOp, MulBy, PANEITZ,
                         SUBLAP, Z1, Z1BAR, ZERO_OP, _collect, _walk, _z1_nums, _z1bar_nums,
                         apply_Z1, apply_Z1bar, grad_op, kohn)
 from .scalars import ZERO, GaussianRational, ScalarLike
-from .spherepoly import SpherePoly
+from .spherepoly import Nums, SpherePoly
 
 
 class PreconditionError(ValueError):
@@ -103,6 +103,33 @@ def _weights(phi: SpherePoly, k: int) -> _Weights:
     treated as read-only.
     """
     return _weights_of(frozenset(phi.nums.items()), phi.den, k)
+
+
+#: Each side of H: its field kernel d, and whether it pairs with conj(w_k) (w_k if uniform phi).
+_SIDES = {"holomorphic": (_z1_nums, False), "antiholomorphic": (_z1bar_nums, True)}
+
+
+class _Gradient(NamedTuple):
+    """An element f's bidegree, and d f's numerators, also indexed by torus weight."""
+
+    bidegree: tuple[int, int] | None  # f's, if uniform
+    nums: Nums  # d f over f's own denominator
+    targets: dict[Weight, list[Target]]  # targets_of((nums,))
+
+
+@lru_cache(maxsize=256)
+def _gradient_of(nums: frozenset, den: int, side: str) -> _Gradient:
+    """f's bidegree and d f on a side of H, memoised per exact f and side.
+
+    f is keyed, as phi is in :func:`_weights`, on its canonical numerators
+    and denominator, so equal polynomials share an entry however they were
+    built; the side's field kernel (:data:`_SIDES`) gives d f's numerator
+    map over f's denominator, never wrapped as a polynomial or reduced.
+    The entries are shared between callers and treated as read-only.
+    """
+    f = SpherePoly._of(dict(nums), den)
+    df = _SIDES[side][0](f.nums)
+    return _Gradient(f.bidegree_if_uniform(), df, targets_of((df,)))
 
 
 def drift_operator(phi: SpherePoly) -> LinOp:
@@ -409,10 +436,6 @@ def _drift_square(phi: SpherePoly, rep: SpherePoly) -> GaussianRational:
     return value
 
 
-#: Each side of H: its field kernel d, and whether it pairs with conj(w_k) (w_k if uniform phi).
-_SIDES = {"holomorphic": (_z1_nums, False), "antiholomorphic": (_z1bar_nums, True)}
-
-
 def weighted_gradient_pairing(phi: SpherePoly, k: int, l: int, side: str,
                               f_k: SpherePoly, f_l: SpherePoly) -> GaussianRational:
     """integral of (k|phi|^2 - E conj(phi)) d(f_k) conj(d(f_l)) for uniform phi.
@@ -424,33 +447,40 @@ def weighted_gradient_pairing(phi: SpherePoly, k: int, l: int, side: str,
         (k + p1 - q1 - 4) * integral |phi|^2 |d f_k|^2
 
     when k = l; both laws are checked before returning, on every call.
-    f_k and f_l must lie in H_{k,0} and H_{l,0} ("holomorphic") or in
-    H_{0,k} and H_{0,l} ("antiholomorphic").  That is not checked: other
-    inputs give a value that means nothing, even when both laws hold.
-    Only the phi-only weights are memoised (per exact phi and k, in a
-    bounded cache, grouped by torus weight).  Both integrals are computed
-    anew for each pair on numerators alone: d f_k and d f_l are the field
-    kernels' numerator maps over each f's own denominator, never wrapped
-    as polynomials or reduced; d f_l is indexed by torus weight once, and
-    each integral is one :func:`crlab.integration._integral` pass that
-    never forms the product of its weight and d f_k.
+    f_k and f_l must have uniform bidegrees (k, 0) and (l, 0)
+    ("holomorphic") or (0, k) and (0, l) ("antiholomorphic"), else
+    :class:`PreconditionError`.  Such a polynomial is (anti)holomorphic,
+    hence harmonic, so this is exactly membership of a nonzero f_k and f_l
+    in H_{k,0} and H_{l,0} (or H_{0,k} and H_{0,l}).
+
+    Nothing per pair is memoised.  Per exact phi and k, the weights are
+    (:func:`_weights`); per exact element and side, its bidegree and d f
+    are (:func:`_gradient_of`): the field kernel's numerator map over f's
+    own denominator, and its torus-weight index.  Both caches are bounded.
+    Each integral is one :func:`crlab.integration._integral` pass, computed
+    anew on every call, that never forms the product of its weight and
+    d f_k.
     """
     weights = _weights(phi, k)
     if weights.bidegree is None:
         raise PreconditionError("phi must be bihomogeneous (uniform bidegree)")
     if side not in _SIDES:
         raise PreconditionError(f"side must be holomorphic|antiholomorphic, got {side!r}")
-    derivative, conj = _SIDES[side]
+    conj = _SIDES[side][1]
+    grad_k = _gradient_of(frozenset(f_k.nums.items()), f_k.den, side)
+    grad_l = _gradient_of(frozenset(f_l.nums.items()), f_l.den, side)
+    if (grad_k.bidegree, grad_l.bidegree) != (((0, k), (0, l)) if conj else ((k, 0), (l, 0))):
+        spaces = f"H_(0,{k}) and H_(0,{l})" if conj else f"H_({k},0) and H_({l},0)"
+        raise PreconditionError(f"{side} f_k and f_l must lie in {spaces}")
     p1, q1 = weights.bidegree
-    df_k = derivative(f_k.nums)
-    df_l = targets_of((derivative(f_l.nums),))
     den = f_k.den * f_l.den
-    value = _integral(weights.weight[conj], df_k, df_l, den * weights.weight_den)
+    value = _integral(weights.weight[conj], grad_k.nums, grad_l.targets, den * weights.weight_den)
     if k != l:
         if not value.is_zero():
             raise IdentityCheckError("cross-degree weighted pairing must vanish")
     else:
-        expected = _integral(weights.norm, df_k, df_l, den * weights.norm_den) * (k + p1 - q1 - 4)
+        expected = (_integral(weights.norm, grad_k.nums, grad_l.targets, den * weights.norm_den)
+                    * (k + p1 - q1 - 4))
         if value != expected:
             raise IdentityCheckError("diagonal weighted pairing disagrees with closed form")
     return value
@@ -485,6 +515,8 @@ def second_variation_decomposition(phi: SpherePoly, f: SpherePoly) -> SecondVari
     side and each k is one :func:`crlab.integration._integral` pass on the
     field kernels' numerators, with w_k and conj(w_k) grouped once per
     (phi, k) by the cache behind :func:`weighted_gradient_pairing`.  The
+    pieces and F are sums built per call, so their images are derived here
+    rather than memoised like basis elements' (:func:`_gradient_of`).  The
     left side is 2<D^2 f, f>, computed and checked as in
     :func:`drift_square_form` on f's canonical sum (f is split once, D built
     once and applied twice), plus the other (c, chain) parts of

@@ -139,6 +139,23 @@ def test_weighted_pairing_rejects_mixed_phi():
         weighted_gradient_pairing(z1, 1, 1, "sideways", z1, z1)
 
 
+@pytest.mark.parametrize("k, l, side, f_k, f_l", [
+    (2, 1, "holomorphic", z1, z1),  # f_k in H_(1,0), not H_(2,0)
+    (1, 2, "holomorphic", z1, z1),  # f_l in H_(1,0), not H_(2,0)
+    (1, 1, "antiholomorphic", z1, z1),  # the wrong side
+    (1, 1, "holomorphic", z1c, z1c),
+    (1, 1, "holomorphic", z1 + z2c, z1),  # mixed bidegree
+    (1, 1, "antiholomorphic", z1c, z1c + z1 * z1c),
+    (1, 1, "holomorphic", z1 * z1c, z1),  # uniform (1,1): not in H
+    (1, 1, "holomorphic", ZERO, z1),  # no bidegree
+])
+def test_weighted_pairing_rejects_f_outside_its_space(k, l, side, f_k, f_l):
+    # Raised again on a repeated call: the memo holds no exception.
+    for _ in range(2):
+        with pytest.raises(PreconditionError, match="must lie in"):
+            weighted_gradient_pairing(z1 * z2, k, l, side, f_k, f_l)
+
+
 def _pairings(phi):
     out = []
     for k in (1, 2):
@@ -174,6 +191,7 @@ def test_weighted_pairing_equals_a_weighted_inner_of_the_derivatives(rng):
     # scaled by rationals, keep every denominator of the integral off 1.
     sides = (("holomorphic", lambda d: basis(d, 0).elements, apply_Z1),
              ("antiholomorphic", lambda d: basis(0, d).elements, apply_Z1bar))
+    # Each pair is computed with a cold element memo, then again warm.
     nonzero = 0
     for p1, q1 in ((0, 0), (1, 0), (0, 1), (2, 1), (1, 2), (3, 0), (0, 3), (2, 2)):
         phi = random_bidegree_poly(rng, p1, q1).scale(gr(Fraction(1, 3), Fraction(2, 5)))
@@ -186,9 +204,12 @@ def test_weighted_pairing_equals_a_weighted_inner_of_the_derivatives(rng):
                     for _ in range(2):
                         fk = rng.choice(elements(k)).scale(Fraction(rng.randint(1, 9), 6))
                         fl = rng.choice(elements(l)).scale(Fraction(rng.randint(1, 9), 4))
-                        value = weighted_gradient_pairing(phi, k, l, side, fk, fl)
-                        assert value == inner(weight * field(fk), field(fl))
-                        nonzero += bool(value)
+                        expected = inner(weight * field(fk), field(fl))
+                        variation._gradient_of.cache_clear()
+                        cold = weighted_gradient_pairing(phi, k, l, side, fk, fl)
+                        warm = weighted_gradient_pairing(phi, k, l, side, fk, fl)
+                        assert cold == warm == expected
+                        nonzero += bool(cold)
     assert nonzero > 20
 
 
@@ -207,24 +228,67 @@ def test_weighted_pairing_checks_both_laws_with_a_wrong_potential(monkeypatch):
 
 
 def test_weighted_pairing_indexes_d_f_l_once(monkeypatch):
-    # Both integrals on the diagonal read one torus-weight index of d f_l.
-    from crlab import integration
+    # Each distinct (element, side) is differentiated and indexed by torus
+    # weight once, however many pairings read it.
+    kernels = {side: kernel for side, (kernel, _) in variation._SIDES.items()}
+    derived, indexed = [], []
 
-    f2 = basis(2, 0).elements[2]
-    original = integration.targets_of
-    calls = []
+    def counted(side):
+        def derivative(nums):
+            derived.append((frozenset(nums.items()), side))
+            return kernels[side](nums)
+        return derivative
 
-    def counted(ys):
-        calls.append(ys)
+    def counted_targets(ys):
+        ys = tuple(ys)
+        indexed.append(ys)
         return original(ys)
 
-    monkeypatch.setattr(integration, "targets_of", counted)
-    monkeypatch.setattr(variation, "targets_of", counted)
-    for k, l, side, fk, fl in ((1, 1, "holomorphic", z1, z1), (1, 2, "holomorphic", z1, f2),
-                               (2, 2, "antiholomorphic", f2.conj(), f2.conj())):
-        calls.clear()
-        weighted_gradient_pairing(z1, k, l, side, fk, fl)
-        assert len(calls) == 1
+    original = variation.targets_of
+    for side, (_, conj) in variation._SIDES.items():
+        monkeypatch.setitem(variation._SIDES, side, (counted(side), conj))
+    monkeypatch.setattr(variation, "targets_of", counted_targets)
+    variation._gradient_of.cache_clear()
+    sides = (("holomorphic", lambda d: basis(d, 0).elements),
+             ("antiholomorphic", lambda d: basis(0, d).elements))
+    pairings = 0
+    for _ in range(3):
+        for k in (1, 2, 3):
+            for l in (1, 2, 3):
+                for side, elements in sides:
+                    for fk in elements(k):
+                        for fl in elements(l):
+                            weighted_gradient_pairing(z1, k, l, side, fk, fl)
+                            pairings += 1
+    distinct = {(frozenset(f.nums.items()), side) for side, elements in sides
+                for d in (1, 2, 3) for f in elements(d)}
+    assert pairings > 10 * len(distinct)
+    assert len(derived) == len(indexed) == len(distinct) == len(set(derived))
+    assert set(derived) == distinct
+
+
+def test_element_memo_is_keyed_on_the_exact_polynomial():
+    variation._gradient_of.cache_clear()
+    for f in (SpherePoly.monomial((1, 1, 0, 0)), parse_poly("z1*z2"), z1 * z2):
+        weighted_gradient_pairing(z1, 2, 2, "holomorphic", f, f)
+    info = variation._gradient_of.cache_info()
+    assert (info.currsize, info.hits) == (1, 5)
+
+
+def test_element_memo_keeps_the_sides_apart():
+    variation._gradient_of.cache_clear()
+    f = z1 * z1c * z2  # both Z1 f and Z1bar f are nonzero
+    key = (frozenset(f.nums.items()), f.den)
+    holo = variation._gradient_of(*key, "holomorphic")
+    anti = variation._gradient_of(*key, "antiholomorphic")
+    assert variation._gradient_of.cache_info().currsize == 2
+    assert holo.nums == apply_Z1(f).nums and anti.nums == apply_Z1bar(f).nums
+    assert holo.nums != anti.nums
+
+
+def test_element_memo_is_bounded():
+    maxsize = variation._gradient_of.cache_info().maxsize
+    assert maxsize is not None and maxsize > 0
 
 
 # -- second-variation decomposition ------------------------------------------------------
