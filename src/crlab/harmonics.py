@@ -22,20 +22,22 @@ That sum, bucketed by bidegree, is the *canonical form* computed by
 :func:`canonicalize`; two polynomials restrict to the same function on S^3
 exactly when their canonical forms coincide (:func:`sphere_equal`).
 
-The decomposition is computed recursively: if f has bidegree (p, q) and
-Delta f = sum_j r^(2j) u_j, then the higher components of f are
-h_{j+1} = u_j / ((j+1)(p+q-j))  (from Delta(r^(2k) h) = k(p+q-k+1) r^(2k-2) h
-for h of bidegree (p-k, q-k)), and h_0 is whatever remains.  The recursion
-terminates after min(p, q) steps.
+The components come from the same weight strings, in one loop.  In
+u = |z1|^2 and v = |z2|^2 a weight-w part of bidegree (p, q) is a base
+monomial times a binary form F; the strings s_k of (p-k, q-k, w) share that
+base, and F = sum_k x_k (u+v)^k s_k.  At (u, v) = (1, -1) only x_0 s_0 is
+left, and (F - x_0 s_0) / (u+v) is the same problem one degree lower: exact
+integer steps, with no Laplacian, no recursion and no product with r^(2k).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
+from itertools import accumulate
+from math import gcd
 from typing import NamedTuple
 
-from .spherepoly import Monomial, Nums, SpherePoly, radius_sq
+from .spherepoly import Exponents, Monomial, Nums, SpherePoly, _add_into
 
 
 def flat_laplacian(x: SpherePoly) -> SpherePoly:
@@ -80,67 +82,45 @@ def basis(p: int, q: int) -> HarmonicBasis:
     monomial (see :func:`_weight_string`), ordered by that monomial.  This
     is the reduced-row-echelon kernel basis of the flat Laplacian
     P_{p,q} -> P_{p-1,q-1} under the lexicographic monomial order, term
-    order included, so the output is deterministic.  Each basis is built
-    once per process and shared (``functools.cache``); a rejected bidegree
-    or a failed rank check raises and caches nothing.
+    order included: the top monomial comes first in each term map, then the
+    others with c ascending, as RREF lists its pivot columns.  Each basis is
+    built once per process and shared (``functools.cache``); a rejected
+    bidegree raises and caches nothing.
     """
     if p < 0 or q < 0:
         raise ValueError("bidegrees must be nonnegative")
-    result = HarmonicBasis(p, q, tuple(_kernel_basis(p, q)))
-    if len(result.elements) != p + q + 1:
-        raise ArithmeticError(f"H_({p},{q}) kernel rank {len(result.elements)} != {p + q + 1}")
-    return result
+    strings = sorted((_weight_string(p, q, w) for w in range(-q, p + 1)), key=lambda s: s[0][-1])
+    return HarmonicBasis(p, q, tuple(
+        SpherePoly._of({monos[-1]: (nums[-1], 0), **{m: (x, 0) for m, x in zip(monos, nums[:-1])}},
+                       nums[-1])
+        for monos, nums in strings))
 
 
-def _kernel_basis(p: int, q: int) -> list[SpherePoly]:
-    """One :func:`_weight_string` per torus weight, ordered by top monomial."""
-    strings = [_weight_string(p, q, w) for w in range(-q, p + 1)]
-    return sorted(strings, key=lambda f: next(iter(f.nums)))
-
-
-def _weight_string(p: int, q: int, w: int) -> SpherePoly:
-    """The harmonic of bidegree (p, q) and torus weight w, top coefficient 1.
+@lru_cache(maxsize=256)
+def _weight_string(p: int, q: int, w: int) -> tuple[tuple[Exponents, ...], tuple[int, ...]]:
+    """The harmonic of bidegree (p, q) and torus weight w, as integer numerators.
 
     The weight-w monomials are m_c = (c+w, p-c-w, c, q-c) for c in
     lo..hi = max(0, -w)..min(q, p-w), and the Laplacian sends sum x_c m_c to
     zero exactly when (c+1)(c+1+w) x_{c+1} + (p-c-w)(q-c) x_c = 0; every
     factor is nonzero on that range, so the kernel is one-dimensional.  Over
     D = prod_{lo<=k<hi} (p-k-w)(q-k), x_c has the integer numerator
-    prod_{lo<=k<c} (p-k-w)(q-k) * prod_{c<=k<hi} -(k+1)(k+1+w).  The top
-    monomial (largest c, lex-largest) comes first in the term map, then the
-    others with c ascending, as RREF lists its pivot columns.
+    prod_{lo<=k<c} (p-k-w)(q-k) * prod_{c<=k<hi} -(k+1)(k+1+w): the signs
+    alternate.  Returns the monomials and the numerators over their gcd, c
+    ascending, so the last numerator is the denominator.
     """
     lo, hi = max(0, -w), min(q, p - w)
     downward = [1]  # downward[hi - c] = prod_{c<=k<hi} -(k+1)(k+1+w)
     for c in range(hi - 1, lo - 1, -1):
         downward.append(downward[-1] * -(c + 1) * (c + 1 + w))
-    rest: Nums = {}
-    den = 1  # prod_{lo<=k<c} (p-k-w)(q-k), D once the loop ends
-    for c in range(lo, hi):
-        rest[(c + w, p - c - w, c, q - c)] = (den * downward[hi - c], 0)
-        den *= (p - c - w) * (q - c)
-    return SpherePoly._of({(hi + w, p - hi - w, hi, q - hi): (den, 0), **rest}, den)
-
-
-def solid_decomposition(f: SpherePoly, p: int, q: int) -> list[tuple[int, SpherePoly]]:
-    """Write bihomogeneous f of bidegree (p,q) as sum of r^(2k) h_k exactly.
-
-    Returns [(k, h_k)] with h_k in H_{p-k,q-k}; the polynomial identity
-    f = sum r^(2k) h_k holds, not just the sphere restriction.
-    """
-    if p == 0 or q == 0:
-        return [(0, f)] if not f.is_zero() else []
-    lap = flat_laplacian(f)
-    if lap.is_zero():
-        return [(0, f)] if not f.is_zero() else []
-    higher: list[tuple[int, SpherePoly]] = []
-    remainder = f
-    for j, u in solid_decomposition(lap, p - 1, q - 1):  # each j once
-        k = j + 1
-        h = u.scale(Fraction(1, k * (p + q - j)))
-        higher.append((k, h))
-        remainder = remainder - radius_sq ** k * h
-    return higher if remainder.is_zero() else [(0, remainder)] + higher
+    nums = []
+    upward = 1  # prod_{lo<=k<c} (p-k-w)(q-k)
+    for c in range(lo, hi + 1):
+        nums.append(upward * downward[hi - c])
+        upward *= (p - c - w) * (q - c)
+    g = gcd(*nums)
+    return (tuple((c + w, p - c - w, c, q - c) for c in range(lo, hi + 1)),
+            tuple(x // g for x in nums))
 
 
 def canonicalize(x: SpherePoly) -> dict[tuple[int, int], SpherePoly]:
@@ -151,17 +131,43 @@ def canonicalize(x: SpherePoly) -> dict[tuple[int, int], SpherePoly]:
     :func:`sphere_equal`, and applying it to any single component returns
     that component unchanged.
     """
-    out: dict[tuple[int, int], SpherePoly] = {}
-    for (p, q), piece in x.bigraded_components().items():
-        for k, h in solid_decomposition(piece, p, q):
-            key = (p - k, q - k)
-            acc = out.get(key)
-            total = h if acc is None else acc + h
-            if total.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = total
-    return out
+    parts: dict[tuple[int, int], tuple[Nums, int]] = {}  # each (p, q): numerators, denominator
+    strings: dict[tuple[int, int, int, int], dict[int, tuple[int, int]]] = {}  # (w, p-q, p, q)
+    for mono, pair in x.nums.items():
+        a, b, c, d = mono
+        if a * c or b * d:
+            strings.setdefault((a - c, a + b - c - d, a + b, c + d), {})[c] = pair
+        else:  # the Laplacian kills it: a weight string of one monomial
+            parts.setdefault((a + b, c + d), ({}, x.den))[0][mono] = pair
+    # sorted: inputs that share the strings (p-k, q-k, w) come together, p rising, so each
+    # string stays cached while it is used
+    for (w, _, p, q), coeffs in sorted(strings.items()):
+        lo, hi = max(0, -w), min(q, p - w)
+        re, im = map(list, zip(*(coeffs.get(c, (0, 0)) for c in range(lo, hi + 1))))
+        den = x.den
+        for k in range(hi - lo):
+            monos, nums = _weight_string(p - k, q - k, w)
+            odd = len(nums) % 2  # u^i v^(n-i) is +1 at (1, -1) on i = n, n-2, ...
+            vr = sum(re[1 - odd::2]) - sum(re[odd::2])
+            vi = sum(im[1 - odd::2]) - sum(im[odd::2])
+            if vr or vi:  # x_k = (vr + vi*i) / sigma; the N_c alternate, so sigma = sum |N_c|
+                sigma = sum(nums[1 - odd::2]) - sum(nums[odd::2])
+                den *= sigma
+                term = {m: (vr * t, vi * t) for m, t in zip(monos, nums)}
+                parts[p - k, q - k] = _add_into(*parts.get((p - k, q - k), ({}, 1)), term, den)
+                re = [sigma * r - vr * t for r, t in zip(re, nums)]
+                im = [sigma * s - vi * t for s, t in zip(im, nums)]
+            # the rest vanishes at (1, -1); divide it by u + v: q_0 = g_0, q_i = g_i - q_(i-1)
+            re, im = (list(accumulate(row[:-1], lambda prev, g: g - prev)) for row in (re, im))
+            g = gcd(den, *re, *im)
+            if g > 1:
+                re, im, den = [r // g for r in re], [s // g for s in im], den // g
+        if re[0] or im[0]:  # what is left: the base monomial, of bidegree (p-n, q-n)
+            key = (p - hi + lo, q - hi + lo)
+            term = {(lo + w, p - hi - w, lo, q - hi): (re[0], im[0])}
+            parts[key] = _add_into(*parts.get(key, ({}, 1)), term, den)
+    out = {key: SpherePoly._of(nums, den, summed=True) for key, (nums, den) in parts.items()}
+    return {key: part for key, part in out.items() if part.nums}
 
 
 def canonical_form(x: SpherePoly) -> SpherePoly:

@@ -229,14 +229,6 @@ class SpherePoly:
 
     # -- gradings ------------------------------------------------------------
 
-    def bigraded_components(self) -> dict[tuple[int, int], "SpherePoly"]:
-        """Split into canonical pieces of uniform bidegree (p, q).  Pieces sum to self."""
-        buckets: dict[tuple[int, int], Nums] = {}
-        for mono, pair in self.nums.items():
-            a, b, c, d = mono
-            buckets.setdefault((a + b, c + d), {})[mono] = pair
-        return {key: SpherePoly._of(nums, self.den) for key, nums in buckets.items()}
-
     def bidegree_if_uniform(self) -> tuple[int, int] | None:
         """The bidegree if every term shares one, else None."""
         degrees = {(a + b, c + d) for a, b, c, d in self.nums}

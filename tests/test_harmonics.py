@@ -1,15 +1,18 @@
 """Harmonic bases, canonicalization and the Burns-Epstein verdict."""
 
+import inspect
+import random
+import sys
 from fractions import Fraction
 
 import pytest
 import sympy
 
 from crlab import (SpherePoly, basis, be_check, canonical_form, canonicalize,
-                   flat_laplacian, gr, inner, one, radius_sq, sphere_equal,
+                   flat_laplacian, gr, inner, one, parse_poly, radius_sq, sphere_equal,
                    sublap, z1, z1c, z2, z2c)
-from crlab.harmonics import bidegree_monomials, solid_decomposition
-from conftest import SPHERE_POINTS, random_poly
+from crlab.harmonics import bidegree_monomials
+from conftest import SPHERE_POINTS, random_poly, random_scalar
 
 ZERO = SpherePoly.zero()
 
@@ -109,6 +112,42 @@ def test_canonicalize_examples():
     assert canonicalize(z1 * radius_sq) == {(1, 0): z1}
 
 
+def solid_decomposition(f, p, q):
+    """Reference split of bihomogeneous f of bidegree (p, q): [(k, h_k)], f = sum r^(2k) h_k.
+
+    The recursive route through the flat Laplacian: if Delta f = sum_j
+    r^(2j) u_j, then h_(j+1) = u_j / ((j+1)(p+q-j)), from
+    Delta(r^(2k) h) = k(p+q-k+1) r^(2k-2) h for h in H_(p-k,q-k), and h_0
+    is what remains.  It recurses min(p, q) deep.
+    """
+    if p == 0 or q == 0:
+        return [(0, f)] if not f.is_zero() else []
+    lap = flat_laplacian(f)
+    if lap.is_zero():
+        return [(0, f)] if not f.is_zero() else []
+    higher = []
+    remainder = f
+    for j, u in solid_decomposition(lap, p - 1, q - 1):
+        k = j + 1
+        h = u.scale(Fraction(1, k * (p + q - j)))
+        higher.append((k, h))
+        remainder = remainder - radius_sq ** k * h
+    return higher if remainder.is_zero() else [(0, remainder)] + higher
+
+
+def reference_canonicalize(x):
+    """canonicalize by :func:`solid_decomposition` of each bidegree piece of x."""
+    pieces = {}
+    for mono, coeff in x.terms.items():
+        key = (mono.a + mono.b, mono.c + mono.d)
+        pieces[key] = pieces.get(key, ZERO) + SpherePoly.monomial(mono, coeff)
+    out = {}
+    for (p, q), piece in pieces.items():
+        for k, h in solid_decomposition(piece, p, q):
+            out[(p - k, q - k)] = out.get((p - k, q - k), ZERO) + h
+    return {key: h for key, h in out.items() if not h.is_zero()}
+
+
 def test_solid_decomposition_is_an_exact_polynomial_identity(rng):
     for _ in range(10):
         p, q = rng.randint(1, 3), rng.randint(1, 3)
@@ -122,6 +161,42 @@ def test_solid_decomposition_is_an_exact_polynomial_identity(rng):
             assert flat_laplacian(h).is_zero()
             total = total + (radius_sq ** k) * h
         assert total == f
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_canonicalize_agrees_with_the_recursive_reference(seed):
+    rng = random.Random(seed)
+    for _ in range(25):
+        x = random_poly(rng, 6, 6, terms=rng.randint(1, 12))
+        assert canonicalize(x) == reference_canonicalize(x)
+    for p in range(7):
+        for q in range(7):
+            x = SpherePoly({m: random_scalar(rng) for m in bidegree_monomials(p, q)})
+            assert canonicalize(x) == reference_canonicalize(x), (p, q)
+
+
+def test_canonical_components_rebuild_a_bihomogeneous_input_exactly(rng):
+    # sum over canonicalize(f) of r^(p+q-p'-q') h_(p',q') == f as polynomials
+    for p in range(7):
+        for q in range(7):
+            f = SpherePoly({m: random_scalar(rng) for m in rng.sample(
+                bidegree_monomials(p, q), rng.randint(1, (p + 1) * (q + 1)))})
+            total = ZERO
+            for (pp, qq), h in canonicalize(f).items():
+                assert flat_laplacian(h).is_zero() and p - pp == q - qq >= 0
+                total = total + radius_sq ** (p - pp) * h
+            assert total == f, (p, q)
+
+
+def test_canonicalize_needs_no_recursion_that_grows_with_degree():
+    f = parse_poly("((z1*z1c)^16)^8")  # bidegree (128, 128): the reference recurses 128 deep
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 60)
+    try:
+        parts = canonicalize(f)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert sorted(parts) == [(k, k) for k in range(129)]
 
 
 def test_canonicalize_is_a_projection(rng):

@@ -41,27 +41,6 @@ def test_unit_modulus_coefficient():
     assert phi * phi.conj() == z2 * z2c
 
 
-def test_bigraded_split_examples():
-    parts = (z1 + z1 * z1c + one).bigraded_components()
-    assert set(parts) == {(1, 0), (1, 1), (0, 0)}
-    assert parts[(1, 1)] == z1 * z1c
-
-
-def test_decompositions_sum_to_whole(rng):
-    for _ in range(20):
-        x = random_poly(rng)
-        total = SpherePoly.zero()
-        for piece in x.bigraded_components().values():
-            total = total + piece
-        assert total == x
-
-
-def test_decompositions_are_idempotent_projections(rng):
-    x = random_poly(rng)
-    for key, piece in x.bigraded_components().items():
-        assert piece.bigraded_components() == {key: piece}
-
-
 def test_conjugation_is_ring_involution(rng):
     for _ in range(10):
         x, y = random_poly(rng), random_poly(rng)
@@ -91,7 +70,6 @@ def test_high_degree_arithmetic_stays_exact():
 
 def test_radius_polynomial_is_real_and_grade_zero():
     assert radius_sq.conj() == radius_sq
-    assert radius_sq.bigraded_components() == {(1, 1): radius_sq}
 
 
 def test_scale_and_zero_purge():
@@ -197,8 +175,7 @@ def assert_canonical(poly: SpherePoly):
 def test_every_result_is_canonical(x, y, c):
     results = [x, x + y, x - y, x - x, x * y, x * (x - x), x.scale(c), x.scale(0), -x,
                x.conj(), x ** 3, apply_Z1(x), apply_Z1bar(x), apply_T(x), KOHN(x),
-               flat_laplacian(x), *x.bigraded_components().values(),
-               SpherePoly.summed([x, y, -x, y.scale(c)])]
+               flat_laplacian(x), SpherePoly.summed([x, y, -x, y.scale(c)])]
     for poly in results:
         assert_canonical(poly)
 
