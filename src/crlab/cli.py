@@ -43,7 +43,7 @@ from .parsing import EvaluationError, ParseError, parse_poly
 from .report import Report
 from .scalars import GaussianRational
 from .spherepoly import SpherePoly, one
-from .variation import (POSITIVE_DEFINITE, assemble_form, classify,
+from .variation import (MAX_VARIATION_PMAX, POSITIVE_DEFINITE, assemble_form, classify,
                         IdentityCheckError, PreconditionError, first_variation,
                         second_variation)
 
@@ -55,7 +55,6 @@ _OPERATORS = {
 }
 
 MAX_BIDEGREE = 8
-MAX_VARIATION_PMAX = 24
 MAX_PHI_DEGREE = 48
 
 

@@ -33,6 +33,11 @@ sign of the second variation to the Burns-Epstein condition.
 Everything here is verified two ways: these closed forms, and the
 independent truncated-expansion route in :mod:`crlab.deformation`
 (:func:`variations_from_jets`).
+
+Each exact phi's second variation is built once per process, in a bounded
+cache, so a ladder of forms at growing pmax shares one operator.  Forms,
+their entries and verdicts are never cached: every form is paired and
+checked to be Hermitian anew, and every classification eliminates anew.
 """
 
 from __future__ import annotations
@@ -69,6 +74,9 @@ NEGATIVE_DEFINITE = "negative-definite"
 NEGATIVE_SEMIDEFINITE = "negative-semidefinite"
 INDEFINITE = "indefinite"
 ZERO_FORM = "zero"
+
+#: The largest k of the H_(k,0) and H_(0,k) a form is assembled over.
+MAX_VARIATION_PMAX = 24
 
 
 class _Weights(NamedTuple):
@@ -186,12 +194,25 @@ def _second_variation_parts(phi: SpherePoly) -> list[tuple[ScalarLike, tuple[Lin
     ]
 
 
-def second_variation(phi: SpherePoly) -> LinOp:
-    """d^2/dt^2 of the deformed Paneitz operator at t = 0."""
+@lru_cache(maxsize=32)
+def _second_variation_of(nums: frozenset, den: int) -> LinOp:
+    phi = SpherePoly._of(dict(nums), den)
     d_op = drift_operator(phi)
     parts = _second_variation_parts(phi)
     parts.insert(2, (2, (d_op, d_op)))
     return _combination((c, reduce(matmul, chain)) for c, chain in parts)
+
+
+def second_variation(phi: SpherePoly) -> LinOp:
+    """d^2/dt^2 of the deformed Paneitz operator at t = 0, built once per exact phi.
+
+    The bounded cache is keyed, as :func:`_weights` is, on phi's canonical
+    numerators and denominator, so equal polynomials share one operator
+    however they were built.  The operator is shared between callers and
+    read-only: its ``terms`` are a read-only mapping, and its plan only
+    keeps restrictions.  No form or verdict built from it is cached.
+    """
+    return _second_variation_of(frozenset(phi.nums.items()), phi.den)
 
 
 def variations_from_jets(phi: SpherePoly) -> tuple[LinOp, LinOp]:
@@ -310,11 +331,11 @@ def assemble_form(op: LinOp, pmax: int) -> HermitianForm:
     own; none is filled in by symmetry, and every assembled form is checked
     to be Hermitian: a failed conjugate-symmetry check is an error, which
     is how the "the variation operators are real" claims are asserted.  A
-    basis element outside H_(k,0) and H_(0,k), k >= 1, is a
-    :class:`PreconditionError`.
+    pmax outside 1..MAX_VARIATION_PMAX, or a basis element outside
+    H_(k,0) and H_(0,k), k >= 1, is a :class:`PreconditionError`.
     """
-    if pmax < 1:
-        raise PreconditionError("pmax must be >= 1")
+    if not 1 <= pmax <= MAX_VARIATION_PMAX:
+        raise PreconditionError(f"pmax must lie in 1..{MAX_VARIATION_PMAX}")
     elements = pluriharmonic_basis(pmax)
     form = HermitianForm(elements, tuple(_rows(op, elements)))
     if not form.is_hermitian():

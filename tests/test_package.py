@@ -39,24 +39,32 @@ def test_no_module_imports_dataclasses():
     assert [file for file, name in _absolute_imports() if name == "dataclasses"] == []
 
 
+def _modules():
+    """(module name, syntax tree) for every module of the package."""
+    for path in sorted(Path(crlab.__file__).parent.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(), str(path))
+
+
+def _functions(node, prefix):
+    """(prefix + qualname, node) for every function defined under node, at any depth."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not isinstance(child, ast.ClassDef):
+                yield f"{prefix}{child.name}", child
+            yield from _functions(child, f"{prefix}{child.name}.")
+
+
 def _self_calling_functions():
     """module.qualname of each package function that calls itself by name or as self.<name>."""
-    def visit(node, module, prefix):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                yield from visit(child, module, f"{prefix}{child.name}.")
-            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                name = child.name
-                if any(isinstance(call, ast.Call) and (
-                        isinstance(call.func, ast.Name) and call.func.id == name
-                        or isinstance(call.func, ast.Attribute) and call.func.attr == name
-                        and isinstance(call.func.value, ast.Name) and call.func.value.id == "self")
-                       for call in ast.walk(child)):
-                    yield f"{module}.{prefix}{name}"
-                yield from visit(child, module, f"{prefix}{name}.")
-
-    for path in sorted(Path(crlab.__file__).parent.glob("*.py")):
-        yield from visit(ast.parse(path.read_text(), str(path)), path.stem, "")
+    for module, tree in _modules():
+        for qualname, func in _functions(tree, f"{module}."):
+            name = func.name
+            if any(isinstance(call, ast.Call) and (
+                    isinstance(call.func, ast.Name) and call.func.id == name
+                    or isinstance(call.func, ast.Attribute) and call.func.attr == name
+                    and isinstance(call.func.value, ast.Name) and call.func.value.id == "self")
+                   for call in ast.walk(func)):
+                yield qualname
 
 
 def test_no_recursion_grows_with_input_degree():
@@ -66,3 +74,53 @@ def test_no_recursion_grows_with_input_degree():
     assert set(_self_calling_functions()) == {
         "parsing._Parser.parse_factor", "report.encode_witness", "report._json",
         "report._approximate"}
+
+
+def _memoised_functions():
+    """({module.qualname: maxsize} of the functools memos, [module:line of any other use]).
+
+    A function decorated with ``functools.cache``, or with ``lru_cache``
+    without an integer maxsize, reads as maxsize None.
+    """
+    found, stray = {}, []
+    for module, tree in _modules():
+        local = {alias.asname or alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module == "functools"
+                 for alias in node.names if alias.name in ("cache", "lru_cache")}
+
+        def is_memo(node):
+            return (isinstance(node, ast.Name) and node.id in local
+                    or isinstance(node, ast.Attribute) and node.attr in ("cache", "lru_cache")
+                    and isinstance(node.value, ast.Name) and node.value.id == "functools")
+
+        decorators = set()
+        for qualname, func in _functions(tree, f"{module}."):
+            for decorator in func.decorator_list:
+                call = decorator if isinstance(decorator, ast.Call) else None
+                if not is_memo(call.func if call else decorator):
+                    continue
+                decorators.add(call.func if call else decorator)
+                sizes = []
+                if call:
+                    sizes = call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"]
+                found[qualname] = next((size.value for size in sizes
+                                        if isinstance(size, ast.Constant)
+                                        and type(size.value) is int), None)
+        stray += [f"{module}:{node.lineno}" for node in ast.walk(tree)
+                  if is_memo(node) and node not in decorators]
+    return found, stray
+
+
+def test_only_the_allowlisted_memos_are_unbounded():
+    # A process-wide memo that never evicts grows with every distinct input.
+    # Only two may: the harmonic basis, one entry per bidegree asked for, and
+    # the argument parser, which takes no arguments.  Every other memo has an
+    # integer maxsize, and a memo added or resized shows up here as a diff.
+    found, stray = _memoised_functions()
+    assert stray == []
+    assert {name for name, size in found.items() if size is None} <= {
+        "harmonics.basis", "cli.build_parser"}
+    assert found == {
+        "cli.build_parser": None, "harmonics.basis": None, "harmonics._weight_string": 256,
+        "variation._weights_of": 128, "variation._gradient_of": 256,
+        "variation._second_variation_of": 32}

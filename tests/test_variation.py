@@ -11,10 +11,10 @@ from crlab import (KOHN, GaussianRational, IdentityCheckError, PreconditionError
                    second_variation_decomposition, sphere_equal,
                    torsion_potential, variations_from_jets,
                    weighted_gradient_pairing, z1, z1c, z2, z2c)
-from crlab.operators import PANEITZ, LinOp
+from crlab.operators import PANEITZ, ZERO_OP, LinOp
 from crlab.variation import (INDEFINITE, NEGATIVE_DEFINITE, NEGATIVE_SEMIDEFINITE,
                              POSITIVE_DEFINITE, POSITIVE_SEMIDEFINITE, ZERO_FORM)
-from conftest import (dense_form, random_bidegree_poly, random_pluriharmonic,
+from conftest import (dense_form, load_bench, random_bidegree_poly, random_pluriharmonic,
                       random_poly, same_operator_on_sphere)
 
 ZERO = SpherePoly.zero()
@@ -60,6 +60,52 @@ def test_second_variation_constant_family_values():
 def test_second_variation_of_zero_is_zero(rng):
     op = second_variation(ZERO)
     assert op(random_poly(rng, 2, 2)).is_zero()
+
+
+def test_second_variation_is_built_once_per_exact_phi():
+    # Equal polynomials share one operator however they were built; any other
+    # phi, including phi's numerators over another denominator, gets its own.
+    phi = z1 ** 4 + z1c * z2
+    op = second_variation(parse_poly("z1^4 + z1c*z2"))
+    assert second_variation(phi) is op
+    halved = phi.scale(Fraction(1, 2))
+    assert (halved.nums, halved.den) == (phi.nums, 2)
+    others = [second_variation(other) for other in (halved, z1 ** 4, phi.conj())]
+    assert len({id(op)} | {id(other) for other in others}) == 4
+    assert all(other.terms != op.terms for other in others)
+
+
+def test_second_variation_cache_is_bounded():
+    maxsize = variation._second_variation_of.cache_info().maxsize
+    assert isinstance(maxsize, int) and 0 < maxsize <= 64
+
+
+def test_cached_second_variation_is_read_only():
+    op = second_variation(z1 * z2c)
+    assert second_variation(z1 * z2c) is op
+    with pytest.raises(TypeError):
+        op.terms[("Z1",)] = one
+
+
+def test_cached_second_variation_gives_the_forms_of_a_fresh_one():
+    # Every variation-forms phi at pmax 6: the shared operator, already
+    # applied and assembled at a smaller pmax, pairs and classifies exactly
+    # as one built after the cache is emptied.
+    cases = load_bench("workloads").build_cases("variation-forms", 0)
+    sources = {case.payload[case.payload.index("--phi") + 1] for case in cases}
+    assert len(sources) == 6
+    for src in sorted(sources):
+        phi = parse_poly(src)
+        warm = second_variation(phi)
+        warm(z1 ** 2 + z2c)
+        assemble_form(warm, 2)
+        assert second_variation(parse_poly(src)) is warm
+        variation._second_variation_of.cache_clear()
+        fresh = second_variation(phi)
+        assert fresh is not warm and fresh.terms == warm.terms
+        warm_form, fresh_form = assemble_form(warm, 6), assemble_form(fresh, 6)
+        assert warm_form.entries == fresh_form.entries
+        assert classify(warm_form) == classify(fresh_form)
 
 
 def test_variation_operators_bundle():
@@ -213,18 +259,24 @@ def test_weighted_pairing_equals_a_weighted_inner_of_the_derivatives(rng):
     assert nonzero > 20
 
 
-def test_weighted_pairing_checks_both_laws_with_a_wrong_potential(monkeypatch):
+@pytest.fixture
+def cold_memos():
+    """Empties variation's memo caches before and after a test that patches what they read."""
+    memos = (variation._weights_of, variation._gradient_of, variation._second_variation_of)
+    for memo in memos:
+        memo.cache_clear()
+    yield
+    for memo in memos:
+        memo.cache_clear()
+
+
+def test_weighted_pairing_checks_both_laws_with_a_wrong_potential(monkeypatch, cold_memos):
     f2 = basis(2, 0).elements[2]  # z1^2
-    variation._weights_of.cache_clear()
-    try:
-        with monkeypatch.context() as m:
-            m.setattr(variation, "torsion_potential", lambda phi: phi.scale(5) + phi * z1c)
-            with pytest.raises(IdentityCheckError, match="cross-degree"):
-                weighted_gradient_pairing(z1, 2, 1, "holomorphic", f2, z1)
-            with pytest.raises(IdentityCheckError, match="diagonal"):
-                weighted_gradient_pairing(z1, 1, 1, "holomorphic", z1, z1)
-    finally:
-        variation._weights_of.cache_clear()
+    monkeypatch.setattr(variation, "torsion_potential", lambda phi: phi.scale(5) + phi * z1c)
+    with pytest.raises(IdentityCheckError, match="cross-degree"):
+        weighted_gradient_pairing(z1, 2, 1, "holomorphic", f2, z1)
+    with pytest.raises(IdentityCheckError, match="diagonal"):
+        weighted_gradient_pairing(z1, 1, 1, "holomorphic", z1, z1)
 
 
 def test_weighted_pairing_indexes_d_f_l_once(monkeypatch):
@@ -312,8 +364,9 @@ def test_decomposition_zero_deformation():
     assert split.value.is_zero() and split.lower_bound.is_zero() and split.drift_part.is_zero()
 
 
-def test_decomposition_builds_and_applies_the_drift_once(monkeypatch):
-    # 2<D^2 f, f> comes from drift_square_form alone: one D, applied to f and to D f.
+def test_decomposition_builds_and_applies_the_drift_once(monkeypatch, cold_memos):
+    # 2<D^2 f, f> comes from drift_square_form alone: one D, applied to f and
+    # to D f.  The whole second variation is never built.
     built, applied = [], []
 
     class CountedOp(LinOp):
@@ -332,6 +385,7 @@ def test_decomposition_builds_and_applies_the_drift_once(monkeypatch):
     monkeypatch.setattr(variation, "drift_operator", counted)
     split = second_variation_decomposition(z1 ** 4 + z1c * z2, z1 + z2c + z1 ** 2)
     assert (len(built), len(applied)) == (1, 2)
+    assert variation._second_variation_of.cache_info().misses == 0
     assert split.value == split.lower_bound + split.drift_part
     assert not split.drift_part.is_zero()
 
@@ -647,6 +701,18 @@ def test_constant_family_form_is_negative_at_low_degree():
 def test_assemble_form_requires_positive_pmax():
     with pytest.raises(PreconditionError):
         assemble_form(KOHN, 0)
+
+
+def test_assemble_form_bounds_pmax_at_both_edges():
+    # Both edges of 1..MAX_VARIATION_PMAX are accepted (H up to degree pmax
+    # has pmax(pmax+3) basis elements), and the value past each is refused.
+    top = variation.MAX_VARIATION_PMAX
+    for pmax in (1, top):
+        form = assemble_form(ZERO_OP, pmax)
+        assert form.dimension == pmax * (pmax + 3) and form.is_zero()
+    for pmax in (0, top + 1):
+        with pytest.raises(PreconditionError, match=rf"^pmax must lie in 1\.\.{top}$"):
+            assemble_form(ZERO_OP, pmax)
 
 
 def test_assemble_form_matches_dense_inner_oracle(rng):
