@@ -47,9 +47,16 @@ are the same kernels followed by one gcd.)
   u_m = Z1^m f (m >= 0) or Z1bar^|m| f (m < 0), found by walking the
   word's letters through the restriction rules, so the plan also gives
   A's restriction there, sum over m of C_m u_m.  ``A(f)`` for f in some
-  H_{p,q} builds the u_m and adds C_m u_m, with no word's own image, and
+  H_{p,q} adds C_m u_m, with no word's own image, and
   :func:`crlab.assemble_form` pairs each row on H_{k,0} and H_{0,k} with
-  the C_m without building A(f_i) at all.
+  the C_m without building A(f_i) at all.  Both read the u_m off f's
+  field chains, Z1^j f and Z1bar^j f, in one bounded memo keyed on f's
+  content key (:func:`crlab.spherepoly._content_key`, taken once per
+  instance) and grown one kernel call at a time by :func:`_walk` only
+  past what an earlier caller built: each u_m of an element is built
+  once per process, whichever operator, form or weighted pairing (whose
+  d f is step 1 of the chain) asks for it.  Only the chains are kept;
+  no image A(f) is.
 * ``A(f)`` for any other f applies each word to f letter by letter, last
   letter first, up to the first zero image, and adds the word's
   coefficient times that image with the polynomial product's kernel, into
@@ -62,6 +69,7 @@ are the same kernels followed by one gcd.)
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from math import lcm
 from types import MappingProxyType
@@ -70,7 +78,7 @@ from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 from .harmonics import _laplacian_nums, basis
 from .integration import inner
 from .scalars import ZERO, GaussianRational, ScalarLike, _make
-from .spherepoly import Nums, SpherePoly, _mul_into
+from .spherepoly import ContentKey, Nums, SpherePoly, _content_key, _mul_into
 
 
 # Field kernels: each maps a numerator map to the numerators of the field's
@@ -222,18 +230,34 @@ class _Plan:
         return out
 
 
-def _walk(terms: Iterable[tuple[int, _Coeff]], nums: Nums) -> Iterator[tuple[_Coeff, Nums]]:
-    """(C_m, u_m) for each (m, C_m) of a restriction, in order, with u_0 = nums.
+@lru_cache(maxsize=1024)
+def _chains_of(key: ContentKey) -> tuple[dict[int, Nums], dict[int, Nums]]:
+    """The field chains {j: Z1^j f} and {j: Z1bar^j f} of the f with this content key.
 
-    Each u_m (Z1^m u_0 for m >= 0, Z1bar^|m| u_0 for m < 0) is built once,
-    outward from u_0, one field-kernel call per step.
+    Each starts as {0: f's numerators}; :func:`_walk` extends it.
     """
-    raised, lowered = [nums], [nums]  # Z1^j u_0 and Z1bar^j u_0
+    nums = dict(key[0])
+    return {0: nums}, {0: nums}
+
+
+def _walk(terms: Iterable[tuple[int, _Coeff]], key: ContentKey) -> Iterator[tuple[_Coeff, Nums]]:
+    """(C_m, u_m) for each (m, C_m) of a restriction, in order, u_0 the f keyed by key.
+
+    Each u_m (Z1^m f for m >= 0, Z1bar^|m| f for m < 0) is read from f's
+    field chains (:func:`_chains_of`, a bounded memo keyed on f's content),
+    which are extended outward, one field-kernel call per step, only past
+    what an earlier walk built: each u_m of an element is built once per
+    process.  A step is stored under its index and computed from the step
+    below, so walks that overlap can only store equal images.  The images
+    are numerator maps over f's denominator, shared between callers and
+    treated as read-only.
+    """
+    raised, lowered = _chains_of(key)
     for m, coeff in terms:
-        chain, kernel = (raised, _z1_nums) if m >= 0 else (lowered, _z1bar_nums)
-        while len(chain) <= abs(m):
-            chain.append(kernel(chain[-1]))
-        yield coeff, chain[abs(m)]
+        chain, kernel, j = (raised, _z1_nums, m) if m >= 0 else (lowered, _z1bar_nums, -m)
+        for i in range(len(chain), j + 1):
+            chain[i] = kernel(chain[i - 1])
+        yield coeff, chain[j]
 
 
 def _harmonic_bidegree(nums: Nums) -> tuple[int, int] | None:
@@ -300,9 +324,11 @@ class LinOp:
         """The sum over words w of coeff_w * w(poly).
 
         On a nonzero poly in some H_{p,q} (:func:`_harmonic_bidegree`) that
-        sum is sum_m C_m u_m (:meth:`_Plan.restriction`), so each u_m is
-        built once, outward from u_0 = poly, with at most p+q field-kernel
-        calls in all, and each nonzero C_m is multiplied in once.  On any
+        sum is sum_m C_m u_m (:meth:`_Plan.restriction`), and each nonzero
+        C_m is multiplied in once.  The u_m come from poly's field chains
+        (:func:`_walk`), keyed on its content only after the membership
+        test: at most p+q field-kernel calls, and none for the steps an
+        earlier call on an equal polynomial built.  On any
         other poly each word applies its letters' field kernels, last letter
         first, up to the first zero image, and a nonzero image is multiplied
         by the word's coefficient.  Either way the numerators (the
@@ -325,7 +351,7 @@ class LinOp:
                 if image:
                     count += _mul_into(out, coeff_nums, image)
         else:
-            for coeff_nums, image in _walk(plan.restriction(*bidegree), nums):
+            for coeff_nums, image in _walk(plan.restriction(*bidegree), _content_key(poly)):
                 count += _mul_into(out, coeff_nums, image)
         return SpherePoly._of(out, plan.den * poly.den, len(out) < count)
 

@@ -69,14 +69,16 @@ class SpherePoly:
     ``(re + im*i) / den``, and ``den`` is a positive integer.  The form is
     canonical: no pair is ``(0, 0)``, and ``den`` and all numerators have
     gcd 1 (zero is ``{}`` over 1), so equal polynomials have equal ``nums``
-    and ``den``.  Treat both as read-only.
+    and ``den``.  Both are read-only: no code mutates ``nums`` or rebinds
+    either after construction, which the content key (:func:`_content_key`,
+    taken once per instance and kept in a private slot) relies on.
 
     ``terms`` is the same polynomial as a fresh ``{Monomial: GaussianRational}``
     map, built on each access, for code outside the arithmetic loops;
     :class:`Monomial` is the named view of a ``nums`` key.
     """
 
-    __slots__ = ("nums", "den")
+    __slots__ = ("nums", "den", "_key")
 
     def __init__(self, terms: Mapping[Monomial | Exponents, ScalarLike] | None = None):
         # Reduced coefficients over the lcm of their denominators leave no common factor.
@@ -311,6 +313,24 @@ def _mul_into(out: Nums, left: Nums, right: Nums) -> int:
             else:
                 out[mono] = (acc[0] + x * u - y * v, acc[1] + x * v + y * u)
     return len(left) * len(right)
+
+
+#: A polynomial's content as a hashable memo key: its numerator items and its denominator.
+ContentKey = tuple[frozenset, int]
+
+
+def _content_key(poly: SpherePoly) -> ContentKey:
+    """``(frozenset(poly.nums.items()), poly.den)``, built on first use and kept on poly.
+
+    Equal polynomials have equal keys however they were built, so a memo
+    keyed on it shares one entry between them; ``SpherePoly`` itself stays
+    unhashable.
+    """
+    try:
+        return poly._key
+    except AttributeError:
+        key = poly._key = (frozenset(poly.nums.items()), poly.den)
+        return key
 
 
 def _raw(nums: Nums, den: int) -> SpherePoly:

@@ -57,7 +57,7 @@ from .operators import (CONJ_KOHN, KOHN, KOHN_SQUARES, LinOp, MulBy, PANEITZ,
                         SUBLAP, Z1, Z1BAR, ZERO_OP, _collect, _walk, _z1_nums, _z1bar_nums,
                         apply_Z1, apply_Z1bar, grad_op, kohn)
 from .scalars import ZERO, GaussianRational, ScalarLike
-from .spherepoly import Nums, SpherePoly
+from .spherepoly import ContentKey, Nums, SpherePoly, _content_key
 
 
 class PreconditionError(ValueError):
@@ -90,8 +90,8 @@ class _Weights(NamedTuple):
 
 
 @lru_cache(maxsize=128)
-def _weights_of(nums: frozenset, den: int, k: int) -> _Weights:
-    phi = SpherePoly._of(dict(nums), den)
+def _weights_of(key: ContentKey, k: int) -> _Weights:
+    phi = SpherePoly._of(dict(key[0]), key[1])
     phibar = phi.conj()
     norm = phi * phibar
     weight = norm.scale(k) - torsion_potential(phi) * phibar
@@ -102,18 +102,20 @@ def _weights_of(nums: frozenset, den: int, k: int) -> _Weights:
 def _weights(phi: SpherePoly, k: int) -> _Weights:
     """|phi|^2 and w_k = k|phi|^2 - E conj(phi), memoised per exact phi and k.
 
-    The bounded cache is keyed on phi's canonical numerators and
-    denominator, so equal polynomials share an entry however they were
-    built.  It holds phi's bidegree if uniform, and what
+    The bounded cache is keyed on phi's content key
+    (:func:`crlab.spherepoly._content_key`: its canonical numerators and
+    denominator, taken once per instance), so equal polynomials share an
+    entry however they were built.  It holds phi's bidegree if uniform, and what
     :func:`crlab.integration._integral` reads: the numerators of |phi|^2,
     w_k and conj(w_k) grouped by torus weight, and their denominators
     (conj(w_k) has w_k's).  The groups are shared between callers and
     treated as read-only.
     """
-    return _weights_of(frozenset(phi.nums.items()), phi.den, k)
+    return _weights_of(_content_key(phi), k)
 
 
 #: Each side of H: its field kernel d, and whether it pairs with conj(w_k) (w_k if uniform phi).
+#: A basis element's d f is read off its field chain instead (:func:`_gradient_of`).
 _SIDES = {"holomorphic": (_z1_nums, False), "antiholomorphic": (_z1bar_nums, True)}
 
 
@@ -126,18 +128,20 @@ class _Gradient(NamedTuple):
 
 
 @lru_cache(maxsize=256)
-def _gradient_of(nums: frozenset, den: int, side: str) -> _Gradient:
+def _gradient_of(key: ContentKey, side: str) -> _Gradient:
     """f's bidegree and d f on a side of H, memoised per exact f and side.
 
-    f is keyed, as phi is in :func:`_weights`, on its canonical numerators
-    and denominator, so equal polynomials share an entry however they were
-    built; the side's field kernel (:data:`_SIDES`) gives d f's numerator
-    map over f's denominator, never wrapped as a polynomial or reduced.
-    The entries are shared between callers and treated as read-only.
+    f is keyed, as phi is in :func:`_weights`, on its content key, so equal
+    polynomials share an entry however they were built.  d f is step 1 of
+    f's field chain on the side (Z1 f, or Z1bar f where the side pairs with
+    conj(w_k)), read through :func:`crlab.operators._walk`, so it is built
+    by the same kernel call that operator application and form rows use:
+    a numerator map over f's denominator, never wrapped as a polynomial or
+    reduced.  The entries are shared between callers and treated as
+    read-only.
     """
-    f = SpherePoly._of(dict(nums), den)
-    df = _SIDES[side][0](f.nums)
-    return _Gradient(f.bidegree_if_uniform(), df, targets_of((df,)))
+    (_, u0), (_, df) = _walk(((0, None), (-1 if _SIDES[side][1] else 1, None)), key)
+    return _Gradient(SpherePoly._of(u0, key[1]).bidegree_if_uniform(), df, targets_of((df,)))
 
 
 def drift_operator(phi: SpherePoly) -> LinOp:
@@ -195,8 +199,8 @@ def _second_variation_parts(phi: SpherePoly) -> list[tuple[ScalarLike, tuple[Lin
 
 
 @lru_cache(maxsize=32)
-def _second_variation_of(nums: frozenset, den: int) -> LinOp:
-    phi = SpherePoly._of(dict(nums), den)
+def _second_variation_of(key: ContentKey) -> LinOp:
+    phi = SpherePoly._of(dict(key[0]), key[1])
     d_op = drift_operator(phi)
     parts = _second_variation_parts(phi)
     parts.insert(2, (2, (d_op, d_op)))
@@ -212,7 +216,7 @@ def second_variation(phi: SpherePoly) -> LinOp:
     read-only: its ``terms`` are a read-only mapping, and its plan only
     keeps restrictions.  No form or verdict built from it is cached.
     """
-    return _second_variation_of(frozenset(phi.nums.items()), phi.den)
+    return _second_variation_of(_content_key(phi))
 
 
 def variations_from_jets(phi: SpherePoly) -> tuple[LinOp, LinOp]:
@@ -291,9 +295,10 @@ def _rows(op: LinOp, elements: tuple[SpherePoly, ...]) -> list[dict[int, Gaussia
     Z1bar^|m| f_i (m <= 0) on H_(0,k) (:meth:`_Plan.restrict`); each C_m
     is grouped by torus weight once per bidegree.  Row i pairs each
     nonzero C_m, as the weight, with u_m by
-    :func:`crlab.integration._pair_into`, each u_m built once
-    (:func:`crlab.operators._walk`), and divides each entry once by
-    :func:`moment_total`.
+    :func:`crlab.integration._pair_into`, each u_m read off f_i's field
+    chains and built once per process (:func:`crlab.operators._walk`), so
+    the rows that the forms of a ladder share take no field step in the
+    later forms; it divides each entry once by :func:`moment_total`.
     """
     plan = op._get_plan()
     targets = targets_of(f.nums for f in elements)
@@ -307,7 +312,7 @@ def _rows(op: LinOp, elements: tuple[SpherePoly, ...]) -> list[dict[int, Gaussia
             coeffs = restrictions[bidegree] = [
                 (m, _groups(nums)) for m, nums in plan.restrict(*bidegree)]
         sums: defaultdict[int, Sums] = defaultdict(dict)
-        for groups, image in _walk(coeffs, f.nums):
+        for groups, image in _walk(coeffs, _content_key(f)):
             _pair_into(sums, groups, image, targets)
         den = plan.den * f.den
         row = {j: moment_total(entry, den * elements[j].den) for j, entry in sums.items()}
@@ -488,8 +493,8 @@ def weighted_gradient_pairing(phi: SpherePoly, k: int, l: int, side: str,
     if side not in _SIDES:
         raise PreconditionError(f"side must be holomorphic|antiholomorphic, got {side!r}")
     conj = _SIDES[side][1]
-    grad_k = _gradient_of(frozenset(f_k.nums.items()), f_k.den, side)
-    grad_l = _gradient_of(frozenset(f_l.nums.items()), f_l.den, side)
+    grad_k = _gradient_of(_content_key(f_k), side)
+    grad_l = _gradient_of(_content_key(f_l), side)
     if (grad_k.bidegree, grad_l.bidegree) != (((0, k), (0, l)) if conj else ((k, 0), (l, 0))):
         spaces = f"H_(0,{k}) and H_(0,{l})" if conj else f"H_({k},0) and H_({l},0)"
         raise PreconditionError(f"{side} f_k and f_l must lie in {spaces}")

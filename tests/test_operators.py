@@ -531,20 +531,31 @@ def test_application_matches_the_word_by_word_sum(rng):
             assert op(f) == _word_by_word(op, f)
 
 
-def test_application_to_h_pq_makes_at_most_p_plus_q_field_calls(monkeypatch, rng):
-    # On f in H_(p,q), op(f) builds each u_m once from the plan's (p, q)
-    # restriction, built once per plan: at most p+q field-kernel calls per
-    # element, however many words op has.
+def _count_field_calls(monkeypatch, calls):
+    """Route every field kernel of crlab.operators through one that appends its input to calls."""
     import crlab.operators as operators
-    from crlab.variation import second_variation, variations_from_jets
 
-    calls = []
     for name, letter in (("_z1_nums", "Z1"), ("_z1bar_nums", "Z1bar"), ("_t_nums", "T")):
         def counted(nums, kernel=getattr(operators, name)):
-            calls.append(1)
+            calls.append(nums)
             return kernel(nums)
         monkeypatch.setattr(operators, name, counted)
         monkeypatch.setitem(operators._KERNELS, letter, counted)
+    operators._chains_of.cache_clear()
+
+
+def test_application_to_h_pq_makes_at_most_p_plus_q_field_calls(monkeypatch, rng):
+    # On f in H_(p,q), op(f) reads each u_m off f's field chains with the
+    # plan's (p, q) restriction, built once per plan: at most p+q
+    # field-kernel calls per element, however many words op has.  The chains
+    # are kept per element, so a second operator with a fresh plan, applied
+    # to the same element, makes none.
+    from crlab.variation import second_variation, variations_from_jets
+
+    ops = [second_variation(z1 ** 4 + z1c * z2), *variations_from_jets(z1 * z2c),
+           PANEITZ, CONJ_KOHN @ T, random_operator(rng, 3)[0] @ T]
+    calls = []
+    _count_field_calls(monkeypatch, calls)
 
     class CountedDict(dict):
         sets = 0
@@ -553,8 +564,6 @@ def test_application_to_h_pq_makes_at_most_p_plus_q_field_calls(monkeypatch, rng
             self.sets += 1
             super().__setitem__(key, value)
 
-    ops = [second_variation(z1 ** 4 + z1c * z2), *variations_from_jets(z1 * z2c),
-           PANEITZ, CONJ_KOHN @ T, random_operator(rng, 3)[0] @ T]
     for source in ops:
         for p in range(5):
             for q in range(5 - p):
@@ -566,4 +575,70 @@ def test_application_to_h_pq_makes_at_most_p_plus_q_field_calls(monkeypatch, rng
                     image = op(f)
                     assert len(calls) <= p + q
                     assert image == source(f)
+                    calls.clear()
+                    assert LinOp(dict(source.terms))(f) == image
+                    assert calls == []
                 assert plan._restrictions.sets == 1
+
+
+def test_forms_of_a_ladder_walk_each_shared_row_once(monkeypatch):
+    # A form's rows read the same field chains as application; the rows two
+    # forms of a ladder share make no field-kernel call in the second form.
+    from crlab.variation import assemble_form, second_variation
+
+    op = second_variation(z1 ** 4 + z1c * z2)
+    calls = []
+    _count_field_calls(monkeypatch, calls)
+    small = assemble_form(op, 2)
+    assert calls
+    calls.clear()
+    large = assemble_form(op, 3)
+    # Z1 and Z1bar keep the total degree: each call extends a new degree-3 row's chain.
+    assert calls and {a + b + c + d for nums in calls for a, b, c, d in nums} == {3}
+    calls.clear()
+    assert assemble_form(op, 3).rows == large.rows
+    assert calls == []
+    n = small.dimension  # the ladder's bases share their first n elements
+    assert [{j: v for j, v in row.items() if j < n} for row in large.rows[:n]] == list(small.rows)
+
+
+def test_equal_polynomials_share_one_field_chain():
+    import crlab.operators as operators
+
+    operators._chains_of.cache_clear()
+    op = Z1 @ Z1 + Z1BAR @ T
+    polys = (z1 * z2, parse_poly("z1*z2"), SpherePoly.monomial((1, 1, 0, 0)))
+    images = [op(f) for f in polys]
+    assert images[0] == images[1] == images[2] == apply_Z1(apply_Z1(z1 * z2))
+    info = operators._chains_of.cache_info()
+    assert (info.currsize, info.hits) == (1, 2)
+
+
+def test_overlapping_walks_build_the_same_chains():
+    # Chain steps are stored by index, each from the step below, so walks of
+    # one element that interleave in threads store the images one walk would.
+    import sys
+    import threading
+    import crlab.operators as operators
+
+    op = Z1 @ Z1 @ Z1 @ Z1 + Z1BAR @ Z1BAR @ Z1BAR + T @ Z1
+    elements = [SpherePoly.summed(f.scale(i + 1) for i, f in enumerate(basis(p, 10 - p).elements))
+                for p in range(11)]  # dense, so a kernel call spans thread switches
+    operators._chains_of.cache_clear()
+    expected = [op(f) for f in elements]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            operators._chains_of.cache_clear()
+            results = [[] for _ in range(8)]
+            threads = [threading.Thread(target=lambda out=out: out.extend(map(op, elements)))
+                       for out in results]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert all(out == expected for out in results)
+    finally:
+        sys.setswitchinterval(interval)

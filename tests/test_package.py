@@ -122,5 +122,15 @@ def test_only_the_allowlisted_memos_are_unbounded():
         "harmonics.basis", "cli.build_parser"}
     assert found == {
         "cli.build_parser": None, "harmonics.basis": None, "harmonics._weight_string": 256,
-        "variation._weights_of": 128, "variation._gradient_of": 256,
-        "variation._second_variation_of": 32}
+        "operators._chains_of": 1024, "variation._weights_of": 128,
+        "variation._gradient_of": 256, "variation._second_variation_of": 32}
+
+
+def test_chain_memo_holds_a_whole_form():
+    # One form reads the field chains of every basis element it pairs; a
+    # chain memo smaller than the basis at the largest pmax would evict a
+    # form's own rows before the next form of a ladder could reuse them.
+    from crlab.operators import _chains_of
+    from crlab.variation import MAX_VARIATION_PMAX, pluriharmonic_basis
+
+    assert _chains_of.cache_info().maxsize >= len(pluriharmonic_basis(MAX_VARIATION_PMAX)) == 648

@@ -12,6 +12,7 @@ from crlab import (KOHN, GaussianRational, IdentityCheckError, PreconditionError
                    torsion_potential, variations_from_jets,
                    weighted_gradient_pairing, z1, z1c, z2, z2c)
 from crlab.operators import PANEITZ, ZERO_OP, LinOp
+from crlab.spherepoly import _content_key
 from crlab.variation import (INDEFINITE, NEGATIVE_DEFINITE, NEGATIVE_SEMIDEFINITE,
                              POSITIVE_DEFINITE, POSITIVE_SEMIDEFINITE, ZERO_FORM)
 from conftest import (dense_form, load_bench, random_bidegree_poly, random_pluriharmonic,
@@ -281,14 +282,18 @@ def test_weighted_pairing_checks_both_laws_with_a_wrong_potential(monkeypatch, c
 
 def test_weighted_pairing_indexes_d_f_l_once(monkeypatch):
     # Each distinct (element, side) is differentiated and indexed by torus
-    # weight once, however many pairings read it.
-    kernels = {side: kernel for side, (kernel, _) in variation._SIDES.items()}
+    # weight once, however many pairings read it.  d f is step 1 of the
+    # element's field chain, so the count is taken at the chain's kernels.
+    import crlab.operators as operators
+
     derived, indexed = [], []
 
-    def counted(side):
+    def counted(name, side):
+        kernel = getattr(operators, name)
+
         def derivative(nums):
             derived.append((frozenset(nums.items()), side))
-            return kernels[side](nums)
+            return kernel(nums)
         return derivative
 
     def counted_targets(ys):
@@ -297,10 +302,11 @@ def test_weighted_pairing_indexes_d_f_l_once(monkeypatch):
         return original(ys)
 
     original = variation.targets_of
-    for side, (_, conj) in variation._SIDES.items():
-        monkeypatch.setitem(variation._SIDES, side, (counted(side), conj))
+    monkeypatch.setattr(operators, "_z1_nums", counted("_z1_nums", "holomorphic"))
+    monkeypatch.setattr(operators, "_z1bar_nums", counted("_z1bar_nums", "antiholomorphic"))
     monkeypatch.setattr(variation, "targets_of", counted_targets)
     variation._gradient_of.cache_clear()
+    operators._chains_of.cache_clear()
     sides = (("holomorphic", lambda d: basis(d, 0).elements),
              ("antiholomorphic", lambda d: basis(0, d).elements))
     pairings = 0
@@ -330,12 +336,39 @@ def test_element_memo_is_keyed_on_the_exact_polynomial():
 def test_element_memo_keeps_the_sides_apart():
     variation._gradient_of.cache_clear()
     f = z1 * z1c * z2  # both Z1 f and Z1bar f are nonzero
-    key = (frozenset(f.nums.items()), f.den)
-    holo = variation._gradient_of(*key, "holomorphic")
-    anti = variation._gradient_of(*key, "antiholomorphic")
+    key = _content_key(f)
+    holo = variation._gradient_of(key, "holomorphic")
+    anti = variation._gradient_of(key, "antiholomorphic")
     assert variation._gradient_of.cache_info().currsize == 2
     assert holo.nums == apply_Z1(f).nums and anti.nums == apply_Z1bar(f).nums
     assert holo.nums != anti.nums
+
+
+def test_cached_content_keys_still_match_their_polynomials():
+    # A polynomial's content key is taken once and kept on the instance, so
+    # it is right only while nothing mutates the polynomial afterwards.
+    # After a jet-oracle check, a --pmax ladder of forms and a pairing sweep,
+    # every polynomial holding a key (basis elements, each phi among them)
+    # still has the key of its content.
+    import gc
+
+    jet_phi, form_phi, pairing_phi = (parse_poly("z1^2*z2c + 2/3*i*z1*z2*z1c"),
+                                      z1 ** 4 + z1c * z2, z1 * z2c)
+    elements = small_basis(3)
+    dot, ddot = variations_from_jets(jet_phi)
+    first, second = first_variation(jet_phi), second_variation(jet_phi)
+    for f in elements:
+        assert sphere_equal(dot(f), first(f)) and sphere_equal(ddot(f), second(f))
+    for pmax in (1, 2, 3):
+        classify(assemble_form(second_variation(form_phi), pmax))
+    for k in (1, 2, 3):
+        for l in (1, 2, 3):
+            for fk, fl in zip(basis(k, 0).elements, basis(l, 0).elements):
+                weighted_gradient_pairing(pairing_phi, k, l, "holomorphic", fk, fl)
+    keyed = [poly for poly in gc.get_objects()
+             if isinstance(poly, SpherePoly) and hasattr(poly, "_key")]
+    assert {id(poly) for poly in elements + [jet_phi, form_phi, pairing_phi]} <= set(map(id, keyed))
+    assert [poly for poly in keyed if poly._key != (frozenset(poly.nums.items()), poly.den)] == []
 
 
 def test_element_memo_is_bounded():
