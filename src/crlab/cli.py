@@ -35,7 +35,7 @@ from functools import cache
 
 from . import __version__
 from .deformation import DegenerateStructureError, rossi, torsion, torsion_factor
-from .harmonics import be_check, canonical_form, canonicalize, sphere_equal
+from .harmonics import be_check, canonicalize, sphere_equal
 from .integration import integrate
 from .operators import (CONJ_KOHN, KOHN, PANEITZ, SUBLAP, bochner_residual,
                         common_eigenvalue)
@@ -207,12 +207,12 @@ def cmd_rossi(args, report: Report):
 
 def cmd_bochner(args, report: Report):
     phi = _parse_phi(args.phi)
-    residual = bochner_residual(phi)
+    components = canonicalize(bochner_residual(phi))
     report.add(
         "bochner-vanishing",
         "the torsion-free Bochner identity holds on S^3 (residual vanishes)",
-        sphere_equal(residual, SpherePoly.zero()),
-        residual_canonical=canonical_form(residual),
+        not components,
+        residual_canonical=SpherePoly.summed(components.values()),
         phi=phi,
     )
 

@@ -60,7 +60,10 @@ are the same kernels followed by one gcd.)
 * ``A(f)`` for any other f applies each word to f letter by letter, last
   letter first, up to the first zero image, and adds the word's
   coefficient times that image with the polynomial product's kernel, into
-  one term map with one gcd at the end.
+  one term map with one gcd at the end.  That word route is one helper,
+  :func:`_apply_words`, on numerator maps; its second caller is
+  :func:`bochner_residual`, which applies ``KOHN``'s words to field
+  images and products that are never made polynomials.
 * :func:`common_eigenvalue` reads A's eigenvalue on H_{p,q} off A's
   restriction there, with no basis and no application: A is scalar there
   exactly when the restriction is a constant C_0 alone (or empty).
@@ -78,7 +81,7 @@ from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 from .harmonics import _laplacian_nums, basis
 from .integration import inner
 from .scalars import ZERO, GaussianRational, ScalarLike, _make
-from .spherepoly import ContentKey, Nums, SpherePoly, _content_key, _mul_into
+from .spherepoly import ContentKey, Nums, SpherePoly, _conj_nums, _content_key, _mul_into
 
 
 # Field kernels: each maps a numerator map to the numerators of the field's
@@ -280,6 +283,39 @@ def _harmonic_bidegree(nums: Nums) -> tuple[int, int] | None:
     return p, q
 
 
+def _apply_words(out: Nums, words: Iterable[tuple[Word, Nums]], nums: Nums) -> int:
+    """Add sum over words of coeff * word(nums) into out; return the products formed.
+
+    words are a plan's (word, coefficient numerators).  Each word applies
+    its letters' field kernels to nums, last letter first, up to the first
+    zero image, and a nonzero image is multiplied by the word's
+    coefficient with the polynomial product's kernel, so out gets the
+    numerators over the plan's ``den`` times nums' denominator, unreduced
+    and unchecked for zero.
+    """
+    count = 0
+    for word, coeff_nums in words:
+        image = nums
+        for letter in reversed(word):
+            if not image:
+                break
+            image = _KERNELS[letter](image)
+        if image:
+            count += _mul_into(out, coeff_nums, image)
+    return count
+
+
+def _combination(*terms: tuple[int, Nums]) -> Nums:
+    """sum of k * nums over the (k, nums) given, as one numerator map, unchecked for zero."""
+    out: Nums = {}
+    get = out.get
+    for k, nums in terms:
+        for mono, (x, y) in nums.items():
+            acc = get(mono)
+            out[mono] = (x * k, y * k) if acc is None else (acc[0] + x * k, acc[1] + y * k)
+    return out
+
+
 def _collect(pairs: Iterable[tuple[Word, SpherePoly]]) -> dict[Word, SpherePoly]:
     """Term map of a sum of (word, coefficient) pairs; sums may be zero."""
     grouped: dict[Word, list[SpherePoly]] = {}
@@ -340,17 +376,10 @@ class LinOp:
         nums = poly.nums
         bidegree = _harmonic_bidegree(nums)
         out: Nums = {}
-        count = 0
         if bidegree is None:
-            for word, coeff_nums in plan.words:
-                image = nums
-                for letter in reversed(word):
-                    if not image:
-                        break
-                    image = _KERNELS[letter](image)
-                if image:
-                    count += _mul_into(out, coeff_nums, image)
+            count = _apply_words(out, plan.words, nums)
         else:
+            count = 0
             for coeff_nums, image in _walk(plan.restriction(*bidegree), _content_key(poly)):
                 count += _mul_into(out, coeff_nums, image)
         return SpherePoly._of(out, plan.den * poly.den, len(out) < count)
@@ -460,31 +489,54 @@ def bochner_residual(phi: SpherePoly) -> SpherePoly:
     (Tanaka-Webster curvature 2, zero torsion), reads
 
         -kohn(e)/2 = phi_bb * conj(phi_bb) + phi_b1 * conj(phi_b1)
-                     - (1/2) phi_b * conj((kohn phi)_b)
-                     - (kohn phi)_b * conj(phi_b)
+                     - (1/2) phi_b * conj(box_b)
+                     - box_b * conj(phi_b)
                      - (Z1bar Z1bar Z1 phi) * conj(phi_b)
                      + 2 e,
 
-    where ``_b`` is Z1bar, ``phi_bb`` is Z1bar Z1bar phi and ``phi_b1`` is
-    Z1 Z1bar phi; pointwise pairings of (0,1)-forms are coefficient times
-    conjugate coefficient.  The returned residual vanishes on the sphere
-    for every phi.  The code applies each field once and groups the three
-    terms with the factor conj(phi_b) into one product,
-    (2 phi_b - (kohn phi)_b - Z1bar Z1bar Z1 phi) * conj(phi_b).
+    where ``_b`` is Z1bar, ``phi_bb`` is Z1bar Z1bar phi, ``phi_b1`` is
+    Z1 Z1bar phi and box_b is Z1bar(kohn phi); pointwise pairings of
+    (0,1)-forms are coefficient times conjugate coefficient.  The identity
+    follows from the Leibniz rule and the commutator [Z1, Z1bar] = -iT,
+    both identities of differential operators on C^2, so the residual is
+    the zero polynomial for every phi, not only zero on the sphere.
+
+    It is summed on integer numerators.  Every field image comes from the
+    kernels as a numerator map over phi's denominator ``den``, never
+    wrapped or reduced, and kohn acts on numerator maps through the words
+    of ``KOHN``'s own plan (:func:`_apply_words`), whose coefficients lie
+    over the plan's denominator d_K: kohn(phi) is K over d_K den, box_b is
+    Z1bar K over d_K den, and kohn(e) is the words applied to |phi_b|^2
+    over d_K den^2.  Over 2 d_K den^2 every term is then an integer times a
+    product of two maps,
+
+        -kohn(|phi_b|^2) - 2 d_K |phi_bb|^2 - 2 d_K |phi_b1|^2
+        + phi_b conj(box_b) + (2 box_b + 2 d_K Z1bar Z1bar Z1 phi - 4 d_K phi_b) conj(phi_b),
+
+    each added by the polynomial product's kernel into one map, which is
+    reduced by one gcd at the end.
     """
-    phi_b = apply_Z1bar(phi)
-    phi_b_conj = phi_b.conj()
-    phi_bb = apply_Z1bar(phi_b)
-    phi_b1 = apply_Z1(phi_b)
-    box_b = apply_Z1bar(kohn(phi))
-    lhs = Fraction(-1, 2) * kohn(phi_b * phi_b_conj)
-    rhs = (
-        phi_bb * phi_bb.conj()
-        + phi_b1 * phi_b1.conj()
-        - Fraction(1, 2) * (phi_b * box_b.conj())
-        + (2 * phi_b - box_b - apply_Z1bar(apply_Z1bar(apply_Z1(phi)))) * phi_b_conj
-    )
-    return lhs - rhs
+    plan = KOHN._get_plan()
+    words, d_k = plan.words, plan.den
+    nums = phi.nums
+    phi_b = _z1bar_nums(nums)
+    phi_b_conj = _conj_nums(phi_b)
+    phi_bb = _z1bar_nums(phi_b)
+    phi_b1 = _z1_nums(phi_b)
+    kohn_phi: Nums = {}
+    _apply_words(kohn_phi, words, nums)
+    box_b = _z1bar_nums(kohn_phi)
+    minus_e: Nums = {}
+    _mul_into(minus_e, _combination((-1, phi_b)), phi_b_conj)
+    out: Nums = {}
+    _apply_words(out, words, minus_e)
+    _mul_into(out, _combination((-2 * d_k, phi_bb)), _conj_nums(phi_bb))
+    _mul_into(out, _combination((-2 * d_k, phi_b1)), _conj_nums(phi_b1))
+    _mul_into(out, phi_b, _conj_nums(box_b))
+    grouped = _combination((2, box_b), (2 * d_k, _z1bar_nums(_z1bar_nums(_z1_nums(nums)))),
+                           (-4 * d_k, phi_b))
+    _mul_into(out, grouped, phi_b_conj)
+    return SpherePoly._of(out, 2 * d_k * phi.den ** 2, True)
 
 
 def common_eigenvalue(op: LinOp, p: int, q: int) -> GaussianRational:

@@ -53,8 +53,8 @@ import re
 from itertools import islice
 from math import comb, gcd
 
-from .spherepoly import (_VAR_MONOS, Nums, SpherePoly, _add_into, _canonical, _mul_into,
-                         _power)
+from .spherepoly import (_VAR_MONOS, Nums, SpherePoly, _add_into, _canonical, _conj_nums,
+                         _mul_into, _power)
 
 
 #: Largest exponent accepted after '^'; expansions grow combinatorially with it
@@ -425,7 +425,7 @@ def evaluate(program: Program) -> SpherePoly:
             stack[-1] = ({mono: (-x, -y) for mono, (x, y) in nums.items()}, den)
         elif op == "conj":
             nums, den = stack[-1]
-            stack[-1] = ({(c, d, a, b): (x, -y) for (a, b, c, d), (x, y) in nums.items()}, den)
+            stack[-1] = (_conj_nums(nums), den)
         elif op == "pow":
             stack[-1] = _power(*stack[-1], ins[1])
         elif op in ("+", "-"):

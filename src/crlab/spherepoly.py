@@ -187,13 +187,14 @@ class SpherePoly:
         return _raw({mono: (-x, -y) for mono, (x, y) in self.nums.items()}, self.den)
 
     def __mul__(self, other):
+        # The SpherePoly test comes first: a miss on Fraction's ABC check is slow.
+        if isinstance(other, SpherePoly):
+            out: Nums = {}
+            count = _mul_into(out, self.nums, other.nums)
+            return SpherePoly._of(out, self.den * other.den, len(out) < count)
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self.scale(other)
-        if not isinstance(other, SpherePoly):
-            return NotImplemented
-        out: Nums = {}
-        count = _mul_into(out, self.nums, other.nums)
-        return SpherePoly._of(out, self.den * other.den, len(out) < count)
+        return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -217,8 +218,7 @@ class SpherePoly:
         return _raw(*_power(self.nums, self.den, exponent))
 
     def conj(self) -> "SpherePoly":
-        return _raw({(c, d, a, b): (x, -y)
-                     for (a, b, c, d), (x, y) in self.nums.items()}, self.den)
+        return _raw(_conj_nums(self.nums), self.den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -313,6 +313,11 @@ def _mul_into(out: Nums, left: Nums, right: Nums) -> int:
             else:
                 out[mono] = (acc[0] + x * u - y * v, acc[1] + x * v + y * u)
     return len(left) * len(right)
+
+
+def _conj_nums(nums: Nums) -> Nums:
+    """Numerators of the conjugate over the same denominator: z1 <-> z1c, z2 <-> z2c, i -> -i."""
+    return {(c, d, a, b): (x, -y) for (a, b, c, d), (x, y) in nums.items()}
 
 
 #: A polynomial's content as a hashable memo key: its numerator items and its denominator.

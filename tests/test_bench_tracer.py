@@ -4,9 +4,11 @@
 ``HermitianForm.entries``; a rename or deletion there would otherwise show
 only in a traced benchmark run.  It counts operator application through
 ``LinOp.__call__`` and polynomial products through ``SpherePoly.__mul__``,
-so those must stay the entry points of the product kernel.  A weighted
-gradient pairing calls neither ``inner`` nor the product: each of its
-integrals is one pass of the pairing kernel over numerator maps.  An
+so those must stay the entry points of the product kernel for every
+caller but two.  A weighted gradient pairing calls neither ``inner`` nor
+the product: each of its integrals is one pass of the pairing kernel over
+numerator maps.  The Bochner residual neither multiplies polynomials nor
+applies an operator: it sums its products on numerator maps.  An
 eigenvalue check reads the operator's restriction, so it builds no basis
 and applies nothing.  Nothing under ``bench/`` is written.
 """
@@ -75,3 +77,17 @@ def test_eigenvalue_check_builds_no_basis_and_applies_nothing():
     assert stats["operators.common_eigenvalue.calls"] == 1
     assert stats["operators.apply.calls"] == 0
     assert stats["harmonics.basis.calls"] == 0
+
+
+def test_bochner_residual_forms_no_product_and_applies_nothing():
+    phi = crlab.parse_poly("z1*z2c + 3*z2^2 - i*z1c")
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        assert crlab.bochner_residual(phi).is_zero()
+    finally:
+        tracer.uninstall()
+    stats = tracer.aggregate()
+    assert stats["operators.bochner_residual.calls"] == 1
+    assert stats["spherepoly.mul.calls"] == 0
+    assert stats["operators.apply.calls"] == 0

@@ -1,5 +1,8 @@
 """The CR vector fields, canonical operators and the Bochner identity."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from crlab import (CONJ_KOHN, KOHN, PANEITZ, SUBLAP, SpherePoly, apply_T,
@@ -8,7 +11,8 @@ from crlab import (CONJ_KOHN, KOHN, PANEITZ, SUBLAP, SpherePoly, apply_T,
                    kohn_energy_identity, one, paneitz, radius_sq, sphere_equal,
                    parse_poly, sublap, z1, z1c, z2, z2c)
 from crlab.operators import IDENTITY, T, Z1, Z1BAR, ZERO_OP, LinOp, MulBy
-from conftest import random_bidegree_poly, random_poly, random_scalar, vanishes_on_sphere
+from conftest import (load_bench, random_bidegree_poly, random_poly, random_scalar,
+                      vanishes_on_sphere)
 
 ZERO = SpherePoly.zero()
 
@@ -368,17 +372,102 @@ def test_kohn_and_paneitz_are_symmetric_operators(rng):
             assert inner(paneitz(f), h) == inner(f, paneitz(h))
 
 
+def reference_bochner_residual(phi):
+    """The Bochner residual as polynomial arithmetic: each term its own reduced product."""
+    phi_b = apply_Z1bar(phi)
+    phi_b_conj = phi_b.conj()
+    phi_bb = apply_Z1bar(phi_b)
+    phi_b1 = apply_Z1(phi_b)
+    box_b = apply_Z1bar(kohn(phi))
+    lhs = Fraction(-1, 2) * kohn(phi_b * phi_b_conj)
+    rhs = (
+        phi_bb * phi_bb.conj()
+        + phi_b1 * phi_b1.conj()
+        - Fraction(1, 2) * (phi_b * box_b.conj())
+        + (2 * phi_b - box_b - apply_Z1bar(apply_Z1bar(apply_Z1(phi)))) * phi_b_conj
+    )
+    return lhs - rhs
+
+
+def _check_bochner(phi):
+    residual = bochner_residual(phi)
+    assert residual == reference_bochner_residual(phi), phi
+    assert residual.is_zero(), phi
+
+
+BOCHNER_EXAMPLES = [z1, z1c, z1 * z2c + (z2 ** 2).scale(gr(0, 1)), ZERO, one,
+                    parse_poly("z1*z2c - i/7"), parse_poly("z1*z2c + 3*z2^2 - i*z1c"),
+                    parse_poly("z1/3 + 2*i*z2c^2/5 - z1*z1c*z2"), parse_poly("(3/4 - i/6)*z1^2*z2c")]
+
+
 def test_bochner_residual_vanishes_for_fixed_examples():
-    for phi in [z1, z1c, z1 * z2c + (z2 ** 2).scale(gr(0, 1))]:
-        residual = bochner_residual(phi)
-        assert sphere_equal(residual, ZERO)
-        assert vanishes_on_sphere(residual)
+    for phi in BOCHNER_EXAMPLES:
+        _check_bochner(phi)
+        assert vanishes_on_sphere(bochner_residual(phi))
 
 
 def test_bochner_residual_vanishes_for_random_corpus(rng):
-    for _ in range(8):
-        phi = random_poly(rng, max_p=3, max_q=3, terms=4)
-        assert sphere_equal(bochner_residual(phi), ZERO)
+    for _ in range(40):
+        _check_bochner(random_poly(rng, max_p=rng.randint(0, 4), max_q=rng.randint(0, 4),
+                                   terms=rng.randint(1, 5)))
+
+
+def test_bochner_residual_vanishes_for_dense_polynomials():
+    workloads = load_bench("workloads")
+    rng = random.Random(7)
+    for _ in range(3):
+        _check_bochner(workloads.phased_poly(rng, workloads.dense_support()))
+
+
+@pytest.mark.parametrize("mutant", [-3 * (Z1 @ Z1BAR), -2 * (Z1BAR @ Z1)])
+def test_bochner_residual_reads_kohn(monkeypatch, mutant):
+    import crlab.operators as operators
+
+    monkeypatch.setattr(operators, "KOHN", mutant)
+    for phi in map(parse_poly, ("z1*z2c + 3*z2^2 - i*z1c", "z1*z2c/3 + 3*z2^2 - i*z1c/2")):
+        residual = bochner_residual(phi)
+        assert not sphere_equal(residual, ZERO)
+        # Both sides read the same kohn, so they still agree term for term.
+        assert residual == reference_bochner_residual(phi)
+
+
+def test_bochner_residual_follows_kohn_written_over_a_denominator(monkeypatch, rng):
+    # kohn = -2 Z1 Z1bar, rewritten by Z1 Z1bar = Z1bar Z1 - iT as three words over
+    # the denominator 3: the same operator, so the same (zero) residual.
+    import crlab.operators as operators
+
+    rewritten = (Fraction(-4, 3) * (Z1 @ Z1BAR) + Fraction(-2, 3) * (Z1BAR @ Z1)
+                 + gr(0, Fraction(2, 3)) * T)
+    assert (len(rewritten.terms), rewritten._get_plan().den) == (3, 3)
+    monkeypatch.setattr(operators, "KOHN", rewritten)
+    for phi in [*BOCHNER_EXAMPLES, *(random_poly(rng, max_p=3, max_q=3, terms=4) for _ in range(8))]:
+        assert rewritten(phi) == KOHN(phi)
+        _check_bochner(phi)
+
+
+def test_bochner_residual_forms_its_products_in_one_map(monkeypatch):
+    # Five products, and one per word of KOHN for each of kohn(phi) and
+    # kohn(|phi_b|^2); no polynomial product and no operator application.
+    import crlab.operators as operators
+
+    kernel = operators._mul_into
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the residual should stay on numerator maps")
+
+    monkeypatch.setattr(operators, "_mul_into", counted)
+    monkeypatch.setattr(SpherePoly, "__mul__", forbidden)
+    monkeypatch.setattr(LinOp, "__call__", forbidden)
+    phi = parse_poly("z1*z2c + 3*z2^2 - i*z1c")
+    residual = bochner_residual(phi)
+    monkeypatch.undo()
+    assert residual == reference_bochner_residual(phi)
+    assert len(calls) == 5 + 2 * len(KOHN.terms) == 7
 
 
 def test_kohn_energy_identity_examples():

@@ -205,6 +205,18 @@ def test_monomials_enter_as_any_four_sequence():
             x.coefficient(bad)
 
 
+def test_products_with_other_types_are_not_implemented():
+    x = SpherePoly({Monomial(1, 0, 0, 0): 2})
+    assert x.__mul__("x") is NotImplemented and x.__rmul__("x") is NotImplemented
+    for bad in ("x", 1.5, None):
+        with pytest.raises(TypeError):
+            x * bad
+        with pytest.raises(TypeError):
+            bad * x
+    assert x * 3 == 3 * x == x.scale(3)
+    assert x * Fraction(1, 2) == x * gr(Fraction(1, 2)) == x.scale(Fraction(1, 2))
+
+
 def test_shared_denominator_is_the_lcm_of_the_coefficients():
     x = SpherePoly({Monomial(1, 0, 0, 0): Fraction(1, 4), Monomial(0, 1, 0, 0): gr(0, Fraction(1, 6))})
     assert (x.nums, x.den) == ({Monomial(1, 0, 0, 0): (3, 0), Monomial(0, 1, 0, 0): (0, 2)}, 12)
