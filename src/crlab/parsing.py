@@ -31,8 +31,9 @@ at parse time.  An integer literal longer than ``MAX_LITERAL_DIGITS``
 digits is a lexical error.  Only the distinct token texts outside the
 grammar's words are checked, and a column is worked out only when an error
 is raised.  Before evaluating, :func:`evaluate` bounds the number of terms
-of every subexpression from the program and raises ``EvaluationError``
-above ``MAX_TERMS``.  Then it evaluates each divisor that is not a literal
+and the bits of the coefficients of every subexpression from the program,
+in integers, and raises ``EvaluationError`` above ``MAX_TERMS`` terms or
+``MAX_COEFF_BITS`` bits.  Then it evaluates each divisor that is not a literal
 at two fixed points and rejects it at once if the two values differ; a
 divisor whose values agree is left to the full evaluation, as before.
 
@@ -74,6 +75,19 @@ MAX_NESTING = 100
 #: longer literals are rejected before they are converted to ``int``.
 MAX_LITERAL_DIGITS = 100
 
+#: Most bits in any coefficient's numerator or denominator of any subexpression,
+#: as bounded from the program before evaluation (see :func:`_bounds`).  Every
+#: subcommand prints its results for the largest accepted constant in --phi,
+#: --t or --expr, |t|^2 |phi|^2 of ``torsion`` included, within Python's
+#: 4300-digit limit on converting an int to a string; ``((9^32)^32)^32`` is
+#: rejected.
+MAX_COEFF_BITS = 2048
+
+#: The largest M or D of :func:`_bounds` whose bit length is at most MAX_COEFF_BITS.
+_COEFF_LIMIT = (1 << MAX_COEFF_BITS) - 1
+
+_TOO_MANY_BITS = f"expression may have coefficients of more than {MAX_COEFF_BITS} bits"
+
 #: An expression in postfix order; see the module docstring.
 Program = tuple[tuple, ...]
 
@@ -94,7 +108,8 @@ class SyntaxParseError(ParseError):
 
 class EvaluationError(ValueError):
     """A well-formed expression that is not evaluated: it has no exact value
-    (e.g. division by z1), or it may expand to more than ``MAX_TERMS`` terms."""
+    (e.g. division by z1), or it may expand to more than ``MAX_TERMS`` terms
+    or have coefficients of more than ``MAX_COEFF_BITS`` bits."""
 
 
 # -- lexer ----------------------------------------------------------------------
@@ -247,8 +262,13 @@ def parse(src: str) -> Program:
     return tuple(parser.program)
 
 
-def _bounds(program: Program) -> tuple[int, int]:
-    """Upper bounds on the term count and total degree of program's value.
+#: Each variable's :func:`_bounds` stack entry: one term of degree 1, its mask bit, coefficient 1.
+_VAR_ENTRIES = {name: (1, 1, 1 << mono.index(1), 2, 1, 1, True)
+                for name, mono in _VAR_MONOS.items()}
+
+
+def _bounds(program: Program) -> tuple[int, int, int]:
+    """Upper bounds on the term count, total degree and coefficient bits of program's value.
 
     Terms add under '+' and '-', multiply under '*', and a power of a t-term
     base has at most C(t+n-1, n) terms (the multisets of n of its terms);
@@ -257,34 +277,69 @@ def _bounds(program: Program) -> tuple[int, int]:
     exponent order (z1, z2, z1c, z2c), so ``conj`` swaps its two halves as it
     swaps a monomial's.  Each stack entry carries its cap, and a result
     keeps its left operand's (or base's) unless its degree or mask differs.
+
+    Each entry also carries integers M and D and a flag: the value is N/D'
+    for Gaussian-integer numerators N with every |N_m| <= M and some
+    0 < D' <= D, and every coefficient is real if the flag is set.  A
+    literal n is n/1 and a variable 1/1.  A sum is (N1 D2' + N2 D1') /
+    (D1' D2'), so M1 D2 + M2 D1 over D1 D2.  A product meets at most
+    min(t1, t2) pairs of terms at each monomial, so M1 M2 min(t1, t2) over
+    D1 D2.  A power of a t-term base is at most (t M)^n over D^n.  Dividing
+    by a constant z/Dc multiplies by Dc/z if z is real, so M Dc over D Mz,
+    and by Dc conj(z)/|z|^2 otherwise, so M Dc Mz over D Mz^2.  The reduced
+    numerators and denominator divide those of any such N/D', so the
+    value's coefficient bits, the largest bit length of a real or imaginary
+    numerator part or of the denominator, are at most those of M and D.
+
     Raises EvaluationError at the first subexpression above ``MAX_TERMS``
-    and TypeError on an unknown instruction.
+    terms, or else above ``MAX_COEFF_BITS`` bits, and TypeError on an
+    unknown instruction.
     """
-    stack: list[tuple[int, int, int, int]] = []  # (terms, degree, variable mask, cap)
+    # (terms, degree, variable mask, cap, M, D, real)
+    stack: list[tuple[int, int, int, int, int, int, bool]] = []
+    limit = _COEFF_LIMIT
     for ins in program:
         op = ins[0]
+        # Leaves first: they are about half of a program.
+        if op == "var":
+            stack.append(_VAR_ENTRIES[ins[1]])
+            continue
+        if op == "num":
+            stack.append((1, 0, 0, 1, ins[1], 1, True))
+            continue
         if op in ("+", "-", "*"):
-            right_terms, right_degree, right_mask, _ = stack.pop()
-            left_terms, left_degree, left_mask, cap = stack[-1]
+            right_terms, right_degree, right_mask, _, right_size, right_den, right_real = (
+                stack.pop())
+            left_terms, left_degree, left_mask, cap, size, den, real = stack[-1]
             if op == "*":
                 terms, degree = left_terms * right_terms, left_degree + right_degree
+                size *= right_size * (left_terms if left_terms < right_terms else right_terms)
             else:
-                terms, degree = left_terms + right_terms, max(left_degree, right_degree)
-            mask = left_mask | right_mask
+                terms = left_terms + right_terms
+                degree = left_degree if left_degree > right_degree else right_degree
+                size = size * right_den + right_size * den
+            mask, den, real = left_mask | right_mask, den * right_den, real and right_real
         elif op == "pow":
-            left_terms, left_degree, mask, cap = stack[-1]
+            left_terms, left_degree, mask, cap, size, den, real = stack[-1]
             left_mask, n = mask, ins[1]
             terms, degree = comb(left_terms + n - 1, n), left_degree * n
+            size, den = (left_terms * size) ** n, den ** n
+        elif op == "/":
+            # A constant divisor keeps the left operand's term bounds.
+            _, _, _, _, divisor, divisor_den, divisor_real = stack.pop()
+            terms, degree, mask, cap, size, den, real = stack[-1]
+            left_degree, left_mask = degree, mask
+            divisor = divisor or 1  # a zero divisor is an error when evaluated
+            if divisor_real:
+                size, den = size * divisor_den, den * divisor
+            else:
+                size, den, real = size * divisor_den * divisor, den * divisor * divisor, False
         else:
-            if op == "var":
-                stack.append((1, 1, 1 << _VAR_MONOS[ins[1]].index(1), 2))
-            elif op in ("num", "i"):
-                stack.append((1, 0, 0, 1))
+            if op == "i":
+                stack.append((1, 0, 0, 1, 1, 1, False))
             elif op == "conj":
-                terms, degree, mask, cap = stack[-1]
-                stack[-1] = (terms, degree, mask >> 2 | (mask & 3) << 2, cap)
-            elif op == "/":
-                stack.pop()  # a constant divisor keeps the left operand's bounds
+                terms, degree, mask, *coefficients = stack[-1]
+                stack[-1] = (terms, degree, mask >> 2 | (mask & 3) << 2, *coefficients)
             elif op != "neg":
                 raise TypeError(f"not an instruction: {ins!r}")
             continue
@@ -295,9 +350,11 @@ def _bounds(program: Program) -> tuple[int, int]:
             terms = cap
         if terms > MAX_TERMS:
             raise EvaluationError(f"expression may expand to more than {MAX_TERMS} terms")
-        stack[-1] = (terms, degree, mask, cap)
-    terms, degree, _, _ = stack.pop()
-    return terms, degree
+        if (size | den) > limit:
+            raise EvaluationError(_TOO_MANY_BITS)
+        stack[-1] = (terms, degree, mask, cap, size, den, real)
+    terms, degree, _, _, size, den, _ = stack.pop()
+    return terms, degree, (size | den).bit_length()
 
 
 #: A Gaussian rational (a + b*i)/d as its reduced triple (a, b, d), d > 0.

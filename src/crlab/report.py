@@ -91,14 +91,13 @@ def _json(value, indent: str) -> str:
 
 
 def _approximate(encoded):
+    """The witness with each exact number as a float, or exact beyond a float's range."""
     if isinstance(encoded, str):
         try:
             return float(Fraction(encoded))
-        except ValueError:
+        except (ValueError, OverflowError):
             return encoded
     if isinstance(encoded, dict):
-        if set(encoded) == {"re", "im"}:
-            return {"re": float(Fraction(encoded["re"])), "im": float(Fraction(encoded["im"]))}
         return {k: _approximate(v) for k, v in encoded.items()}
     if isinstance(encoded, list):
         return [_approximate(v) for v in encoded]

@@ -42,7 +42,6 @@ checked to be Hermitian anew, and every classification eliminates anew.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import lcm
@@ -51,12 +50,12 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .deformation import paneitz_family_jet, torsion_potential
 from .harmonics import basis, canonicalize
-from .integration import (Groups, Sums, Target, Weight, _groups, _integral, _pair_into, inner,
-                          moment_total, targets_of)
+from .integration import (Groups, Sums, Target, Weight, _degree, _groups, _integral, _pair_into,
+                          _scale, inner, targets_of)
 from .operators import (CONJ_KOHN, KOHN, KOHN_SQUARES, LinOp, MulBy, PANEITZ,
                         SUBLAP, Z1, Z1BAR, ZERO_OP, _collect, _walk, _z1_nums, _z1bar_nums,
                         apply_Z1, apply_Z1bar, grad_op, kohn)
-from .scalars import ZERO, GaussianRational, ScalarLike
+from .scalars import ZERO, GaussianRational, ScalarLike, _make
 from .spherepoly import ContentKey, Nums, SpherePoly, _content_key
 
 
@@ -85,8 +84,10 @@ class _Weights(NamedTuple):
     bidegree: tuple[int, int] | None  # phi's, if uniform
     norm: Groups
     norm_den: int
+    norm_degree: int  # the holomorphic degree of |phi|^2
     weight: tuple[Groups, Groups]  # w_k, conj(w_k): indexed by a side's conj flag
     weight_den: int
+    weight_degree: tuple[int, int]  # the holomorphic degrees of w_k and conj(w_k)
 
 
 @lru_cache(maxsize=128)
@@ -96,7 +97,8 @@ def _weights_of(key: ContentKey, k: int) -> _Weights:
     norm = phi * phibar
     weight = norm.scale(k) - torsion_potential(phi) * phibar
     return _Weights(phi.bidegree_if_uniform(), _groups(norm.nums), norm.den,
-                    (_groups(weight.nums), _groups(weight.conj().nums)), weight.den)
+                    _degree(norm.nums), (_groups(weight.nums), _groups(weight.conj().nums)),
+                    weight.den, (_degree(weight.nums), _degree(weight.nums, conj=True)))
 
 
 def _weights(phi: SpherePoly, k: int) -> _Weights:
@@ -107,9 +109,11 @@ def _weights(phi: SpherePoly, k: int) -> _Weights:
     denominator, taken once per instance), so equal polynomials share an
     entry however they were built.  It holds phi's bidegree if uniform, and what
     :func:`crlab.integration._integral` reads: the numerators of |phi|^2,
-    w_k and conj(w_k) grouped by torus weight, and their denominators
-    (conj(w_k) has w_k's).  The groups are shared between callers and
-    treated as read-only.
+    w_k and conj(w_k) grouped by torus weight, their denominators
+    (conj(w_k) has w_k's) and their holomorphic degrees (conj(w_k)'s is
+    w_k's antiholomorphic one), from which a pairing bounds its scale
+    without a scan.  The groups are shared between callers and treated as
+    read-only.
     """
     return _weights_of(_content_key(phi), k)
 
@@ -125,6 +129,7 @@ class _Gradient(NamedTuple):
     bidegree: tuple[int, int] | None  # f's, if uniform
     nums: Nums  # d f over f's own denominator
     targets: dict[Weight, list[Target]]  # targets_of((nums,))
+    degrees: tuple[int, int]  # d f's holomorphic and antiholomorphic degrees
 
 
 @lru_cache(maxsize=256)
@@ -137,11 +142,13 @@ def _gradient_of(key: ContentKey, side: str) -> _Gradient:
     conj(w_k)), read through :func:`crlab.operators._walk`, so it is built
     by the same kernel call that operator application and form rows use:
     a numerator map over f's denominator, never wrapped as a polynomial or
-    reduced.  The entries are shared between callers and treated as
+    reduced.  Its degrees are kept with it, so a pairing bounds its scale
+    without a scan.  The entries are shared between callers and treated as
     read-only.
     """
     (_, u0), (_, df) = _walk(((0, None), (-1 if _SIDES[side][1] else 1, None)), key)
-    return _Gradient(SpherePoly._of(u0, key[1]).bidegree_if_uniform(), df, targets_of((df,)))
+    return _Gradient(SpherePoly._of(u0, key[1]).bidegree_if_uniform(), df, targets_of((df,)),
+                     (_degree(df), _degree(df, conj=True)))
 
 
 def drift_operator(phi: SpherePoly) -> LinOp:
@@ -298,25 +305,32 @@ def _rows(op: LinOp, elements: tuple[SpherePoly, ...]) -> list[dict[int, Gaussia
     :func:`crlab.integration._pair_into`, each u_m read off f_i's field
     chains and built once per process (:func:`crlab.operators._walk`), so
     the rows that the forms of a ladder share take no field step in the
-    later forms; it divides each entry once by :func:`moment_total`.
+    later forms.  Every pairing of the form is on one scale S: each u_m
+    has f_i's total degree k, so the largest holomorphic degree of the
+    C_m, plus the largest k, plus the largest antiholomorphic degree of
+    the f_j bounds every moment's h + a, and each entry is one Gaussian
+    integer pair over (S+1)! times the denominators, divided once.
     """
     plan = op._get_plan()
     targets = targets_of(f.nums for f in elements)
+    sides = [_side(f) for f in elements]
     restrictions: dict[tuple[int, int], list[tuple[int, Groups]]] = {}
+    holomorphic = 0
+    for bidegree in dict.fromkeys(sides):
+        # Asked for once per form, so not kept on the plan as well.
+        coeffs = plan.restrict(*bidegree)
+        restrictions[bidegree] = [(m, _groups(nums)) for m, nums in coeffs]
+        holomorphic = max([holomorphic] + [_degree(nums) for _, nums in coeffs])
+    scale = _scale(holomorphic + max(map(sum, sides), default=0)
+                   + max((q for _, q in sides), default=0))
     rows = []
-    for f in elements:
-        bidegree = _side(f)
-        coeffs = restrictions.get(bidegree)
-        if coeffs is None:
-            # Asked for once per form, so not kept on the plan as well.
-            coeffs = restrictions[bidegree] = [
-                (m, _groups(nums)) for m, nums in plan.restrict(*bidegree)]
-        sums: defaultdict[int, Sums] = defaultdict(dict)
-        for groups, image in _walk(coeffs, _content_key(f)):
-            _pair_into(sums, groups, image, targets)
-        den = plan.den * f.den
-        row = {j: moment_total(entry, den * elements[j].den) for j, entry in sums.items()}
-        rows.append({j: value for j, value in row.items() if value})
+    for f, bidegree in zip(elements, sides):
+        sums: Sums = {}
+        for groups, image in _walk(restrictions[bidegree], _content_key(f)):
+            _pair_into(sums, groups, image, targets, scale)
+        den = scale.den * plan.den * f.den
+        rows.append({j: _make(re, im, den * elements[j].den)
+                     for j, (re, im) in sums.items() if re or im})
     return rows
 
 
@@ -330,9 +344,11 @@ def assemble_form(op: LinOp, pmax: int) -> HermitianForm:
     H_(p-m,q+m) by an exact scalar.  So each row pairs op f_i without
     building it, one X^|m| f_i per nonzero C_m, by the kernel behind
     :func:`crlab.integration.inner`, which multiplies only terms whose
-    weights balance and sums their numerators per (j, moment).
-    :func:`moment_total` then divides each entry by its denominator once,
-    and only the nonzero entries are kept.  Every entry is computed on its
+    weights balance.  The form is on one factorial scale (:func:`_rows`):
+    each moment M(h, a) times (S+1)! is an integer when S bounds h + a, so
+    every entry is one Gaussian-integer pair, summed as the products are
+    formed and divided once by (S+1)! times its denominator; only the
+    nonzero entries are kept.  Every entry is computed on its
     own; none is filled in by symmetry, and every assembled form is checked
     to be Hermitian: a failed conjugate-symmetry check is an error, which
     is how the "the variation operators are real" claims are asserted.  A
@@ -485,7 +501,11 @@ def weighted_gradient_pairing(phi: SpherePoly, k: int, l: int, side: str,
     own denominator, and its torus-weight index.  Both caches are bounded.
     Each integral is one :func:`crlab.integration._integral` pass, computed
     anew on every call, that never forms the product of its weight and
-    d f_k.
+    d f_k.  Its scale S is read off the cached degrees, with no scan: the
+    holomorphic degree of the weight (or of |phi|^2) plus that of d f_k
+    plus the antiholomorphic degree of d f_l bounds every moment's h + a,
+    so each moment M(h, a) times (S+1)! is an integer and the value is one
+    Gaussian-integer pair over (S+1)! times the denominators.
     """
     weights = _weights(phi, k)
     if weights.bidegree is None:
@@ -500,13 +520,15 @@ def weighted_gradient_pairing(phi: SpherePoly, k: int, l: int, side: str,
         raise PreconditionError(f"{side} f_k and f_l must lie in {spaces}")
     p1, q1 = weights.bidegree
     den = f_k.den * f_l.den
-    value = _integral(weights.weight[conj], grad_k.nums, grad_l.targets, den * weights.weight_den)
+    reach = grad_k.degrees[0] + grad_l.degrees[1]
+    value = _integral(weights.weight[conj], grad_k.nums, grad_l.targets, den * weights.weight_den,
+                      weights.weight_degree[conj] + reach)
     if k != l:
         if not value.is_zero():
             raise IdentityCheckError("cross-degree weighted pairing must vanish")
     else:
-        expected = (_integral(weights.norm, grad_k.nums, grad_l.targets, den * weights.norm_den)
-                    * (k + p1 - q1 - 4))
+        expected = (_integral(weights.norm, grad_k.nums, grad_l.targets, den * weights.norm_den,
+                              weights.norm_degree + reach) * (k + p1 - q1 - 4))
         if value != expected:
             raise IdentityCheckError("diagonal weighted pairing disagrees with closed form")
     return value
@@ -540,7 +562,11 @@ def second_variation_decomposition(phi: SpherePoly, f: SpherePoly) -> SecondVari
     it is sum_k integral w_k (d f^k) conj(d F), so d F is indexed once per
     side and each k is one :func:`crlab.integration._integral` pass on the
     field kernels' numerators, with w_k and conj(w_k) grouped once per
-    (phi, k) by the cache behind :func:`weighted_gradient_pairing`.  The
+    (phi, k) by the cache behind :func:`weighted_gradient_pairing`.  Each
+    pass's scale S is read off its operands: the cached holomorphic degree
+    of the weight, plus that of d f^k, plus the antiholomorphic degree of
+    d F, which bounds every moment's h + a, so each moment M(h, a) times
+    (S+1)! is an integer and the pass sums one Gaussian-integer pair.  The
     pieces and F are sums built per call, so their images are derived here
     rather than memoised like basis elements' (:func:`_gradient_of`).  The
     left side is 2<D^2 f, f>, computed and checked as in
@@ -559,11 +585,14 @@ def second_variation_decomposition(phi: SpherePoly, f: SpherePoly) -> SecondVari
     total = ZERO
     for pieces, (derivative, conj) in zip((holo, anti), _SIDES.values()):
         whole = SpherePoly.summed(pieces.values())
-        targets = targets_of((derivative(whole.nums),))
+        image = derivative(whole.nums)
+        targets, reach = targets_of((image,)), _degree(image, conj=True)
         for k, piece in pieces.items():
             weights = _weights(phi, k)
-            total += _integral(weights.weight[conj], derivative(piece.nums), targets,
-                               piece.den * whole.den * weights.weight_den)
+            image = derivative(piece.nums)
+            total += _integral(weights.weight[conj], image, targets,
+                               piece.den * whole.den * weights.weight_den,
+                               weights.weight_degree[conj] + _degree(image) + reach)
     lower = total * 2
 
     drift_part = _drift_square(phi, rep) * 2

@@ -119,6 +119,12 @@ def load_bench(name: str):
     return module
 
 
+def power_of_two(n):
+    """Source text of the integer 2^n with every exponent at most 32."""
+    factors = ["((2^32)^32)"] * (n // 1024) + [f"(2^32)^{n % 1024 // 32}", f"2^{n % 32}"]
+    return "*".join(factors)
+
+
 def random_scalar(rng: random.Random, allow_zero: bool = True) -> GaussianRational:
     def part():
         return Fraction(rng.randint(-4, 4), rng.randint(1, 3))

@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from crlab import GaussianRational, IdentityCheckError, PreconditionError, cli
 from crlab.cli import main
-from conftest import decode_complex
+from crlab.parsing import MAX_COEFF_BITS
+from conftest import decode_complex, power_of_two
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -243,6 +244,37 @@ def test_integrate_accepts_a_long_sum(capsys):
     code, out, err = run_cli(capsys, "integrate", "--expr", "+".join(["z1"] * 2000))
     assert code == 0
     assert "2000*z1" in out and err == ""
+
+
+@pytest.mark.parametrize("argv", [("integrate", "--expr", "((9^32)^32)^32"),
+                                  ("torsion", "--t", "1/((9^32)^32)^32", "--phi", "z1c"),
+                                  ("decompose", "--phi", "((9^32)^32)^32*z1")])
+def test_constant_above_the_bit_bound_exits_2_with_one_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: expression may have coefficients of more than {MAX_COEFF_BITS} bits\n"
+
+
+# The largest accepted constant: 2^(MAX_COEFF_BITS - 1) has MAX_COEFF_BITS bits.
+_LARGEST = f"({power_of_two(MAX_COEFF_BITS - 1)})"
+
+
+@pytest.mark.parametrize("argv", [
+    *[("integrate", "--expr", expr) for expr in (_LARGEST, f"1/{_LARGEST}",
+                                                 f"i*{_LARGEST}*z1*z1c")],
+    *[(command, "--phi", phi) for command in ("decompose", "bochner", "torsion", "variation")
+      for phi in (_LARGEST, f"{_LARGEST}*z1", f"z1c/{_LARGEST}")],
+    *[(command, f"--t={t}")
+      for command in ("rossi", "torsion --phi z1", f"torsion --phi {_LARGEST}*z1")
+      for t in (_LARGEST, f"1/{_LARGEST}")],
+])
+def test_every_subcommand_takes_the_largest_accepted_constant(capsys, argv):
+    # Every printed number, |t|^2 |phi|^2 of torsion included, stays printable.
+    argv = [*argv[0].split(), *argv[1:]]
+    for options in (["--format", "text"], ["--format", "json", "--approx"], ["--format", "csv"]):
+        code, out, err = run_cli(capsys, *argv, *options)
+        assert code in (0, 1) and out, argv
+        assert len(err.splitlines()) == code and "Traceback" not in err
 
 
 @pytest.mark.parametrize("expr", ["(" * 400 + "z1" + ")" * 400, "-" * 400 + "z1"])

@@ -122,7 +122,7 @@ def test_only_the_allowlisted_memos_are_unbounded():
         "harmonics.basis", "cli.build_parser"}
     assert found == {
         "cli.build_parser": None, "harmonics.basis": None, "harmonics._weight_string": 256,
-        "operators._chains_of": 1024, "variation._weights_of": 128,
+        "integration._scale": 16, "operators._chains_of": 1024, "variation._weights_of": 128,
         "variation._gradient_of": 256, "variation._second_variation_of": 32}
 
 

@@ -12,10 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 from crlab import (Monomial, SpherePoly, gr, one, parse_poly, parsing, sphere_equal, z1, z1c, z2,
                    z2c)
-from crlab.parsing import (MAX_EXPONENT, MAX_LITERAL_DIGITS, MAX_NESTING, MAX_TERMS,
-                           EvaluationError, LexicalError, ParseError, SyntaxParseError, _TOKEN,
-                           _VAR_MONOS, _WORDS, _bounds, evaluate, parse)
-from conftest import SPHERE_POINTS
+from crlab.parsing import (MAX_COEFF_BITS, MAX_EXPONENT, MAX_LITERAL_DIGITS, MAX_NESTING,
+                           MAX_TERMS, EvaluationError, LexicalError, ParseError, SyntaxParseError,
+                           _TOKEN, _VAR_MONOS, _WORDS, _bounds, evaluate, parse)
+from conftest import SPHERE_POINTS, power_of_two
 from test_cli_fuzz import JUNK, expressions as cli_expressions
 
 
@@ -202,11 +202,15 @@ BOUND_CASES = [
 
 @pytest.mark.parametrize("src, terms, degree", BOUND_CASES)
 def test_expansion_bound(src, terms, degree):
-    assert _bounds(parse(src)) == (terms, degree)
+    assert _bounds(parse(src))[:2] == (terms, degree)
 
 
 def _reference_bounds(program):
-    """The bound with C(D+k, k) computed afresh at every '+', '-', '*' and '^'."""
+    """The bound with C(D+k, k) computed afresh at every '+', '-', '*' and '^'.
+
+    Beside it, each subexpression's coefficient bound (M, D, real): numerators
+    of modulus at most M over a denominator at most D, real if the flag is set.
+    """
     def capped(terms, degree, mask):
         k = mask.bit_count()
         terms = min(terms, comb(degree + k, k))
@@ -214,13 +218,21 @@ def _reference_bounds(program):
             raise EvaluationError(f"expression may expand to more than {MAX_TERMS} terms")
         return terms, degree, mask
 
-    stack = []
+    def sized(size, den, real):
+        if max(size, den) >= 1 << MAX_COEFF_BITS:
+            raise EvaluationError(f"expression may have coefficients of more than "
+                                  f"{MAX_COEFF_BITS} bits")
+        return size, den, real
+
+    stack, sizes = [], []
     for ins in program:
         op = ins[0]
         if op in ("num", "i"):
             stack.append((1, 0, 0))
+            sizes.append((ins[1], 1, True) if op == "num" else (1, 1, False))
         elif op == "var":
             stack.append((1, 1, {"z1": 1, "z2": 2, "z1c": 4, "z2c": 8}[ins[1]]))
+            sizes.append((1, 1, True))
         elif op == "conj":
             terms, degree, mask = stack.pop()
             stack.append((terms, degree, mask >> 2 | (mask & 3) << 2))
@@ -228,20 +240,35 @@ def _reference_bounds(program):
             terms, degree, mask = stack.pop()
             n = ins[1]
             stack.append(capped(comb(terms + n - 1, n), degree * n, mask))
+            size, den, real = sizes.pop()
+            sizes.append(sized((terms * size) ** n, den ** n, real))
         elif op in ("+", "-", "*"):
             right_terms, right_degree, right_mask = stack.pop()
             terms, degree, mask = stack.pop()
+            right_size, right_den, right_real = sizes.pop()
+            size, den, real = sizes.pop()
             if op == "*":
+                size = size * right_size * min(terms, right_terms)
                 terms, degree = terms * right_terms, degree + right_degree
             else:
+                size = size * right_den + right_size * den
                 terms, degree = terms + right_terms, max(degree, right_degree)
             stack.append(capped(terms, degree, mask | right_mask))
+            sizes.append(sized(size, den * right_den, real and right_real))
         elif op == "/":
             stack.pop()
+            divisor, divisor_den, divisor_real = sizes.pop()
+            size, den, real = sizes.pop()
+            divisor = max(divisor, 1)
+            if divisor_real:
+                sizes.append(sized(size * divisor_den, den * divisor, real))
+            else:
+                sizes.append(sized(size * divisor_den * divisor, den * divisor ** 2, False))
         elif op != "neg":
             raise TypeError(f"not an instruction: {ins!r}")
     terms, degree, _ = stack.pop()
-    return terms, degree
+    size, den, _ = sizes.pop()
+    return terms, degree, (size | den).bit_length()
 
 
 def _random_source(rng, depth):
@@ -299,6 +326,61 @@ def test_expansion_above_term_bound_is_rejected_before_evaluation(src, monkeypat
         monkeypatch.setattr(parsing, name, no_arithmetic)
     with pytest.raises(EvaluationError, match=f"more than {MAX_TERMS} terms"):
         evaluate(parse(src))
+
+
+def coefficient_bits(poly):
+    """The largest bit length of a real or imaginary numerator part or of the denominator."""
+    return max([poly.den.bit_length()] + [abs(x).bit_length() for pair in poly.nums.values()
+                                          for x in pair])
+
+
+@pytest.mark.parametrize("template", ["{}", "1/({})", "z1/({}) - z2c", "i*({})*z1 + 3",
+                                      "conj(z2*({}))"])
+def test_coefficient_bits_at_both_edges_of_the_bound(template, monkeypatch):
+    at_bound = template.format(power_of_two(MAX_COEFF_BITS - 1))
+    assert _bounds(parse(at_bound))[2] == MAX_COEFF_BITS
+    assert coefficient_bits(parse_poly(at_bound)) == MAX_COEFF_BITS
+    # One bit more is rejected before anything is evaluated.
+    for name in ("_add_into", "_mul_into", "_power"):
+        monkeypatch.setattr(parsing, name, None)
+    largest = power_of_two(MAX_COEFF_BITS - 1)
+    for above in (template.format(power_of_two(MAX_COEFF_BITS)),
+                  template.format(f"{largest} + {largest}")):
+        with pytest.raises(EvaluationError, match=f"more than {MAX_COEFF_BITS} bits"):
+            evaluate(parse(above))
+
+
+@pytest.mark.parametrize("src", ["((9^32)^32)^32", "1/((9^32)^32)^32", "((9^32)^32)^32*z1",
+                                 "(((2+i)^32)^32)^2", "*".join(["7^32"] * 23),
+                                 "((((1+i)/3)^32)^32)^2"])
+def test_large_constants_are_rejected_before_evaluation(src, monkeypatch):
+    for name in ("_add_into", "_mul_into", "_power", "_value_at"):
+        monkeypatch.setattr(parsing, name, None)
+    with pytest.raises(EvaluationError, match=f"more than {MAX_COEFF_BITS} bits"):
+        evaluate(parse(src))
+
+
+def test_coefficient_bound_holds_for_the_real_coefficients():
+    # The bound against the bits of parse_poly's real output, on generated
+    # programs and on constants near the bound: never below, and exact on a
+    # power of a real literal.
+    rng = random.Random(23)
+    sources = [_random_source(rng, rng.randint(1, 4)) for _ in range(400)]
+    sources += ["9^32", "(3^20)^5/7^30", "(2+i)^32/(1-2*i)^16", "(z1 + 3/7)^32",
+                "-(99^32 - i*98^32)*z2c/(97^16 + 96^16)", "+".join(["z1"] * 5000),
+                "z1" + "*1/2" * 2000, "*".join(["(z1+1)"] * 20)]
+    checked = 0
+    for src in sources:
+        program = parse(src)
+        try:
+            bits = _bounds(program)[2]
+        except EvaluationError:
+            continue
+        real = coefficient_bits(parse_poly(src))
+        assert real <= bits, src
+        checked += 1
+    assert checked > 300
+    assert _bounds(parse("9^32"))[2] == (9 ** 32).bit_length()
 
 
 @pytest.mark.parametrize("opening", ["(", "conj(", "-"])

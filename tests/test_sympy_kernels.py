@@ -115,7 +115,8 @@ def test_inner_matches_sympy(rng):
         w, x, y = (random_poly(rng, 2, 2, terms=4) for _ in range(3))
         expected = sympy_integral(to_sympy(w) * to_sympy(x) * sympy_conj(to_sympy(y)))
         value = integration._integral(integration._groups(w.nums), x.nums,
-                                      integration.targets_of((y.nums,)), x.den * y.den * w.den)
+                                      integration.targets_of((y.nums,)), x.den * y.den * w.den,
+                                      6)
         assert (value.re, value.im) == (_fraction(expected.x), _fraction(expected.y))
 
 
